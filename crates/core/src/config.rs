@@ -1,6 +1,7 @@
 //! Configuration knobs for the index methods.
 
 use crate::codec::CodecKind;
+use crate::error::{CoreError, Result};
 
 /// Tunable parameters shared by the index builders.
 ///
@@ -84,19 +85,26 @@ impl Default for IndexConfig {
 }
 
 impl IndexConfig {
-    /// Validate invariants; panics on nonsensical settings (these are
-    /// programmer-supplied constants, not runtime data).
-    pub fn validated(self) -> Self {
-        assert!(
+    /// Check the invariants the index methods rely on. Values arrive from
+    /// SQL `OPTIONS (...)` and persisted catalogs, so a violation is an
+    /// error for the caller, not a panic.
+    pub fn validate(&self) -> Result<()> {
+        let check = |ok: bool, what: &'static str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(CoreError::InvalidConfig(what))
+            }
+        };
+        check(
             self.page_size >= 256,
-            "page size must be at least 256 bytes"
-        );
-        assert!(self.threshold_ratio > 1.0, "threshold ratio must be > 1");
-        assert!(self.chunk_ratio > 1.0, "chunk ratio must be > 1");
-        assert!(self.fancy_size > 0, "fancy list size must be positive");
-        assert!(self.term_weight >= 0.0, "term weight must be non-negative");
-        assert!(self.num_shards >= 1, "shard count must be at least 1");
-        self
+            "page size must be at least 256 bytes",
+        )?;
+        check(self.threshold_ratio > 1.0, "threshold ratio must be > 1")?;
+        check(self.chunk_ratio > 1.0, "chunk ratio must be > 1")?;
+        check(self.fancy_size > 0, "fancy list size must be positive")?;
+        check(self.term_weight >= 0.0, "term weight must be non-negative")?;
+        check(self.num_shards >= 1, "shard count must be at least 1")
     }
 
     /// `thresholdValueOf` for the Score-Threshold method.
@@ -112,7 +120,8 @@ mod tests {
 
     #[test]
     fn defaults_are_paper_operating_points() {
-        let c = IndexConfig::default().validated();
+        let c = IndexConfig::default();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.threshold_ratio, 11.24);
         assert_eq!(c.chunk_ratio, 6.12);
         assert_eq!(c.min_chunk_docs, 100);
@@ -132,12 +141,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "chunk ratio")]
-    fn bad_chunk_ratio_panics() {
-        let _ = IndexConfig {
-            chunk_ratio: 0.9,
-            ..IndexConfig::default()
+    fn bad_settings_are_errors_not_panics() {
+        let bad = [
+            IndexConfig {
+                chunk_ratio: 0.9,
+                ..IndexConfig::default()
+            },
+            IndexConfig {
+                threshold_ratio: 1.0,
+                ..IndexConfig::default()
+            },
+            IndexConfig {
+                page_size: 16,
+                ..IndexConfig::default()
+            },
+            IndexConfig {
+                fancy_size: 0,
+                ..IndexConfig::default()
+            },
+            IndexConfig {
+                term_weight: f64::NAN,
+                ..IndexConfig::default()
+            },
+            IndexConfig {
+                num_shards: 0,
+                ..IndexConfig::default()
+            },
+        ];
+        for config in bad {
+            assert!(
+                matches!(config.validate(), Err(CoreError::InvalidConfig(_))),
+                "{config:?} must be rejected"
+            );
         }
-        .validated();
     }
 }

@@ -32,16 +32,16 @@
 //! the fancy-list term-score bound); otherwise the merge advances one
 //! candidate. Emission therefore never needs to know `k` in advance, and
 //! the emitted sequence is exactly the ranking a one-shot query of any
-//! depth would produce — `query()` is nothing but `open_cursor` + one
-//! drain.
+//! depth would produce — a method's default one-shot query is nothing but
+//! `open_cursor` + one drain.
 //!
 //! ## Consistency and staleness
 //!
-//! Within one `next_batch` call the index is read under the shard's read
-//! lock (see [`LockedIndex`](crate::methods::LockedIndex)), so each batch
-//! is consistent with a single snapshot. *Between* batches writers may
-//! update scores, insert, delete, or merge short lists; the cursor then
-//! degrades gracefully rather than failing:
+//! Within one `next_batch` call each shard is read under its read lock
+//! (see `methods/index.rs`), so each shard's slice of a batch is consistent
+//! with a single snapshot. *Between* batches writers may update scores,
+//! insert, delete, or merge short lists; the cursor then degrades
+//! gracefully rather than failing:
 //!
 //! * score churn: candidates already pooled keep the score observed when
 //!   they were resolved; later batches observe current scores. The emitted
@@ -68,6 +68,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use crate::error::{CoreError, Result};
 use crate::heap::ranks_above;
 use crate::merge::{Candidate, MultiMerge, UnionCursor, UnionEvent, UnionResume};
+use crate::methods::base::MethodBase;
 use crate::methods::MethodKind;
 use crate::multiterm::SeekStats;
 use crate::short_list::PostingPos;
@@ -106,7 +107,9 @@ impl PartialOrd for Best {
 pub struct MethodCursor {
     pub(crate) kind: MethodKind,
     pub(crate) query: Query,
-    pub(crate) state: CursorState,
+    /// One suspended enumeration per shard of the opening index (exactly
+    /// one for an unsharded index), k-way merged by `next_batch`.
+    pub(crate) slots: Vec<ShardSlot>,
 }
 
 impl MethodCursor {
@@ -122,54 +125,25 @@ impl MethodCursor {
 
     /// True once every result has been emitted: further batches are empty.
     pub fn is_exhausted(&self) -> bool {
-        match &self.state {
-            CursorState::Merge(s) => s.exhausted && s.pool.is_empty(),
-            CursorState::Sharded(slots) => slots.iter().all(|s| s.done && s.buf.is_empty()),
-        }
+        self.slots
+            .iter()
+            .all(|s| s.buf.is_empty() && s.state.is_drained())
     }
 
     /// Cumulative long-list block counters over every batch this cursor has
-    /// run (summed across shards for a sharded cursor).
+    /// run, summed across shards.
     pub fn stats(&self) -> SeekStats {
-        match &self.state {
-            CursorState::Merge(s) => s.stats,
-            CursorState::Sharded(slots) => slots
-                .iter()
-                .map(|s| s.cursor.stats())
-                .fold(SeekStats::default(), |acc, s| acc + s),
-        }
-    }
-
-    pub(crate) fn merge(kind: MethodKind, query: Query, state: MergeState) -> MethodCursor {
-        MethodCursor {
-            kind,
-            query,
-            state: CursorState::Merge(Box::new(state)),
-        }
-    }
-
-    pub(crate) fn sharded(kind: MethodKind, query: Query, slots: Vec<ShardSlot>) -> MethodCursor {
-        MethodCursor {
-            kind,
-            query,
-            state: CursorState::Sharded(slots),
-        }
+        self.slots
+            .iter()
+            .fold(SeekStats::default(), |acc, s| acc + s.state.stats)
     }
 }
 
-pub(crate) enum CursorState {
-    /// A single method instance's merge enumeration.
-    Merge(Box<MergeState>),
-    /// k-way merge over per-shard cursors ([`crate::methods::ShardedIndex`]).
-    Sharded(Vec<ShardSlot>),
-}
-
-/// One shard's slice of a sharded cursor: its own method cursor plus a
-/// buffer of pulled-but-unemitted hits.
+/// One shard's slice of a cursor: the shard's suspended merge plus a buffer
+/// of pulled-but-unemitted hits.
 pub(crate) struct ShardSlot {
-    pub(crate) cursor: MethodCursor,
+    pub(crate) state: MergeState,
     pub(crate) buf: VecDeque<SearchHit>,
-    pub(crate) done: bool,
 }
 
 /// The owned state of one method instance's suspended enumeration.
@@ -209,6 +183,12 @@ impl MergeState {
         }
     }
 
+    /// True once the streams are exhausted and the pool is empty: every
+    /// further batch is empty.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.exhausted && self.pool.is_empty()
+    }
+
     /// Admit an exactly-scored result (phase 1 of Algorithm 3).
     pub(crate) fn admit(&mut self, doc: DocId, score: Score) {
         if self.seen.insert(doc) {
@@ -219,10 +199,10 @@ impl MergeState {
 
 /// What a method must provide for the generic enumeration executor. The
 /// seven methods implement this; everything position- and pool-related is
-/// shared in [`merge_next_batch`].
+/// shared in [`run`].
 pub(crate) trait CursorBackend {
-    /// Method identity (cursor/index mismatch detection).
-    fn cursor_kind(&self) -> MethodKind;
+    /// The shard's shared bookkeeping (tombstones, pool cap).
+    fn base(&self) -> &MethodBase;
 
     /// Structural epoch of the long-list store (0 when the method keeps no
     /// blob long lists).
@@ -232,7 +212,9 @@ pub(crate) trait CursorBackend {
     fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>>;
 
     /// Tombstone check.
-    fn is_deleted(&self, doc: DocId) -> bool;
+    fn is_deleted(&self, doc: DocId) -> bool {
+        self.base().is_deleted(doc)
+    }
 
     /// Exact current ranking score of a candidate, or `None` when this
     /// occurrence must be skipped (superseded by a short-list posting, or
@@ -266,7 +248,7 @@ pub(crate) trait CursorBackend {
     /// candidate into a pool already holding this many entries evicts the
     /// cursor with [`CoreError::CursorEvicted`]. `0` = unbounded.
     fn pool_cap(&self) -> usize {
-        0
+        self.base().pool_cap
     }
 
     /// True when this method's streams are doc-ordered (Id-format long
@@ -283,37 +265,17 @@ pub(crate) trait CursorBackend {
     fn record_stats(&self, stats: SeekStats) {
         let _ = stats;
     }
-}
 
-/// Open a cursor with no phase-1 state (every method except the fancy-list
-/// ones, which pre-fill the pool and remainList themselves).
-pub(crate) fn open_merge(kind: MethodKind, query: &Query, idfs: Vec<f64>) -> MethodCursor {
-    let state = MergeState::new(query.terms.len(), idfs);
-    MethodCursor::merge(kind, query.clone(), state)
-}
-
-/// Validate cursor/backend pairing and run the executor.
-pub(crate) fn merge_next_batch<B: CursorBackend>(
-    backend: &B,
-    cursor: &mut MethodCursor,
-    n: usize,
-) -> Result<Vec<SearchHit>> {
-    if cursor.kind != backend.cursor_kind() {
-        return Err(CoreError::Unsupported(
-            "cursor was opened by a different index method",
-        ));
+    /// Snapshot of the counters [`CursorBackend::record_stats`] folds into
+    /// (all zeros for methods that keep none).
+    fn seek_stats(&self) -> SeekStats {
+        SeekStats::default()
     }
-    let CursorState::Merge(state) = &mut cursor.state else {
-        return Err(CoreError::Unsupported(
-            "sharded cursor used on an unsharded index",
-        ));
-    };
-    run(backend, &cursor.query, state, n)
 }
 
 /// The enumeration loop: emit pooled candidates while they provably beat
 /// everything unresolved; otherwise advance the merge by one candidate.
-fn run<B: CursorBackend>(
+pub(crate) fn run<B: CursorBackend>(
     backend: &B,
     query: &Query,
     state: &mut MergeState,

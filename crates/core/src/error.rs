@@ -19,6 +19,9 @@ pub enum CoreError {
     InvalidScore(f64),
     /// The operation is not supported by this method.
     Unsupported(&'static str),
+    /// An [`IndexConfig`](crate::IndexConfig) value is out of range (see
+    /// [`IndexConfig::validate`](crate::IndexConfig::validate)).
+    InvalidConfig(&'static str),
     /// A suspended cursor's candidate pool outgrew the configured cap
     /// (`IndexConfig::cursor_pool_cap`) and the cursor was evicted. The
     /// enumeration cannot continue; re-open the cursor (or raise the cap).
@@ -36,6 +39,7 @@ impl fmt::Display for CoreError {
             CoreError::DuplicateDocument(d) => write!(f, "document {d} already exists"),
             CoreError::InvalidScore(s) => write!(f, "invalid score {s}: must be finite and >= 0"),
             CoreError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
+            CoreError::InvalidConfig(what) => write!(f, "invalid index configuration: {what}"),
             CoreError::CursorEvicted { cap } => write!(
                 f,
                 "cursor evicted: candidate pool exceeded {cap} entries; re-open the cursor"

@@ -6,18 +6,23 @@
 //! of inverted-list indexes and top-k query algorithms that stay fast when
 //! document scores change frequently.
 //!
-//! The six methods (behind the [`SearchIndex`] trait):
+//! The methods (one [`MethodKind`] each, all behind the [`SearchIndex`]
+//! trait object [`build_index`] returns):
 //!
-//! * [`methods::IdMethod`] — classic ID-ordered lists; O(1) score updates,
+//! * [`MethodKind::Id`] — classic ID-ordered lists; O(1) score updates,
 //!   full-scan queries;
-//! * [`methods::ScoreMethod`] — score-ordered lists; early-terminating
+//! * [`MethodKind::Score`] — score-ordered lists; early-terminating
 //!   queries, ruinous updates;
-//! * [`methods::ScoreThresholdMethod`] — score-ordered long + short lists
+//! * [`MethodKind::ScoreThreshold`] — score-ordered long + short lists
 //!   with a threshold ratio trading update for query time (Algorithms 1-2);
-//! * [`methods::ChunkMethod`] — the paper's headline index: chunked,
+//! * [`MethodKind::Chunk`] — the paper's headline index: chunked,
 //!   score-free long lists with a chunk-ratio knob;
-//! * [`methods::IdTermMethod`] / [`methods::ChunkTermMethod`] — the
-//!   combined SVR + term-score variants (Algorithm 3, fancy lists).
+//! * [`MethodKind::IdTermScore`] / [`MethodKind::ChunkTermScore`] — the
+//!   combined SVR + term-score variants (Algorithm 3, fancy lists), plus
+//!   the [`MethodKind::ScoreThresholdTermScore`] extension.
+//!
+//! See the [`methods`] module docs for how the method files and the one
+//! shared index body fit together.
 //!
 //! ```
 //! use std::collections::HashMap;
@@ -79,7 +84,7 @@ pub use cursor::MethodCursor;
 pub use error::{CoreError, Result};
 pub use methods::{
     build_index, build_index_at, open_index_at, shard_of_doc, store_names, IndexLocation,
-    MethodKind, RefreshGroupStats, ScoreMap, ScoreRead, SearchIndex, ShardStats, ShardedIndex,
+    MethodKind, RefreshGroupStats, ScoreMap, ScoreRead, SearchIndex, ShardStats,
 };
 pub use multiterm::{SeekStats, SeekingIterator};
 pub use oracle::Oracle;

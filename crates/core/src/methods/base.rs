@@ -2,14 +2,14 @@
 //! the forward doc store, deletion tombstones and live document-frequency
 //! statistics (for the term-score methods).
 //!
-//! A method instance is either **standalone** (one partition owning the
-//! whole collection — the paper's layout) or **one shard of a partitioned
-//! index** (see [`crate::methods::ShardedIndex`]). Shards share one
-//! [`StorageEnv`] (store names are prefixed per shard) and one
-//! [`CorpusStats`] — document frequencies and the live document count are
-//! collection-wide so the term-score methods compute the same IDF weights
-//! at any shard count — while the Score table, forward index and tombstones
-//! are per shard, so score writes in different shards never contend.
+//! A method instance is always **one shard** of an index (see
+//! [`crate::methods::index`]); the paper's single-partition layout is the
+//! one-shard case. Shards share one [`StorageEnv`] (store names are
+//! prefixed per shard when there is more than one) and one [`CorpusStats`]
+//! — document frequencies and the live document count are collection-wide
+//! so the term-score methods compute the same IDF weights at any shard
+//! count — while the Score table, forward index and tombstones are per
+//! shard, so score writes in different shards never contend.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,7 +22,7 @@ use svr_text::idf;
 use crate::config::IndexConfig;
 use crate::doc_store::DocStore;
 use crate::error::{check_score, CoreError, Result};
-use crate::methods::store_names;
+use crate::methods::{store_names, IndexLocation};
 use crate::score_table::ScoreTable;
 use crate::types::{DocId, Document, Score, TermId};
 
@@ -34,6 +34,22 @@ use crate::types::{DocId, Document, Score, TermId};
 pub(crate) struct CorpusStats {
     df: RwLock<HashMap<TermId, u64>>,
     num_docs: AtomicU64,
+}
+
+impl CorpusStats {
+    /// Snapshot of the collection-wide `(term, df)` statistics, sorted by
+    /// term id.
+    pub fn term_dfs(&self) -> Vec<(TermId, u64)> {
+        let df = self.df.read();
+        let mut out: Vec<(TermId, u64)> = df.iter().map(|(&t, &c)| (t, c)).collect();
+        out.sort_unstable_by_key(|&(t, _)| t);
+        out
+    }
+
+    /// The collection-wide live document count.
+    pub fn num_docs(&self) -> u64 {
+        self.num_docs.load(Ordering::Relaxed)
+    }
 }
 
 /// Where a method instance lives: its storage environment, the shared
@@ -48,46 +64,26 @@ pub(crate) struct ShardContext {
 }
 
 impl ShardContext {
-    /// Context for a standalone (unsharded) index: fresh environment, fresh
-    /// statistics, unprefixed store names.
-    pub fn standalone(config: &IndexConfig) -> ShardContext {
-        ShardContext {
-            env: Arc::new(StorageEnv::new(config.page_size)),
-            stats: Arc::new(CorpusStats::default()),
-            prefix: String::new(),
-            durable: false,
-        }
-    }
-
-    /// Context for shard `shard` of a partitioned index sharing `env` and
-    /// `stats`, rooted at `base_prefix` inside the environment.
+    /// Context for shard `shard` of the `num_shards`-way index located at
+    /// `loc`, sharing `stats`. A one-shard index names its stores directly
+    /// under `loc.prefix` (`<prefix>score` — the paper's single-partition
+    /// layout, and what existing unsharded databases hold on disk); shard
+    /// `s` of a partitioned index lives under `<prefix>shard-<s>/`.
     pub fn shard(
-        env: Arc<StorageEnv>,
-        stats: Arc<CorpusStats>,
-        base_prefix: &str,
+        loc: &IndexLocation,
+        stats: &Arc<CorpusStats>,
         shard: usize,
+        num_shards: usize,
         durable: bool,
     ) -> ShardContext {
+        let prefix = if num_shards == 1 {
+            loc.prefix.clone()
+        } else {
+            format!("{}{}{shard}/", loc.prefix, store_names::SHARD_PREFIX)
+        };
         ShardContext {
-            env,
-            stats,
-            prefix: format!("{base_prefix}{}{shard}/", store_names::SHARD_PREFIX),
-            durable,
-        }
-    }
-
-    /// Context rooted at an explicit prefix of a caller-owned environment
-    /// (the engine's durable lifecycle: every index lives in the engine's
-    /// environment under `idx/<name>/...`).
-    pub fn rooted(
-        env: Arc<StorageEnv>,
-        stats: Arc<CorpusStats>,
-        prefix: String,
-        durable: bool,
-    ) -> ShardContext {
-        ShardContext {
-            env,
-            stats,
+            env: loc.env.clone(),
+            stats: stats.clone(),
             prefix,
             durable,
         }
@@ -96,9 +92,8 @@ impl ShardContext {
 
 /// Common per-shard state.
 pub(crate) struct MethodBase {
-    pub env: Arc<StorageEnv>,
-    /// Store-name prefix of this shard's region in `env` (empty when
-    /// standalone).
+    env: Arc<StorageEnv>,
+    /// Store-name prefix of this shard's region in `env`.
     prefix: String,
     /// True when this shard's structures are reopenable (created through
     /// the durable create paths; see [`crate::durable`]).
@@ -120,8 +115,7 @@ pub(crate) struct MethodBase {
 }
 
 impl MethodBase {
-    /// Create the shared structures inside an existing context (one shard
-    /// of a partitioned index, or a standalone root).
+    /// Create the shared structures of one shard inside its context.
     pub fn with_context(ctx: ShardContext, config: &IndexConfig) -> Result<MethodBase> {
         let ShardContext {
             env,
@@ -209,19 +203,6 @@ impl MethodBase {
         })
     }
 
-    /// Snapshot of the shared collection-wide `(term, df)` statistics.
-    pub fn term_dfs(&self) -> Vec<(TermId, u64)> {
-        let df = self.stats.df.read();
-        let mut out: Vec<(TermId, u64)> = df.iter().map(|(&t, &c)| (t, c)).collect();
-        out.sort_unstable_by_key(|&(t, _)| t);
-        out
-    }
-
-    /// The shared collection-wide live document count.
-    pub fn corpus_num_docs(&self) -> u64 {
-        self.stats.num_docs.load(Ordering::Relaxed)
-    }
-
     /// Lock-free check: does any named store's log exceed `threshold`?
     /// The cheap gate in front of [`MethodBase::maybe_checkpoint`], safe
     /// on the hot path without the shard's writer lock.
@@ -290,24 +271,6 @@ impl MethodBase {
     /// Live documents in this shard.
     pub fn live_docs(&self) -> u64 {
         self.local_docs.load(Ordering::Relaxed)
-    }
-
-    /// The one-entry statistics list an unsharded method reports from
-    /// `SearchIndex::shard_stats` (a `ShardedIndex` renumbers the entry
-    /// per shard).
-    pub fn single_shard_stats(
-        &self,
-        long_list_bytes: u64,
-        long_postings: u64,
-        short_postings: u64,
-    ) -> Vec<crate::methods::ShardStats> {
-        vec![crate::methods::ShardStats {
-            shard: 0,
-            docs: self.live_docs(),
-            long_list_bytes,
-            long_postings,
-            short_postings,
-        }]
     }
 
     /// IDF weight of a term under the live collection-wide df statistics.

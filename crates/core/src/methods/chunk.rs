@@ -8,26 +8,24 @@
 //! extra chunk before stopping.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use parking_lot::RwLock;
-use svr_storage::StorageEnv;
 use svr_text::postings::{ChunkGroup, TermScoredPosting};
 
 use crate::aux_table::{ListChunkEntry, ListChunkTable};
 use crate::chunk_map::ChunkMap;
 use crate::config::IndexConfig;
-use crate::cursor::{merge_next_batch, open_merge, CursorBackend, MethodCursor};
+use crate::cursor::CursorBackend;
 use crate::error::Result;
 use crate::long_list::{invert_corpus, ListFormat, LongListStore};
 use crate::merge::{Candidate, UnionCursor, UnionResume};
 use crate::methods::base::{MethodBase, ShardContext};
-use crate::methods::{store_names, MethodKind, ScoreMap, SearchIndex, ShardStats};
+use crate::methods::{store_names, Method, MethodKind, ScoreMap};
 use crate::short_list::{Op, PostingPos, ShortLists, ShortOrder};
-use crate::types::{ChunkId, DocId, Document, Query, Score, SearchHit, TermId};
+use crate::types::{ChunkId, DocId, Document, Score, TermId};
 
 /// The Chunk method.
-pub struct ChunkMethod {
+pub(crate) struct ChunkMethod {
     base: MethodBase,
     config: IndexConfig,
     long: LongListStore,
@@ -63,19 +61,77 @@ pub(crate) fn group_by_chunk(
 }
 
 impl ChunkMethod {
-    /// Build from a corpus and initial scores.
-    pub fn build(
-        docs: &[Document],
-        scores: &ScoreMap,
-        config: &IndexConfig,
-    ) -> Result<ChunkMethod> {
-        ChunkMethod::build_in(ShardContext::standalone(config), docs, scores, config)
+    /// The document's list chunk and short-list flag (Algorithm 1 adapted:
+    /// an absent ListChunk entry means "never updated", in which case the
+    /// current score is still the build score and locates the long posting).
+    fn list_state(&self, doc: DocId, current_score: Score) -> Result<ListChunkEntry> {
+        match self.list_chunk.get(doc)? {
+            Some(entry) => Ok(entry),
+            None => Ok(ListChunkEntry {
+                l_chunk: self.chunk_map.read().chunk_of(current_score),
+                in_short_list: false,
+            }),
+        }
     }
+}
+
+impl CursorBackend for ChunkMethod {
+    fn base(&self) -> &MethodBase {
+        &self.base
+    }
+
+    fn long_epoch(&self) -> u64 {
+        self.long.epoch()
+    }
+
+    fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
+        Ok(UnionCursor::resume(
+            self.long.resume_cursor(term, resume.long_resume())?,
+            self.short.cursor_after(term, resume.short_resume_key())?,
+            resume,
+        ))
+    }
+
+    fn resolve(&self, candidate: &Candidate, _idfs: &[f64]) -> Result<Option<Score>> {
+        if candidate.all_short() {
+            return Ok(Some(self.base.score_table.score_of(candidate.doc)?));
+        }
+        match self.list_chunk.get(candidate.doc)? {
+            // Superseded by the short-list occurrence.
+            Some(entry) if entry.in_short_list => Ok(None),
+            // Long lists carry no scores: always consult the Score table
+            // (it is small and stays cached).
+            _ => Ok(Some(self.base.score_table.score_of(candidate.doc)?)),
+        }
+    }
+
+    /// A document whose posting sits in chunk `<= c` moved to the short
+    /// lists only after crossing *two* boundaries, so its current score is
+    /// below the lower bound of chunk `c + 2`.
+    fn svr_bound(&self, pos: Option<PostingPos>) -> Score {
+        match pos {
+            Some(PostingPos::ByChunk(c)) => self.chunk_map.read().max_possible_score(c),
+            Some(_) => f64::INFINITY,
+            None => f64::NEG_INFINITY,
+        }
+    }
+}
+
+impl Method for ChunkMethod {
+    const KIND: MethodKind = MethodKind::Chunk;
+    const STORES: &'static [&'static str] = &[
+        store_names::SCORE,
+        store_names::DOCS,
+        store_names::LONG,
+        store_names::SHORT,
+        store_names::AUX,
+        store_names::META,
+    ];
 
     /// Build inside an existing shard context (shared environment and
     /// corpus statistics). A shard's chunk map covers its own documents'
     /// score distribution — chunk ids are never compared across shards.
-    pub(crate) fn build_in(
+    fn build_in(
         ctx: ShardContext,
         docs: &[Document],
         scores: &ScoreMap,
@@ -124,7 +180,7 @@ impl ChunkMethod {
     /// Reattach a durable shard from its recovered stores (see
     /// [`crate::open_index_at`]): structures reopen, the chunk map reloads
     /// from the shard metadata.
-    pub(crate) fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<ChunkMethod> {
+    fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<ChunkMethod> {
         let base = MethodBase::open_with_context(ctx, config)?;
         let long = LongListStore::open(
             base.create_store(store_names::LONG, config.long_cache_pages),
@@ -157,83 +213,12 @@ impl ChunkMethod {
         })
     }
 
-    /// The document's list chunk and short-list flag (Algorithm 1 adapted:
-    /// an absent ListChunk entry means "never updated", in which case the
-    /// current score is still the build score and locates the long posting).
-    fn list_state(&self, doc: DocId, current_score: Score) -> Result<ListChunkEntry> {
-        match self.list_chunk.get(doc)? {
-            Some(entry) => Ok(entry),
-            None => Ok(ListChunkEntry {
-                l_chunk: self.chunk_map.read().chunk_of(current_score),
-                in_short_list: false,
-            }),
-        }
-    }
-
-    /// Exposed for tests and benches: the current chunk map.
-    pub fn chunk_map_snapshot(&self) -> ChunkMap {
-        self.chunk_map.read().clone()
-    }
-
-    /// Number of short-list postings (diagnostics).
-    pub fn short_list_len(&self) -> u64 {
-        self.short.len()
-    }
-}
-
-impl CursorBackend for ChunkMethod {
-    fn cursor_kind(&self) -> MethodKind {
-        MethodKind::Chunk
-    }
-
-    fn pool_cap(&self) -> usize {
-        self.base.pool_cap
-    }
-
-    fn long_epoch(&self) -> u64 {
-        self.long.epoch()
-    }
-
-    fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
-        Ok(UnionCursor::resume(
-            self.long.resume_cursor(term, resume.long_resume())?,
-            self.short.cursor_after(term, resume.short_resume_key())?,
-            resume,
-        ))
-    }
-
-    fn is_deleted(&self, doc: DocId) -> bool {
-        self.base.is_deleted(doc)
-    }
-
-    fn resolve(&self, candidate: &Candidate, _idfs: &[f64]) -> Result<Option<Score>> {
-        if candidate.all_short() {
-            return Ok(Some(self.base.score_table.score_of(candidate.doc)?));
-        }
-        match self.list_chunk.get(candidate.doc)? {
-            // Superseded by the short-list occurrence.
-            Some(entry) if entry.in_short_list => Ok(None),
-            // Long lists carry no scores: always consult the Score table
-            // (it is small and stays cached).
-            _ => Ok(Some(self.base.score_table.score_of(candidate.doc)?)),
-        }
-    }
-
-    /// A document whose posting sits in chunk `<= c` moved to the short
-    /// lists only after crossing *two* boundaries, so its current score is
-    /// below the lower bound of chunk `c + 2`.
-    fn svr_bound(&self, pos: Option<PostingPos>) -> Score {
-        match pos {
-            Some(PostingPos::ByChunk(c)) => self.chunk_map.read().max_possible_score(c),
-            Some(_) => f64::INFINITY,
-            None => f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl SearchIndex for ChunkMethod {
-    fn kind(&self) -> MethodKind {
-        MethodKind::Chunk
+    fn list_sizes(&self) -> (u64, u64, u64) {
+        (
+            self.long.total_bytes(),
+            self.long.total_postings(),
+            self.short.len(),
+        )
     }
 
     /// Algorithm 1, with chunk ids in place of scores and
@@ -274,18 +259,6 @@ impl SearchIndex for ChunkMethod {
         Ok(())
     }
 
-    /// Algorithm 2 adapted to chunks, as an any-k enumeration (see
-    /// [`crate::cursor`]): a document listed in chunk `c` can have drifted
-    /// up to (but not into) chunk `c + 2`, which is the executor's
-    /// emission bound.
-    fn open_cursor(&self, query: &Query) -> Result<MethodCursor> {
-        Ok(open_merge(MethodKind::Chunk, query, Vec::new()))
-    }
-
-    fn next_batch(&self, cursor: &mut MethodCursor, n: usize) -> Result<Vec<SearchHit>> {
-        merge_next_batch(self, cursor, n)
-    }
-
     /// Appendix A.2: an insertion is short-list ADD postings at the score's
     /// chunk.
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
@@ -305,10 +278,6 @@ impl SearchIndex for ChunkMethod {
         Ok(())
     }
 
-    fn delete_document(&self, doc: DocId) -> Result<()> {
-        self.base.register_delete(doc)
-    }
-
     fn uninsert_document(&self, doc: DocId) -> Result<()> {
         // No ListChunk entry means the offline merge already folded the
         // insert's postings into the long lists (merges clear ListChunk):
@@ -324,12 +293,6 @@ impl SearchIndex for ChunkMethod {
         {
             self.list_chunk.delete(doc)?;
         }
-        Ok(())
-    }
-
-    fn undelete_document(&self, doc: DocId) -> Result<()> {
-        // Tombstoning kept the postings: reviving is pure bookkeeping.
-        self.base.register_undelete(doc)?;
         Ok(())
     }
 
@@ -369,68 +332,5 @@ impl SearchIndex for ChunkMethod {
         *self.chunk_map.write() = new_map;
         self.short.clear()?;
         self.list_chunk.clear()
-    }
-
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        self.base.single_shard_stats(
-            self.long.total_bytes(),
-            self.long.total_postings(),
-            self.short.len(),
-        )
-    }
-
-    fn long_list_bytes(&self) -> u64 {
-        self.long.total_bytes()
-    }
-
-    fn clear_long_cache(&self) -> Result<()> {
-        if let Some(store) = self.base.store(store_names::LONG) {
-            store.clear_cache()?;
-        }
-        Ok(())
-    }
-
-    fn env(&self) -> &Arc<StorageEnv> {
-        &self.base.env
-    }
-
-    fn current_score(&self, doc: DocId) -> Result<Score> {
-        self.base.current_score(doc)
-    }
-
-    fn logs_over(&self, threshold: u64) -> bool {
-        self.base.logs_over(
-            &[
-                store_names::SCORE,
-                store_names::DOCS,
-                store_names::LONG,
-                store_names::SHORT,
-                store_names::AUX,
-                store_names::META,
-            ],
-            threshold,
-        )
-    }
-
-    fn maybe_checkpoint(&self, threshold: u64) -> Result<()> {
-        self.base.maybe_checkpoint(
-            &[
-                store_names::SCORE,
-                store_names::DOCS,
-                store_names::LONG,
-                store_names::SHORT,
-                store_names::AUX,
-                store_names::META,
-            ],
-            threshold,
-        )
-    }
-
-    fn term_dfs(&self) -> Vec<(TermId, u64)> {
-        self.base.term_dfs()
-    }
-
-    fn corpus_num_docs(&self) -> u64 {
-        self.base.corpus_num_docs()
     }
 }

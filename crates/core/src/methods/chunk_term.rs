@@ -14,25 +14,23 @@
 //!    secured top-k.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use parking_lot::RwLock;
-use svr_storage::StorageEnv;
 use svr_text::postings::TermScoredPosting;
 use svr_text::unquantize_term_score;
 
 use crate::aux_table::{ListChunkEntry, ListChunkTable};
 use crate::chunk_map::ChunkMap;
 use crate::config::IndexConfig;
-use crate::cursor::{merge_next_batch, CursorBackend, MergeState, MethodCursor};
+use crate::cursor::{CursorBackend, MergeState};
 use crate::error::Result;
 use crate::long_list::{invert_corpus, posting_term_score, ListFormat, LongListStore};
 use crate::merge::{Candidate, UnionCursor, UnionResume};
 use crate::methods::base::{MethodBase, ShardContext};
 use crate::methods::chunk::group_by_chunk;
-use crate::methods::{store_names, MethodKind, ScoreMap, SearchIndex, ShardStats};
+use crate::methods::{store_names, Method, MethodKind, ScoreMap};
 use crate::short_list::{Op, PostingPos, ShortLists, ShortOrder};
-use crate::types::{DocId, Document, Query, Score, SearchHit, TermId};
+use crate::types::{DocId, Document, Query, Score, TermId};
 
 /// Per-term fancy-list metadata.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,7 +56,7 @@ impl FancyMeta {
 }
 
 /// The Chunk-TermScore method.
-pub struct ChunkTermMethod {
+pub(crate) struct ChunkTermMethod {
     base: MethodBase,
     config: IndexConfig,
     long: LongListStore,
@@ -104,18 +102,98 @@ fn build_fancy(
 }
 
 impl ChunkTermMethod {
-    /// Build from a corpus and initial scores.
-    pub fn build(
-        docs: &[Document],
-        scores: &ScoreMap,
-        config: &IndexConfig,
-    ) -> Result<ChunkTermMethod> {
-        ChunkTermMethod::build_in(ShardContext::standalone(config), docs, scores, config)
+    fn list_state(&self, doc: DocId, current_score: Score) -> Result<ListChunkEntry> {
+        match self.list_chunk.get(doc)? {
+            Some(entry) => Ok(entry),
+            None => Ok(ListChunkEntry {
+                l_chunk: self.chunk_map.read().chunk_of(current_score),
+                in_short_list: false,
+            }),
+        }
     }
 
-    /// Build inside an existing shard context (shared environment and
-    /// corpus statistics — the IDF weights stay collection-wide).
-    pub(crate) fn build_in(
+    /// Record that a posting with `ts` entered the index outside the fancy
+    /// lists (insertion / content update): the stopping bound must cover it.
+    fn widen_fancy_bound(&self, term: TermId, ts: u16) {
+        let mut meta = self.fancy_meta.write();
+        let m = meta.entry(term).or_default();
+        m.inserted_max = m.inserted_max.max(ts);
+    }
+
+    /// Per-term upper bound on term scores of docs outside the fancy list.
+    fn fancy_bound(&self, term: TermId) -> f64 {
+        let meta = self.fancy_meta.read();
+        unquantize_term_score(meta.get(&term).map(|m| m.bound()).unwrap_or(0))
+    }
+}
+
+impl CursorBackend for ChunkTermMethod {
+    fn base(&self) -> &MethodBase {
+        &self.base
+    }
+
+    fn long_epoch(&self) -> u64 {
+        self.long.epoch()
+    }
+
+    fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
+        Ok(UnionCursor::resume(
+            self.long.resume_cursor(term, resume.long_resume())?,
+            self.short.cursor_after(term, resume.short_resume_key())?,
+            resume,
+        ))
+    }
+
+    /// Phase-2 scoring of Algorithm 3: SVR resolution as in the Chunk
+    /// method plus the matched term-score contributions.
+    fn resolve(&self, candidate: &Candidate, idfs: &[f64]) -> Result<Option<Score>> {
+        let svr = if candidate.all_short() {
+            self.base.score_table.score_of(candidate.doc)?
+        } else {
+            match self.list_chunk.get(candidate.doc)? {
+                Some(entry) if entry.in_short_list => return Ok(None), // superseded
+                _ => self.base.score_table.score_of(candidate.doc)?,
+            }
+        };
+        let mut ts_sum = 0.0;
+        for (i, matched) in candidate.matches.iter().enumerate() {
+            if let Some(mt) = matched {
+                ts_sum += idfs[i] * unquantize_term_score(mt.tscore);
+            }
+        }
+        Ok(Some(self.base.combine(svr, ts_sum)))
+    }
+
+    fn svr_bound(&self, pos: Option<PostingPos>) -> Score {
+        match pos {
+            Some(PostingPos::ByChunk(c)) => self.chunk_map.read().max_possible_score(c),
+            Some(_) => f64::INFINITY,
+            None => f64::NEG_INFINITY,
+        }
+    }
+
+    fn term_fancy_bound(&self, term: TermId) -> f64 {
+        self.fancy_bound(term)
+    }
+
+    fn combine(&self, svr: Score, ts_sum: f64) -> Score {
+        self.base.combine(svr, ts_sum)
+    }
+}
+
+impl Method for ChunkTermMethod {
+    const KIND: MethodKind = MethodKind::ChunkTermScore;
+    const STORES: &'static [&'static str] = &[
+        store_names::SCORE,
+        store_names::DOCS,
+        store_names::LONG,
+        store_names::SHORT,
+        store_names::AUX,
+        store_names::FANCY,
+        store_names::META,
+    ];
+
+    fn build_in(
         ctx: ShardContext,
         docs: &[Document],
         scores: &ScoreMap,
@@ -183,7 +261,7 @@ impl ChunkTermMethod {
     /// fancy bounds' insert-time widening is re-derived from the short
     /// lists' surviving `Add` postings (an over-approximation is sound —
     /// bounds only get looser).
-    pub(crate) fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<ChunkTermMethod> {
+    fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<ChunkTermMethod> {
         let base = MethodBase::open_with_context(ctx, config)?;
         let long = LongListStore::open(
             base.create_store(store_names::LONG, config.long_cache_pages),
@@ -243,96 +321,12 @@ impl ChunkTermMethod {
         })
     }
 
-    fn list_state(&self, doc: DocId, current_score: Score) -> Result<ListChunkEntry> {
-        match self.list_chunk.get(doc)? {
-            Some(entry) => Ok(entry),
-            None => Ok(ListChunkEntry {
-                l_chunk: self.chunk_map.read().chunk_of(current_score),
-                in_short_list: false,
-            }),
-        }
-    }
-
-    /// Record that a posting with `ts` entered the index outside the fancy
-    /// lists (insertion / content update): the stopping bound must cover it.
-    fn widen_fancy_bound(&self, term: TermId, ts: u16) {
-        let mut meta = self.fancy_meta.write();
-        let m = meta.entry(term).or_default();
-        m.inserted_max = m.inserted_max.max(ts);
-    }
-
-    /// Per-term upper bound on term scores of docs outside the fancy list.
-    fn fancy_bound(&self, term: TermId) -> f64 {
-        let meta = self.fancy_meta.read();
-        unquantize_term_score(meta.get(&term).map(|m| m.bound()).unwrap_or(0))
-    }
-}
-
-impl CursorBackend for ChunkTermMethod {
-    fn cursor_kind(&self) -> MethodKind {
-        MethodKind::ChunkTermScore
-    }
-
-    fn pool_cap(&self) -> usize {
-        self.base.pool_cap
-    }
-
-    fn long_epoch(&self) -> u64 {
-        self.long.epoch()
-    }
-
-    fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
-        Ok(UnionCursor::resume(
-            self.long.resume_cursor(term, resume.long_resume())?,
-            self.short.cursor_after(term, resume.short_resume_key())?,
-            resume,
-        ))
-    }
-
-    fn is_deleted(&self, doc: DocId) -> bool {
-        self.base.is_deleted(doc)
-    }
-
-    /// Phase-2 scoring of Algorithm 3: SVR resolution as in the Chunk
-    /// method plus the matched term-score contributions.
-    fn resolve(&self, candidate: &Candidate, idfs: &[f64]) -> Result<Option<Score>> {
-        let svr = if candidate.all_short() {
-            self.base.score_table.score_of(candidate.doc)?
-        } else {
-            match self.list_chunk.get(candidate.doc)? {
-                Some(entry) if entry.in_short_list => return Ok(None), // superseded
-                _ => self.base.score_table.score_of(candidate.doc)?,
-            }
-        };
-        let mut ts_sum = 0.0;
-        for (i, matched) in candidate.matches.iter().enumerate() {
-            if let Some(mt) = matched {
-                ts_sum += idfs[i] * unquantize_term_score(mt.tscore);
-            }
-        }
-        Ok(Some(self.base.combine(svr, ts_sum)))
-    }
-
-    fn svr_bound(&self, pos: Option<PostingPos>) -> Score {
-        match pos {
-            Some(PostingPos::ByChunk(c)) => self.chunk_map.read().max_possible_score(c),
-            Some(_) => f64::INFINITY,
-            None => f64::NEG_INFINITY,
-        }
-    }
-
-    fn term_fancy_bound(&self, term: TermId) -> f64 {
-        self.fancy_bound(term)
-    }
-
-    fn combine(&self, svr: Score, ts_sum: f64) -> Score {
-        self.base.combine(svr, ts_sum)
-    }
-}
-
-impl SearchIndex for ChunkTermMethod {
-    fn kind(&self) -> MethodKind {
-        MethodKind::ChunkTermScore
+    fn list_sizes(&self) -> (u64, u64, u64) {
+        (
+            self.long.total_bytes(),
+            self.long.total_postings(),
+            self.short.len(),
+        )
     }
 
     /// "The score update algorithm for the Chunk-TermScore method is the
@@ -379,7 +373,7 @@ impl SearchIndex for ChunkTermMethod {
     /// lines 8-9) runs at open time and pre-fills the cursor's pool and
     /// `remainList`; phase 2 is the suspendable chunk-by-chunk merge driven
     /// by [`crate::cursor`].
-    fn open_cursor(&self, query: &Query) -> Result<MethodCursor> {
+    fn open_cursor(&self, query: &Query) -> Result<MergeState> {
         let m = query.terms.len();
         let idfs: Vec<f64> = query.terms.iter().map(|&t| self.base.idf(t)).collect();
         let mut state = MergeState::new(m, idfs);
@@ -408,15 +402,7 @@ impl SearchIndex for ChunkTermMethod {
             }
         }
         drop(content_dirty);
-        Ok(MethodCursor::merge(
-            MethodKind::ChunkTermScore,
-            query.clone(),
-            state,
-        ))
-    }
-
-    fn next_batch(&self, cursor: &mut MethodCursor, n: usize) -> Result<Vec<SearchHit>> {
-        merge_next_batch(self, cursor, n)
+        Ok(state)
     }
 
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
@@ -439,10 +425,6 @@ impl SearchIndex for ChunkTermMethod {
         Ok(())
     }
 
-    fn delete_document(&self, doc: DocId) -> Result<()> {
-        self.base.register_delete(doc)
-    }
-
     fn uninsert_document(&self, doc: DocId) -> Result<()> {
         // Fancy bounds widened by the insertion stay widened: they are
         // upper bounds, looser but never wrong. A missing ListChunk entry
@@ -458,12 +440,6 @@ impl SearchIndex for ChunkTermMethod {
         {
             self.list_chunk.delete(doc)?;
         }
-        Ok(())
-    }
-
-    fn undelete_document(&self, doc: DocId) -> Result<()> {
-        // Tombstoning kept the postings: reviving is pure bookkeeping.
-        self.base.register_undelete(doc)?;
         Ok(())
     }
 
@@ -524,72 +500,5 @@ impl SearchIndex for ChunkTermMethod {
         self.content_dirty.write().clear();
         self.short.clear()?;
         self.list_chunk.clear()
-    }
-
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        self.base.single_shard_stats(
-            self.long.total_bytes(),
-            self.long.total_postings(),
-            self.short.len(),
-        )
-    }
-
-    fn long_list_bytes(&self) -> u64 {
-        self.long.total_bytes()
-    }
-
-    fn clear_long_cache(&self) -> Result<()> {
-        for name in [store_names::LONG, store_names::FANCY] {
-            if let Some(store) = self.base.store(name) {
-                store.clear_cache()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn env(&self) -> &Arc<StorageEnv> {
-        &self.base.env
-    }
-
-    fn current_score(&self, doc: DocId) -> Result<Score> {
-        self.base.current_score(doc)
-    }
-
-    fn logs_over(&self, threshold: u64) -> bool {
-        self.base.logs_over(
-            &[
-                store_names::SCORE,
-                store_names::DOCS,
-                store_names::LONG,
-                store_names::SHORT,
-                store_names::AUX,
-                store_names::FANCY,
-                store_names::META,
-            ],
-            threshold,
-        )
-    }
-
-    fn maybe_checkpoint(&self, threshold: u64) -> Result<()> {
-        self.base.maybe_checkpoint(
-            &[
-                store_names::SCORE,
-                store_names::DOCS,
-                store_names::LONG,
-                store_names::SHORT,
-                store_names::AUX,
-                store_names::FANCY,
-                store_names::META,
-            ],
-            threshold,
-        )
-    }
-
-    fn term_dfs(&self) -> Vec<(TermId, u64)> {
-        self.base.term_dfs()
-    }
-
-    fn corpus_num_docs(&self) -> u64 {
-        self.base.corpus_num_docs()
     }
 }

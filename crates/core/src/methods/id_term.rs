@@ -7,99 +7,31 @@
 //! changing SVR component, no term-score-only early termination is sound.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
-use svr_storage::StorageEnv;
 use svr_text::unquantize_term_score;
 
 use crate::config::IndexConfig;
-use crate::cursor::{merge_next_batch, open_merge, CursorBackend, MethodCursor};
+use crate::cursor::{CursorBackend, MergeState};
 use crate::error::Result;
 use crate::long_list::{invert_corpus, posting_term_score, ListFormat, LongListStore};
 use crate::merge::{Candidate, UnionCursor, UnionResume};
 use crate::methods::base::{MethodBase, ShardContext};
-use crate::methods::{store_names, MethodKind, ScoreMap, SearchIndex, ShardStats};
+use crate::methods::{store_names, Method, MethodKind, ScoreMap};
 use crate::multiterm::{wand_topk, SeekCounters, SeekStats};
 use crate::short_list::{Op, PostingPos, ShortLists, ShortOrder};
 use crate::types::{DocId, Document, Query, Score, SearchHit, TermId};
 
 /// The ID-TermScore baseline.
-pub struct IdTermMethod {
+pub(crate) struct IdTermMethod {
     base: MethodBase,
     long: LongListStore,
     short: ShortLists,
     counters: SeekCounters,
 }
 
-impl IdTermMethod {
-    /// Build from a corpus and initial scores.
-    pub fn build(
-        docs: &[Document],
-        scores: &ScoreMap,
-        config: &IndexConfig,
-    ) -> Result<IdTermMethod> {
-        IdTermMethod::build_in(ShardContext::standalone(config), docs, scores, config)
-    }
-
-    /// Build inside an existing shard context (shared environment and
-    /// corpus statistics — the IDF weights stay collection-wide).
-    pub(crate) fn build_in(
-        ctx: ShardContext,
-        docs: &[Document],
-        scores: &ScoreMap,
-        config: &IndexConfig,
-    ) -> Result<IdTermMethod> {
-        let base = MethodBase::with_context(ctx, config)?;
-        base.bulk_load(docs, scores)?;
-        let long_store = base.create_store(store_names::LONG, config.long_cache_pages);
-        let short_store = base.create_store(store_names::SHORT, config.small_cache_pages);
-        let long = LongListStore::create_in(
-            long_store,
-            ListFormat::Id { with_scores: true },
-            config.codec,
-            base.durable,
-        )?;
-        let short = ShortLists::create_in(short_store, ShortOrder::ById, base.durable)?;
-        for (term, postings) in invert_corpus(docs) {
-            long.put_id_list(term, &postings)?;
-        }
-        Ok(IdTermMethod {
-            base,
-            long,
-            short,
-            counters: SeekCounters::default(),
-        })
-    }
-
-    /// Reattach a durable shard from its recovered stores (see
-    /// [`crate::open_index_at`]).
-    pub(crate) fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<IdTermMethod> {
-        let base = MethodBase::open_with_context(ctx, config)?;
-        let long = LongListStore::open(
-            base.create_store(store_names::LONG, config.long_cache_pages),
-            ListFormat::Id { with_scores: true },
-            config.codec,
-        )?;
-        let short = ShortLists::open(
-            base.create_store(store_names::SHORT, config.small_cache_pages),
-            ShortOrder::ById,
-        )?;
-        Ok(IdTermMethod {
-            base,
-            long,
-            short,
-            counters: SeekCounters::default(),
-        })
-    }
-}
-
 impl CursorBackend for IdTermMethod {
-    fn cursor_kind(&self) -> MethodKind {
-        MethodKind::IdTermScore
-    }
-
-    fn pool_cap(&self) -> usize {
-        self.base.pool_cap
+    fn base(&self) -> &MethodBase {
+        &self.base
     }
 
     fn long_epoch(&self) -> u64 {
@@ -112,10 +44,6 @@ impl CursorBackend for IdTermMethod {
             self.short.cursor_after(term, resume.short_resume_key())?,
             resume,
         ))
-    }
-
-    fn is_deleted(&self, doc: DocId) -> bool {
-        self.base.is_deleted(doc)
     }
 
     fn resolve(&self, candidate: &Candidate, idfs: &[f64]) -> Result<Option<Score>> {
@@ -154,11 +82,74 @@ impl CursorBackend for IdTermMethod {
     fn record_stats(&self, stats: SeekStats) {
         self.counters.record(stats);
     }
+
+    fn seek_stats(&self) -> SeekStats {
+        self.counters.snapshot()
+    }
 }
 
-impl SearchIndex for IdTermMethod {
-    fn kind(&self) -> MethodKind {
-        MethodKind::IdTermScore
+impl Method for IdTermMethod {
+    const KIND: MethodKind = MethodKind::IdTermScore;
+    const STORES: &'static [&'static str] = &[
+        store_names::SCORE,
+        store_names::DOCS,
+        store_names::LONG,
+        store_names::SHORT,
+    ];
+
+    fn build_in(
+        ctx: ShardContext,
+        docs: &[Document],
+        scores: &ScoreMap,
+        config: &IndexConfig,
+    ) -> Result<IdTermMethod> {
+        let base = MethodBase::with_context(ctx, config)?;
+        base.bulk_load(docs, scores)?;
+        let long_store = base.create_store(store_names::LONG, config.long_cache_pages);
+        let short_store = base.create_store(store_names::SHORT, config.small_cache_pages);
+        let long = LongListStore::create_in(
+            long_store,
+            ListFormat::Id { with_scores: true },
+            config.codec,
+            base.durable,
+        )?;
+        let short = ShortLists::create_in(short_store, ShortOrder::ById, base.durable)?;
+        for (term, postings) in invert_corpus(docs) {
+            long.put_id_list(term, &postings)?;
+        }
+        Ok(IdTermMethod {
+            base,
+            long,
+            short,
+            counters: SeekCounters::default(),
+        })
+    }
+
+    fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<IdTermMethod> {
+        let base = MethodBase::open_with_context(ctx, config)?;
+        let long = LongListStore::open(
+            base.create_store(store_names::LONG, config.long_cache_pages),
+            ListFormat::Id { with_scores: true },
+            config.codec,
+        )?;
+        let short = ShortLists::open(
+            base.create_store(store_names::SHORT, config.small_cache_pages),
+            ShortOrder::ById,
+        )?;
+        Ok(IdTermMethod {
+            base,
+            long,
+            short,
+            counters: SeekCounters::default(),
+        })
+    }
+
+    fn list_sizes(&self) -> (u64, u64, u64) {
+        (
+            self.long.total_bytes(),
+            self.long.total_postings(),
+            self.short.len(),
+        )
     }
 
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
@@ -167,13 +158,9 @@ impl SearchIndex for IdTermMethod {
         Ok(())
     }
 
-    fn open_cursor(&self, query: &Query) -> Result<MethodCursor> {
+    fn open_cursor(&self, query: &Query) -> Result<MergeState> {
         let idfs: Vec<f64> = query.terms.iter().map(|&t| self.base.idf(t)).collect();
-        Ok(open_merge(MethodKind::IdTermScore, query, idfs))
-    }
-
-    fn next_batch(&self, cursor: &mut MethodCursor, n: usize) -> Result<Vec<SearchHit>> {
-        merge_next_batch(self, cursor, n)
+        Ok(MergeState::new(query.terms.len(), idfs))
     }
 
     fn query(&self, query: &Query) -> Result<Vec<SearchHit>> {
@@ -210,22 +197,12 @@ impl SearchIndex for IdTermMethod {
         Ok(())
     }
 
-    fn delete_document(&self, doc: DocId) -> Result<()> {
-        self.base.register_delete(doc)
-    }
-
     fn uninsert_document(&self, doc: DocId) -> Result<()> {
         // ID lists keep no per-doc list state; postings a concurrent merge
         // moved to the long lists dangle harmlessly (resolve skips docs
         // with no Score-table row) and vanish at the next merge.
         self.base
             .uninsert_postings_at(&self.short, doc, PostingPos::Id, true)?;
-        Ok(())
-    }
-
-    fn undelete_document(&self, doc: DocId) -> Result<()> {
-        // Tombstoning kept the postings: reviving is pure bookkeeping.
-        self.base.register_undelete(doc)?;
         Ok(())
     }
 
@@ -254,68 +231,5 @@ impl SearchIndex for IdTermMethod {
     fn merge_short_lists(&self) -> Result<()> {
         crate::maintenance::rebuild_id_lists(&self.base, &self.long)?;
         self.short.clear()
-    }
-
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        self.base.single_shard_stats(
-            self.long.total_bytes(),
-            self.long.total_postings(),
-            self.short.len(),
-        )
-    }
-
-    fn long_list_bytes(&self) -> u64 {
-        self.long.total_bytes()
-    }
-
-    fn clear_long_cache(&self) -> Result<()> {
-        if let Some(store) = self.base.store(store_names::LONG) {
-            store.clear_cache()?;
-        }
-        Ok(())
-    }
-
-    fn env(&self) -> &Arc<StorageEnv> {
-        &self.base.env
-    }
-
-    fn current_score(&self, doc: DocId) -> Result<Score> {
-        self.base.current_score(doc)
-    }
-
-    fn logs_over(&self, threshold: u64) -> bool {
-        self.base.logs_over(
-            &[
-                store_names::SCORE,
-                store_names::DOCS,
-                store_names::LONG,
-                store_names::SHORT,
-            ],
-            threshold,
-        )
-    }
-
-    fn maybe_checkpoint(&self, threshold: u64) -> Result<()> {
-        self.base.maybe_checkpoint(
-            &[
-                store_names::SCORE,
-                store_names::DOCS,
-                store_names::LONG,
-                store_names::SHORT,
-            ],
-            threshold,
-        )
-    }
-
-    fn term_dfs(&self) -> Vec<(TermId, u64)> {
-        self.base.term_dfs()
-    }
-
-    fn corpus_num_docs(&self) -> u64 {
-        self.base.corpus_num_docs()
-    }
-
-    fn seek_stats(&self) -> SeekStats {
-        self.counters.snapshot()
     }
 }

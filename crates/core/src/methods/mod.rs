@@ -1,36 +1,67 @@
-//! The six index methods behind one trait.
+//! The seven index methods behind one trait, one index body.
 //!
-//! | Method            | Long-list order      | Score updates | Top-k queries |
-//! |-------------------|----------------------|---------------|---------------|
-//! | ID                | doc id               | O(1)          | full scan     |
-//! | Score             | score (clustered)    | very costly   | early stop    |
-//! | Score-Threshold   | score + short lists  | thresholded   | bounded scan  |
-//! | Chunk             | chunk/doc + short    | thresholded   | bounded scan  |
-//! | ID-TermScore      | doc id + term scores | O(1)          | full scan     |
-//! | Chunk-TermScore   | chunk + fancy lists  | thresholded   | bounded scan  |
+//! | Method                    | Long-list order      | Score updates | Top-k queries |
+//! |---------------------------|----------------------|---------------|---------------|
+//! | ID                        | doc id               | O(1)          | full scan     |
+//! | Score                     | score (clustered)    | very costly   | early stop    |
+//! | Score-Threshold           | score + short lists  | thresholded   | bounded scan  |
+//! | Chunk                     | chunk/doc + short    | thresholded   | bounded scan  |
+//! | ID-TermScore              | doc id + term scores | O(1)          | full scan     |
+//! | Chunk-TermScore           | chunk + fancy lists  | thresholded   | bounded scan  |
+//! | Score-Threshold-TermScore | score + fancy lists  | thresholded   | bounded scan  |
 //!
-//! A seventh method, **Score-Threshold-TermScore**, realizes the §4.3.3
-//! remark that "the generalization for the Score-Threshold method is
-//! similar": score-ordered long lists with term scores plus fancy lists.
+//! The first six are the paper's; the seventh realizes the §4.3.3 remark
+//! that "the generalization for the Score-Threshold method is similar".
+//!
+//! ## Layout
+//!
+//! The methods differ in three things — the long-list order and payload,
+//! the bound on an unseen document's score, and what a score update
+//! touches. Each method file holds exactly that: a struct of list stores
+//! implementing `CursorBackend` (stream, resolve, bound) and the
+//! crate-private `Method` trait (build, open, and the Algorithm 1/2/3
+//! bodies). Everything a method does *not* decide is written once in
+//! `index.rs`: `Index<M>` is a vector of `N >= 1` shards — a method instance,
+//! its reader/writer lock and its group-commit refresh queue — and is the
+//! crate's only [`SearchIndex`] implementation. Locking, shard routing, the
+//! k-way cursor merge, statistics, checkpoint gating and the cold-cache
+//! protocol live there; the paper's single-partition deployment is simply
+//! `N = 1`. [`build_index`], [`build_index_at`] and [`open_index_at`] map a
+//! [`MethodKind`] to its method type at one dispatch site.
+//!
+//! ## Adding an eighth method
+//!
+//! Implement `Method` (and its supertrait `CursorBackend`) for the new
+//! struct and add one arm to the dispatch in this module. Required items:
+//!
+//! * `KIND` — the new [`MethodKind`] variant (also add it to `ALL_EXTENDED`
+//!   and `name`);
+//! * `STORES` — the [`store_names`] the method creates in its shard region
+//!   (drives checkpoint gating and pins the on-disk layout);
+//! * `build_in` / `open_in` — create the structures from a corpus, or
+//!   reattach them from recovered stores;
+//! * `list_sizes` — long-list bytes, long postings, short postings;
+//! * `update_score`, `insert_document`, `uninsert_document`,
+//!   `update_content`, `merge_short_lists` — the write-side algorithms;
+//! * from `CursorBackend`: `base`, `long_epoch`, `stream`, `resolve`,
+//!   `svr_bound` (plus `term_fancy_bound` / `combine` when ranking uses
+//!   term scores).
+//!
+//! `open_cursor`, `query`, `delete_document`, `undelete_document` and
+//! `clear_long_cache` have defaults that fit every tombstoning,
+//! blob-long-list method.
 
 pub(crate) mod base;
 pub(crate) mod chunk;
 mod chunk_term;
 mod id;
 mod id_term;
+pub(crate) mod index;
 mod score;
 mod score_threshold;
 mod score_threshold_term;
-mod sharded;
 
-pub use chunk::ChunkMethod;
-pub use chunk_term::ChunkTermMethod;
-pub use id::IdMethod;
-pub use id_term::IdTermMethod;
-pub use score::ScoreMethod;
-pub use score_threshold::ScoreThresholdMethod;
-pub use score_threshold_term::ScoreThresholdTermMethod;
-pub use sharded::{shard_of_doc, ShardedIndex};
+pub use index::shard_of_doc;
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,9 +69,12 @@ use std::sync::Arc;
 use svr_storage::StorageEnv;
 
 use crate::config::IndexConfig;
-use crate::cursor::MethodCursor;
+use crate::cursor::{CursorBackend, MergeState, MethodCursor};
 use crate::error::Result;
 use crate::types::{DocId, Document, Query, Score, SearchHit, TermId};
+
+use base::ShardContext;
+use index::Index;
 
 /// Store names used by every method inside its [`StorageEnv`], so benchmarks
 /// can inspect / cold-start individual components.
@@ -75,8 +109,7 @@ pub enum MethodKind {
     IdTermScore,
     ChunkTermScore,
     /// The §4.3.3 generalization of Score-Threshold to combined scoring
-    /// (not evaluated in the paper; see
-    /// [`ScoreThresholdTermMethod`]).
+    /// (not evaluated in the paper).
     ScoreThresholdTermScore,
 }
 
@@ -162,9 +195,8 @@ pub struct ShardStats {
 /// "no current score" (the row is gone) and skips the document.
 pub type ScoreRead<'a> = &'a (dyn Fn(DocId) -> Result<Option<Score>> + Sync);
 
-/// Contention counters of a shard's group-commit refresh queue (summed
-/// across shards by [`ShardedIndex`]). All zeros while group-commit
-/// draining is off.
+/// Contention counters of the group-commit refresh queues, summed across
+/// shards. All zeros while group-commit draining is off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RefreshGroupStats {
     /// Refresh batches that went through the queue.
@@ -191,17 +223,19 @@ impl RefreshGroupStats {
     }
 }
 
-/// The common interface of all six index methods.
+/// The common interface of all seven index methods.
 ///
-/// All operations take `&self`: the structures use interior mutability
-/// (B+-trees are internally locked), matching a single-writer /
-/// many-reader deployment.
+/// All operations take `&self`: mutations serialize on the owning shard's
+/// writer lock, queries share its read lock, so one index serves many
+/// concurrent readers and one writer per shard.
 pub trait SearchIndex: Send + Sync {
     /// Which method this is.
     fn kind(&self) -> MethodKind;
 
     /// Apply a document score update (the paper's Algorithm 1 for the
-    /// threshold-based methods).
+    /// threshold-based methods). Routed to the owning shard: updates of
+    /// documents in different shards take different locks and proceed in
+    /// parallel.
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()>;
 
     /// Refresh the scores of `docs` from an authoritative source.
@@ -214,18 +248,9 @@ pub trait SearchIndex: Send + Sync {
     /// documents unknown to the index (deleted or never inserted) are
     /// skipped; both mean the row vanished between commit and refresh.
     ///
-    /// Sharded indexes group `docs` by shard and apply the groups in
-    /// parallel, one thread per shard, each under its own shard lock.
-    fn refresh_scores(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
-        for &doc in docs {
-            let Some(score) = read(doc)? else { continue };
-            match self.update_score(doc, score) {
-                Ok(()) | Err(crate::error::CoreError::UnknownDocument(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
+    /// `docs` are grouped by shard and the groups applied in parallel, one
+    /// thread per touched shard, each under its own shard lock.
+    fn refresh_scores(&self, docs: &[DocId], read: ScoreRead) -> Result<()>;
 
     /// Open a resumable ranked enumeration for `query` (see
     /// [`crate::cursor`]). The cursor is bound to this index: feed it back
@@ -238,12 +263,7 @@ pub trait SearchIndex: Send + Sync {
     fn next_batch(&self, cursor: &mut MethodCursor, n: usize) -> Result<Vec<SearchHit>>;
 
     /// Evaluate a top-k query against the *latest* scores (Algorithms 2/3).
-    /// One-shot queries are nothing but an opened cursor drained once for
-    /// `query.k` results.
-    fn query(&self, query: &Query) -> Result<Vec<SearchHit>> {
-        let mut cursor = self.open_cursor(query)?;
-        self.next_batch(&mut cursor, query.k)
-    }
+    fn query(&self, query: &Query) -> Result<Vec<SearchHit>>;
 
     /// Insert a new document with its initial score (Appendix A.2).
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()>;
@@ -284,32 +304,20 @@ pub trait SearchIndex: Send + Sync {
 
     /// Offline maintenance: merge short lists into the long lists and reset
     /// the auxiliary tables ("this is done offline and does not impact the
-    /// performance of the operational system", §5.1). Sharded indexes merge
-    /// every shard, each under its own writer lock.
+    /// performance of the operational system", §5.1). Every shard merges on
+    /// its own thread under its own writer lock.
     fn merge_short_lists(&self) -> Result<()>;
 
     /// Number of write shards (1 unless the index was built with
     /// `num_shards > 1`).
-    fn num_shards(&self) -> usize {
-        1
-    }
+    fn num_shards(&self) -> usize;
 
     /// The shard owning `doc`'s postings and score.
-    fn shard_of(&self, _doc: DocId) -> usize {
-        0
-    }
+    fn shard_of(&self, doc: DocId) -> usize;
 
     /// Merge one shard's short lists, leaving the other shards' writers
     /// undisturbed — the scheduling granule for incremental maintenance.
-    fn merge_shard(&self, shard: usize) -> Result<()> {
-        if shard == 0 {
-            self.merge_short_lists()
-        } else {
-            Err(crate::error::CoreError::Unsupported(
-                "shard index out of range",
-            ))
-        }
-    }
+    fn merge_shard(&self, shard: usize) -> Result<()>;
 
     /// Per-shard list statistics (one entry per shard).
     fn shard_stats(&self) -> Vec<ShardStats>;
@@ -331,433 +339,127 @@ pub trait SearchIndex: Send + Sync {
     /// `threshold` bytes? The cheap hot-path gate in front of
     /// [`SearchIndex::maybe_checkpoint`] — reads counters only, takes no
     /// writer lock.
-    fn logs_over(&self, _threshold: u64) -> bool {
-        false
-    }
+    fn logs_over(&self, threshold: u64) -> bool;
 
     /// Checkpoint any of the index's stores whose write-ahead log outgrew
     /// `threshold` bytes (flush dirty pages, truncate the log). A no-op for
-    /// non-logged stores. Implementations serialize against their writers,
-    /// so this is safe to call from a maintenance sweep at any time.
-    fn maybe_checkpoint(&self, _threshold: u64) -> Result<()> {
-        Ok(())
-    }
+    /// non-logged stores. Serialized against each shard's writers, so this
+    /// is safe to call from a maintenance sweep at any time.
+    fn maybe_checkpoint(&self, threshold: u64) -> Result<()>;
 
     /// Snapshot of the collection-wide live document frequencies (sorted by
     /// term id) — shared across every shard of one index, exposed for
     /// restart-equivalence checks and diagnostics.
-    fn term_dfs(&self) -> Vec<(TermId, u64)> {
-        Vec::new()
-    }
+    fn term_dfs(&self) -> Vec<(TermId, u64)>;
 
     /// The collection-wide live document count backing IDF.
-    fn corpus_num_docs(&self) -> u64 {
-        self.shard_stats().iter().map(|s| s.docs).sum()
-    }
+    fn corpus_num_docs(&self) -> u64;
 
     /// Toggle group-commit draining of deferred score refreshes: when on,
-    /// a [`SearchIndex::refresh_scores`] caller that wins the shard's
-    /// writer lock applies the refresh batches *other* writers queued
-    /// while they waited, before releasing — under write skew one lock
-    /// hold retires many writers' propagation work. Only the locking
-    /// decorators ([`LockedIndex`], [`ShardedIndex`]) have a queue; plain
-    /// method instances ignore the toggle.
+    /// a [`SearchIndex::refresh_scores`] caller that wins a shard's writer
+    /// lock applies the refresh batches *other* writers queued while they
+    /// waited, before releasing — under write skew one lock hold retires
+    /// many writers' propagation work.
     ///
     /// Requires every concurrent `refresh_scores` caller of this index to
     /// supply a semantically equivalent authoritative [`ScoreRead`] (the
     /// engine always does): a drainer re-reads peers' documents through
     /// its own callback.
-    fn set_group_refresh(&self, _enabled: bool) {}
+    fn set_group_refresh(&self, enabled: bool);
 
     /// True when group-commit refresh draining is on.
-    fn group_refresh_enabled(&self) -> bool {
-        false
-    }
+    fn group_refresh_enabled(&self) -> bool;
 
-    /// Contention counters of the group-commit refresh queue (all zeros
-    /// when the index has no queue or draining was never enabled).
-    fn refresh_group_stats(&self) -> RefreshGroupStats {
-        RefreshGroupStats::default()
-    }
+    /// Contention counters of the group-commit refresh queues (all zeros
+    /// when draining was never enabled).
+    fn refresh_group_stats(&self) -> RefreshGroupStats;
 
     /// Cumulative long-list block skip/decode counters across every query
     /// and cursor batch this index has served (summed over shards). All
     /// zeros for methods without block-structured long lists.
-    fn seek_stats(&self) -> crate::multiterm::SeekStats {
-        crate::multiterm::SeekStats::default()
-    }
+    fn seek_stats(&self) -> crate::multiterm::SeekStats;
 }
 
-/// Concurrency decorator: one writer at a time, queries share a read lock.
-///
-/// The method implementations use streaming B+-tree cursors that assume no
-/// concurrent structural mutation (the same discipline BerkeleyDB enforces
-/// with page latches and cursor stability). This wrapper provides that
-/// discipline for multi-threaded use: mutations take the write lock,
-/// queries run concurrently under read locks. [`build_index`] always
-/// returns wrapped indexes.
-pub struct LockedIndex<I> {
-    inner: I,
-    lock: svr_storage::sync::OrderedRwLock<()>,
-    group: GroupQueue,
-}
+/// What one index method decides, for one shard: its stores, how to build
+/// and reopen them, and the paper's algorithm bodies. Everything else —
+/// locking, routing, merging shards, statistics, checkpoints — is
+/// [`Index`]'s. Implementations are called with the shard's lock already
+/// held (write for mutations, read for queries) and never lock themselves.
+pub(crate) trait Method: CursorBackend + Send + Sync + Sized + 'static {
+    /// Which method this is.
+    const KIND: MethodKind;
 
-/// One queued refresh batch: the documents plus a slot its owner blocks on
-/// until some lock holder (the owner itself, or a peer draining the queue)
-/// deposits the batch's result.
-struct RefreshTicket {
-    docs: Vec<DocId>,
-    result: std::sync::Mutex<Option<Result<()>>>,
-    done: std::sync::Condvar,
-}
+    /// The [`store_names`] this method creates in its shard's region of
+    /// the environment: checkpoint gating walks them, and together with
+    /// the shard prefix they *are* the on-disk layout.
+    const STORES: &'static [&'static str];
 
-/// The group-commit refresh queue of one [`LockedIndex`] shard.
-struct GroupQueue {
-    enabled: std::sync::atomic::AtomicBool,
-    queue: std::sync::Mutex<std::collections::VecDeque<Arc<RefreshTicket>>>,
-    enqueued: std::sync::atomic::AtomicU64,
-    applied: std::sync::atomic::AtomicU64,
-    drain_holds: std::sync::atomic::AtomicU64,
-    max_depth: std::sync::atomic::AtomicU64,
-}
+    /// Build one shard over `docs` (the shard's partition of the corpus)
+    /// inside `ctx`.
+    fn build_in(
+        ctx: ShardContext,
+        docs: &[Document],
+        scores: &ScoreMap,
+        config: &IndexConfig,
+    ) -> Result<Self>;
 
-/// Cap on batches one lock hold may drain, so a single writer cannot be
-/// conscripted into applying the whole fleet's refreshes indefinitely
-/// under sustained load.
-const MAX_DRAIN_PER_HOLD: u64 = 128;
+    /// Reattach one durable shard from its recovered stores (see
+    /// [`open_index_at`]).
+    fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<Self>;
 
-impl<I: SearchIndex> LockedIndex<I> {
-    /// Wrap an index.
-    pub fn new(inner: I) -> LockedIndex<I> {
-        LockedIndex {
-            inner,
-            lock: svr_storage::sync::OrderedRwLock::new(svr_storage::sync::LockClass::Shard, ()),
-            group: GroupQueue {
-                enabled: std::sync::atomic::AtomicBool::new(false),
-                queue: std::sync::Mutex::new(std::collections::VecDeque::new()),
-                enqueued: std::sync::atomic::AtomicU64::new(0),
-                applied: std::sync::atomic::AtomicU64::new(0),
-                drain_holds: std::sync::atomic::AtomicU64::new(0),
-                max_depth: std::sync::atomic::AtomicU64::new(0),
-            },
-        }
+    /// `(long-list bytes, long-list postings, short-list postings)` of
+    /// this shard.
+    fn list_sizes(&self) -> (u64, u64, u64);
+
+    /// Algorithm 1 (or the method's degenerate form of it).
+    fn update_score(&self, doc: DocId, new_score: Score) -> Result<()>;
+
+    /// Open this shard's slice of a ranked enumeration. The fancy-list
+    /// methods run phase 1 of Algorithm 3 here; the rest start empty.
+    fn open_cursor(&self, query: &Query) -> Result<MergeState> {
+        Ok(MergeState::new(query.terms.len(), Vec::new()))
     }
 
-    /// Apply one refresh batch; the caller holds the write lock.
-    fn apply_refresh(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
-        for &doc in docs {
-            let Some(score) = read(doc)? else { continue };
-            match self.inner.update_score(doc, score) {
-                Ok(()) | Err(crate::error::CoreError::UnknownDocument(_)) => {}
-                Err(e) => return Err(e),
+    /// One-shot top-k: an opened cursor drained once for `query.k`
+    /// results, unless the method has a faster fixed-k executor.
+    fn query(&self, query: &Query) -> Result<Vec<SearchHit>> {
+        let mut state = self.open_cursor(query)?;
+        crate::cursor::run(self, query, &mut state, query.k)
+    }
+
+    /// Appendix A.2 insertion.
+    fn insert_document(&self, doc: &Document, score: Score) -> Result<()>;
+
+    /// Appendix A.2 deletion: tombstone, keep the postings.
+    fn delete_document(&self, doc: DocId) -> Result<()> {
+        self.base().register_delete(doc)
+    }
+
+    /// Rollback inverse of [`Method::insert_document`].
+    fn uninsert_document(&self, doc: DocId) -> Result<()>;
+
+    /// Rollback inverse of [`Method::delete_document`]: tombstoning kept
+    /// the postings, so reviving is pure bookkeeping.
+    fn undelete_document(&self, doc: DocId) -> Result<()> {
+        self.base().register_undelete(doc)?;
+        Ok(())
+    }
+
+    /// Appendix A.1 content update.
+    fn update_content(&self, doc: &Document) -> Result<()>;
+
+    /// Offline merge of this shard's short lists into its long lists.
+    fn merge_short_lists(&self) -> Result<()>;
+
+    /// Drop this shard's cached long-list (and fancy-list) pages.
+    fn clear_long_cache(&self) -> Result<()> {
+        for name in [store_names::LONG, store_names::FANCY] {
+            if let Some(store) = self.base().store(name) {
+                store.clear_cache()?;
             }
         }
         Ok(())
     }
-
-    /// The group-commit refresh path: queue the batch, then either win the
-    /// writer lock and drain every queued batch under the one hold, or
-    /// wait for a winning peer to deposit this batch's result.
-    fn refresh_grouped(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
-        let ticket = Arc::new(RefreshTicket {
-            docs: docs.to_vec(),
-            result: std::sync::Mutex::new(None),
-            done: std::sync::Condvar::new(),
-        });
-        {
-            let mut queue = self.group.queue.lock().expect("refresh queue poisoned"); // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
-            queue.push_back(ticket.clone());
-            self.group
-                .enqueued
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.group
-                .max_depth
-                .fetch_max(queue.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        }
-        loop {
-            // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
-            if let Some(result) = ticket.result.lock().expect("ticket poisoned").take() {
-                return result;
-            }
-            if let Some(_shard_guard) = self.lock.try_write() {
-                let mut applied = 0u64;
-                while applied < MAX_DRAIN_PER_HOLD {
-                    let next = self
-                        .group
-                        .queue
-                        .lock()
-                        .expect("refresh queue poisoned") // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
-                        .pop_front();
-                    let Some(t) = next else { break };
-                    let result = self.apply_refresh(&t.docs, read);
-                    *t.result.lock().expect("ticket poisoned") = Some(result); // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
-                    t.done.notify_all();
-                    applied += 1;
-                }
-                if applied > 0 {
-                    self.group
-                        .drain_holds
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    self.group
-                        .applied
-                        .fetch_add(applied, std::sync::atomic::Ordering::Relaxed);
-                }
-                // Own ticket was normally among the drained; if a peer beat
-                // us to it (or the per-hold cap left it queued), loop.
-            } else {
-                let slot = ticket.result.lock().expect("ticket poisoned"); // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
-                if slot.is_none() {
-                    // Bounded wait: a racing holder may resolve the ticket
-                    // between the check and the wait; the timeout self-heals
-                    // a missed notification.
-                    let _ = ticket
-                        .done
-                        .wait_timeout(slot, std::time::Duration::from_millis(1))
-                        .expect("ticket poisoned"); // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
-                }
-            }
-        }
-    }
-}
-
-impl<I: SearchIndex> SearchIndex for LockedIndex<I> {
-    fn kind(&self) -> MethodKind {
-        self.inner.kind()
-    }
-
-    fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
-        let _shard_guard = self.lock.write();
-        self.inner.update_score(doc, new_score)
-    }
-
-    fn refresh_scores(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
-        if self
-            .group
-            .enabled
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
-            return self.refresh_grouped(docs, read);
-        }
-        // One write-lock acquisition for the whole batch; `read` runs under
-        // it, which is what makes deferred propagation stale-proof (see the
-        // trait docs).
-        let _shard_guard = self.lock.write();
-        self.apply_refresh(docs, read)
-    }
-
-    fn open_cursor(&self, query: &Query) -> Result<MethodCursor> {
-        let _shard_guard = self.lock.read();
-        self.inner.open_cursor(query)
-    }
-
-    fn next_batch(&self, cursor: &mut MethodCursor, n: usize) -> Result<Vec<SearchHit>> {
-        // Each batch runs under one read-lock acquisition: batches are
-        // individually snapshot-consistent, and the lock is *not* held
-        // while the cursor is suspended between batches.
-        let _shard_guard = self.lock.read();
-        self.inner.next_batch(cursor, n)
-    }
-
-    fn query(&self, query: &Query) -> Result<Vec<SearchHit>> {
-        // One lock acquisition for open + drain, as the one-shot path
-        // always had.
-        let _shard_guard = self.lock.read();
-        self.inner.query(query)
-    }
-
-    fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
-        let _shard_guard = self.lock.write();
-        self.inner.insert_document(doc, score)
-    }
-
-    fn delete_document(&self, doc: DocId) -> Result<()> {
-        let _shard_guard = self.lock.write();
-        self.inner.delete_document(doc)
-    }
-
-    fn uninsert_document(&self, doc: DocId) -> Result<()> {
-        let _shard_guard = self.lock.write();
-        self.inner.uninsert_document(doc)
-    }
-
-    fn undelete_document(&self, doc: DocId) -> Result<()> {
-        let _shard_guard = self.lock.write();
-        self.inner.undelete_document(doc)
-    }
-
-    fn update_content(&self, doc: &Document) -> Result<()> {
-        let _shard_guard = self.lock.write();
-        self.inner.update_content(doc)
-    }
-
-    fn merge_short_lists(&self) -> Result<()> {
-        let _shard_guard = self.lock.write();
-        self.inner.merge_short_lists()
-    }
-
-    fn merge_shard(&self, shard: usize) -> Result<()> {
-        let _shard_guard = self.lock.write();
-        self.inner.merge_shard(shard)
-    }
-
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        let _shard_guard = self.lock.read();
-        self.inner.shard_stats()
-    }
-
-    fn long_list_bytes(&self) -> u64 {
-        self.inner.long_list_bytes()
-    }
-
-    fn clear_long_cache(&self) -> Result<()> {
-        let _shard_guard = self.lock.write();
-        self.inner.clear_long_cache()
-    }
-
-    fn env(&self) -> &Arc<StorageEnv> {
-        self.inner.env()
-    }
-
-    fn current_score(&self, doc: DocId) -> Result<Score> {
-        let _shard_guard = self.lock.read();
-        self.inner.current_score(doc)
-    }
-
-    fn logs_over(&self, threshold: u64) -> bool {
-        self.inner.logs_over(threshold)
-    }
-
-    fn maybe_checkpoint(&self, threshold: u64) -> Result<()> {
-        // Cheap lock-free gate first: mutation hot paths call this on every
-        // refresh, and below threshold it must not touch the writer lock.
-        if !self.inner.logs_over(threshold) {
-            return Ok(());
-        }
-        // Exclusive: a checkpoint must not truncate log records whose pages
-        // a concurrent mutation has not flushed.
-        let _shard_guard = self.lock.write();
-        self.inner.maybe_checkpoint(threshold)
-    }
-
-    fn term_dfs(&self) -> Vec<(TermId, u64)> {
-        self.inner.term_dfs()
-    }
-
-    fn corpus_num_docs(&self) -> u64 {
-        self.inner.corpus_num_docs()
-    }
-
-    fn set_group_refresh(&self, enabled: bool) {
-        self.group
-            .enabled
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn group_refresh_enabled(&self) -> bool {
-        self.group
-            .enabled
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    fn seek_stats(&self) -> crate::multiterm::SeekStats {
-        self.inner.seek_stats()
-    }
-
-    fn refresh_group_stats(&self) -> RefreshGroupStats {
-        use std::sync::atomic::Ordering::Relaxed;
-        RefreshGroupStats {
-            enqueued: self.group.enqueued.load(Relaxed),
-            applied: self.group.applied.load(Relaxed),
-            drain_holds: self.group.drain_holds.load(Relaxed),
-            max_depth: self.group.max_depth.load(Relaxed),
-            depth: self
-                .group
-                .queue
-                .lock()
-                .expect("refresh queue poisoned") // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
-                .len() as u64,
-        }
-    }
-}
-
-/// Build an index of the requested kind over `docs` with initial `scores`.
-///
-/// With `config.num_shards == 1` (the default) the returned index is safe
-/// for one writer and many concurrent readers (see [`LockedIndex`]). With
-/// `num_shards > 1` the collection is hash-partitioned by document id into
-/// that many shards, each behind an independent writer lock, so writers of
-/// documents in different shards proceed in parallel (see
-/// [`ShardedIndex`]); rankings are identical at any shard count.
-pub fn build_index(
-    kind: MethodKind,
-    docs: &[Document],
-    scores: &ScoreMap,
-    config: &IndexConfig,
-) -> Result<Box<dyn SearchIndex>> {
-    let config = config.clone().validated();
-    if config.num_shards > 1 {
-        return Ok(match kind {
-            MethodKind::Id => Box::new(ShardedIndex::build_with(
-                docs,
-                scores,
-                &config,
-                IdMethod::build_in,
-            )?),
-            MethodKind::Score => Box::new(ShardedIndex::build_with(
-                docs,
-                scores,
-                &config,
-                ScoreMethod::build_in,
-            )?),
-            MethodKind::ScoreThreshold => Box::new(ShardedIndex::build_with(
-                docs,
-                scores,
-                &config,
-                ScoreThresholdMethod::build_in,
-            )?),
-            MethodKind::Chunk => Box::new(ShardedIndex::build_with(
-                docs,
-                scores,
-                &config,
-                ChunkMethod::build_in,
-            )?),
-            MethodKind::IdTermScore => Box::new(ShardedIndex::build_with(
-                docs,
-                scores,
-                &config,
-                IdTermMethod::build_in,
-            )?),
-            MethodKind::ChunkTermScore => Box::new(ShardedIndex::build_with(
-                docs,
-                scores,
-                &config,
-                ChunkTermMethod::build_in,
-            )?),
-            MethodKind::ScoreThresholdTermScore => Box::new(ShardedIndex::build_with(
-                docs,
-                scores,
-                &config,
-                ScoreThresholdTermMethod::build_in,
-            )?),
-        });
-    }
-    Ok(match kind {
-        MethodKind::Id => Box::new(LockedIndex::new(IdMethod::build(docs, scores, &config)?)),
-        MethodKind::Score => Box::new(LockedIndex::new(ScoreMethod::build(docs, scores, &config)?)),
-        MethodKind::ScoreThreshold => Box::new(LockedIndex::new(ScoreThresholdMethod::build(
-            docs, scores, &config,
-        )?)),
-        MethodKind::Chunk => Box::new(LockedIndex::new(ChunkMethod::build(docs, scores, &config)?)),
-        MethodKind::IdTermScore => Box::new(LockedIndex::new(IdTermMethod::build(
-            docs, scores, &config,
-        )?)),
-        MethodKind::ChunkTermScore => Box::new(LockedIndex::new(ChunkTermMethod::build(
-            docs, scores, &config,
-        )?)),
-        MethodKind::ScoreThresholdTermScore => Box::new(LockedIndex::new(
-            ScoreThresholdTermMethod::build(docs, scores, &config)?,
-        )),
-    })
 }
 
 /// Where an index's stores live inside a caller-owned [`StorageEnv`]: the
@@ -781,6 +483,23 @@ impl IndexLocation {
     }
 }
 
+/// Build an index of the requested kind over `docs` with initial `scores`,
+/// in a fresh in-memory environment.
+///
+/// The collection is hash-partitioned by document id into
+/// `config.num_shards` shards (default 1 — the paper's single-partition
+/// layout), each behind an independent writer lock, so writers of documents
+/// in different shards proceed in parallel and every shard serves many
+/// concurrent readers; rankings are identical at any shard count.
+pub fn build_index(
+    kind: MethodKind,
+    docs: &[Document],
+    scores: &ScoreMap,
+    config: &IndexConfig,
+) -> Result<Box<dyn SearchIndex>> {
+    attach(None, kind, Some((docs, scores)), config)
+}
+
 /// [`build_index`] into a caller-owned environment at a store-name prefix —
 /// the engine's durable build path. Identical semantics otherwise.
 pub fn build_index_at(
@@ -790,112 +509,7 @@ pub fn build_index_at(
     scores: &ScoreMap,
     config: &IndexConfig,
 ) -> Result<Box<dyn SearchIndex>> {
-    use crate::methods::base::{CorpusStats, ShardContext};
-    let config = config.clone().validated();
-    let durable = loc.env.is_durable();
-    let stats = Arc::new(CorpusStats::default());
-    if config.num_shards > 1 {
-        return Ok(match kind {
-            MethodKind::Id => Box::new(ShardedIndex::build_rooted(
-                loc,
-                stats,
-                docs,
-                scores,
-                &config,
-                IdMethod::build_in,
-            )?),
-            MethodKind::Score => Box::new(ShardedIndex::build_rooted(
-                loc,
-                stats,
-                docs,
-                scores,
-                &config,
-                ScoreMethod::build_in,
-            )?),
-            MethodKind::ScoreThreshold => Box::new(ShardedIndex::build_rooted(
-                loc,
-                stats,
-                docs,
-                scores,
-                &config,
-                ScoreThresholdMethod::build_in,
-            )?),
-            MethodKind::Chunk => Box::new(ShardedIndex::build_rooted(
-                loc,
-                stats,
-                docs,
-                scores,
-                &config,
-                ChunkMethod::build_in,
-            )?),
-            MethodKind::IdTermScore => Box::new(ShardedIndex::build_rooted(
-                loc,
-                stats,
-                docs,
-                scores,
-                &config,
-                IdTermMethod::build_in,
-            )?),
-            MethodKind::ChunkTermScore => Box::new(ShardedIndex::build_rooted(
-                loc,
-                stats,
-                docs,
-                scores,
-                &config,
-                ChunkTermMethod::build_in,
-            )?),
-            MethodKind::ScoreThresholdTermScore => Box::new(ShardedIndex::build_rooted(
-                loc,
-                stats,
-                docs,
-                scores,
-                &config,
-                ScoreThresholdTermMethod::build_in,
-            )?),
-        });
-    }
-    let ctx = || ShardContext::rooted(loc.env.clone(), stats.clone(), loc.prefix.clone(), durable);
-    Ok(match kind {
-        MethodKind::Id => Box::new(LockedIndex::new(IdMethod::build_in(
-            ctx(),
-            docs,
-            scores,
-            &config,
-        )?)),
-        MethodKind::Score => Box::new(LockedIndex::new(ScoreMethod::build_in(
-            ctx(),
-            docs,
-            scores,
-            &config,
-        )?)),
-        MethodKind::ScoreThreshold => Box::new(LockedIndex::new(ScoreThresholdMethod::build_in(
-            ctx(),
-            docs,
-            scores,
-            &config,
-        )?)),
-        MethodKind::Chunk => Box::new(LockedIndex::new(ChunkMethod::build_in(
-            ctx(),
-            docs,
-            scores,
-            &config,
-        )?)),
-        MethodKind::IdTermScore => Box::new(LockedIndex::new(IdTermMethod::build_in(
-            ctx(),
-            docs,
-            scores,
-            &config,
-        )?)),
-        MethodKind::ChunkTermScore => Box::new(LockedIndex::new(ChunkTermMethod::build_in(
-            ctx(),
-            docs,
-            scores,
-            &config,
-        )?)),
-        MethodKind::ScoreThresholdTermScore => Box::new(LockedIndex::new(
-            ScoreThresholdTermMethod::build_in(ctx(), docs, scores, &config)?,
-        )),
-    })
+    attach(Some(loc), kind, Some((docs, scores)), config)
 }
 
 /// Reattach an index previously built with [`build_index_at`] in a durable
@@ -910,71 +524,47 @@ pub fn open_index_at(
     kind: MethodKind,
     config: &IndexConfig,
 ) -> Result<Box<dyn SearchIndex>> {
-    use crate::methods::base::{CorpusStats, ShardContext};
-    let config = config.clone().validated();
-    let stats = Arc::new(CorpusStats::default());
-    if config.num_shards > 1 {
-        return Ok(match kind {
-            MethodKind::Id => Box::new(ShardedIndex::open_rooted(
-                loc,
-                stats,
-                &config,
-                IdMethod::open_in,
-            )?),
-            MethodKind::Score => Box::new(ShardedIndex::open_rooted(
-                loc,
-                stats,
-                &config,
-                ScoreMethod::open_in,
-            )?),
-            MethodKind::ScoreThreshold => Box::new(ShardedIndex::open_rooted(
-                loc,
-                stats,
-                &config,
-                ScoreThresholdMethod::open_in,
-            )?),
-            MethodKind::Chunk => Box::new(ShardedIndex::open_rooted(
-                loc,
-                stats,
-                &config,
-                ChunkMethod::open_in,
-            )?),
-            MethodKind::IdTermScore => Box::new(ShardedIndex::open_rooted(
-                loc,
-                stats,
-                &config,
-                IdTermMethod::open_in,
-            )?),
-            MethodKind::ChunkTermScore => Box::new(ShardedIndex::open_rooted(
-                loc,
-                stats,
-                &config,
-                ChunkTermMethod::open_in,
-            )?),
-            MethodKind::ScoreThresholdTermScore => Box::new(ShardedIndex::open_rooted(
-                loc,
-                stats,
-                &config,
-                ScoreThresholdTermMethod::open_in,
-            )?),
-        });
+    attach(Some(loc), kind, None, config)
+}
+
+/// The one `MethodKind` → method-type dispatch: validate the configuration,
+/// then build over `corpus` or (`None`) reopen from the stores at `loc`
+/// (`None` = a fresh in-memory environment).
+fn attach(
+    loc: Option<&IndexLocation>,
+    kind: MethodKind,
+    corpus: Option<(&[Document], &ScoreMap)>,
+    config: &IndexConfig,
+) -> Result<Box<dyn SearchIndex>> {
+    fn boxed<M: Method>(
+        loc: &IndexLocation,
+        corpus: Option<(&[Document], &ScoreMap)>,
+        config: &IndexConfig,
+    ) -> Result<Box<dyn SearchIndex>> {
+        Ok(Box::new(Index::<M>::attach(loc, corpus, config)?))
     }
-    let ctx = ShardContext::rooted(loc.env.clone(), stats, loc.prefix.clone(), true);
-    Ok(match kind {
-        MethodKind::Id => Box::new(LockedIndex::new(IdMethod::open_in(ctx, &config)?)),
-        MethodKind::Score => Box::new(LockedIndex::new(ScoreMethod::open_in(ctx, &config)?)),
-        MethodKind::ScoreThreshold => Box::new(LockedIndex::new(ScoreThresholdMethod::open_in(
-            ctx, &config,
-        )?)),
-        MethodKind::Chunk => Box::new(LockedIndex::new(ChunkMethod::open_in(ctx, &config)?)),
-        MethodKind::IdTermScore => Box::new(LockedIndex::new(IdTermMethod::open_in(ctx, &config)?)),
-        MethodKind::ChunkTermScore => {
-            Box::new(LockedIndex::new(ChunkTermMethod::open_in(ctx, &config)?))
+    config.validate()?;
+    let fresh;
+    let loc = match loc {
+        Some(loc) => loc,
+        None => {
+            fresh = IndexLocation::new(Arc::new(StorageEnv::new(config.page_size)), "");
+            &fresh
         }
-        MethodKind::ScoreThresholdTermScore => Box::new(LockedIndex::new(
-            ScoreThresholdTermMethod::open_in(ctx, &config)?,
-        )),
-    })
+    };
+    match kind {
+        MethodKind::Id => boxed::<id::IdMethod>(loc, corpus, config),
+        MethodKind::Score => boxed::<score::ScoreMethod>(loc, corpus, config),
+        MethodKind::ScoreThreshold => {
+            boxed::<score_threshold::ScoreThresholdMethod>(loc, corpus, config)
+        }
+        MethodKind::Chunk => boxed::<chunk::ChunkMethod>(loc, corpus, config),
+        MethodKind::IdTermScore => boxed::<id_term::IdTermMethod>(loc, corpus, config),
+        MethodKind::ChunkTermScore => boxed::<chunk_term::ChunkTermMethod>(loc, corpus, config),
+        MethodKind::ScoreThresholdTermScore => {
+            boxed::<score_threshold_term::ScoreThresholdTermMethod>(loc, corpus, config)
+        }
+    }
 }
 
 #[cfg(test)]

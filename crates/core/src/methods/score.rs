@@ -9,22 +9,18 @@
 //! B+-tree (as in the paper's BerkeleyDB implementation), not as an
 //! immutable blob — which is also why its Table 1 footprint is the largest.
 
-use std::sync::Arc;
-
-use svr_storage::StorageEnv;
-
 use crate::config::IndexConfig;
-use crate::cursor::{merge_next_batch, open_merge, CursorBackend, MethodCursor};
+use crate::cursor::CursorBackend;
 use crate::error::Result;
 use crate::long_list::{invert_corpus, LongCursor};
 use crate::merge::{Candidate, UnionCursor, UnionResume};
 use crate::methods::base::{MethodBase, ShardContext};
-use crate::methods::{store_names, MethodKind, ScoreMap, SearchIndex, ShardStats};
+use crate::methods::{store_names, Method, MethodKind, ScoreMap};
 use crate::short_list::{Op, PostingPos, ShortLists, ShortOrder};
-use crate::types::{DocId, Document, Query, Score, SearchHit, TermId};
+use crate::types::{DocId, Document, Score, TermId};
 
 /// The Score method.
-pub struct ScoreMethod {
+pub(crate) struct ScoreMethod {
     base: MethodBase,
     /// The clustered, score-ordered long list: key `(term, score desc, doc)`.
     /// Structurally identical to a score-ordered short list, so the type is
@@ -32,19 +28,49 @@ pub struct ScoreMethod {
     list: ShortLists,
 }
 
-impl ScoreMethod {
-    /// Build from a corpus and initial scores.
-    pub fn build(
-        docs: &[Document],
-        scores: &ScoreMap,
-        config: &IndexConfig,
-    ) -> Result<ScoreMethod> {
-        ScoreMethod::build_in(ShardContext::standalone(config), docs, scores, config)
+impl CursorBackend for ScoreMethod {
+    fn base(&self) -> &MethodBase {
+        &self.base
     }
 
-    /// Build inside an existing shard context (shared environment and
-    /// corpus statistics).
-    pub(crate) fn build_in(
+    fn long_epoch(&self) -> u64 {
+        // The clustered list is a B+-tree resumed by key; there is no page
+        // chain to invalidate.
+        0
+    }
+
+    fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
+        Ok(UnionCursor::resume(
+            LongCursor::empty(),
+            self.list.cursor_after(term, resume.short_resume_key())?,
+            resume,
+        ))
+    }
+
+    fn resolve(&self, candidate: &Candidate, _idfs: &[f64]) -> Result<Option<Score>> {
+        let PostingPos::ByScore(score) = candidate.pos else {
+            unreachable!("score method produces score-ordered candidates");
+        };
+        // The list scores are always current: the position is the score.
+        Ok(Some(score))
+    }
+
+    fn svr_bound(&self, pos: Option<PostingPos>) -> Score {
+        // Candidates arrive in descending current-score order.
+        match pos {
+            Some(PostingPos::ByScore(s)) => s,
+            Some(_) => f64::INFINITY,
+            None => f64::NEG_INFINITY,
+        }
+    }
+}
+
+impl Method for ScoreMethod {
+    const KIND: MethodKind = MethodKind::Score;
+    const STORES: &'static [&'static str] =
+        &[store_names::SCORE, store_names::DOCS, store_names::LONG];
+
+    fn build_in(
         ctx: ShardContext,
         docs: &[Document],
         scores: &ScoreMap,
@@ -66,7 +92,7 @@ impl ScoreMethod {
     /// Reattach a durable shard from its recovered stores (see
     /// [`crate::open_index_at`]). The clustered list is a single B+-tree,
     /// so reopening it is the whole job.
-    pub(crate) fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<ScoreMethod> {
+    fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<ScoreMethod> {
         let base = MethodBase::open_with_context(ctx, config)?;
         let list = ShortLists::open(
             base.create_store(store_names::LONG, config.long_cache_pages),
@@ -74,56 +100,17 @@ impl ScoreMethod {
         )?;
         Ok(ScoreMethod { base, list })
     }
-}
 
-impl CursorBackend for ScoreMethod {
-    fn cursor_kind(&self) -> MethodKind {
-        MethodKind::Score
-    }
-
-    fn pool_cap(&self) -> usize {
-        self.base.pool_cap
-    }
-
-    fn long_epoch(&self) -> u64 {
-        // The clustered list is a B+-tree resumed by key; there is no page
-        // chain to invalidate.
-        0
-    }
-
-    fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
-        Ok(UnionCursor::resume(
-            LongCursor::empty(),
-            self.list.cursor_after(term, resume.short_resume_key())?,
-            resume,
-        ))
-    }
-
-    fn is_deleted(&self, doc: DocId) -> bool {
-        self.base.is_deleted(doc)
-    }
-
-    fn resolve(&self, candidate: &Candidate, _idfs: &[f64]) -> Result<Option<Score>> {
-        let PostingPos::ByScore(score) = candidate.pos else {
-            unreachable!("score method produces score-ordered candidates");
-        };
-        // The list scores are always current: the position is the score.
-        Ok(Some(score))
-    }
-
-    fn svr_bound(&self, pos: Option<PostingPos>) -> Score {
-        // Candidates arrive in descending current-score order.
-        match pos {
-            Some(PostingPos::ByScore(s)) => s,
-            Some(_) => f64::INFINITY,
-            None => f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl SearchIndex for ScoreMethod {
-    fn kind(&self) -> MethodKind {
-        MethodKind::Score
+    fn list_sizes(&self) -> (u64, u64, u64) {
+        // The clustered tree's disk footprint, including B+-tree overhead —
+        // the paper's Table 1 charges the Score method for exactly this. It
+        // is not posting-addressed and has no short lists.
+        let bytes = self
+            .base
+            .store(store_names::LONG)
+            .map(|s| s.disk().num_pages() * s.page_size() as u64)
+            .unwrap_or(0);
+        (bytes, 0, 0)
     }
 
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
@@ -142,14 +129,6 @@ impl SearchIndex for ScoreMethod {
             }
         }
         Ok(())
-    }
-
-    fn open_cursor(&self, query: &Query) -> Result<MethodCursor> {
-        Ok(open_merge(MethodKind::Score, query, Vec::new()))
-    }
-
-    fn next_batch(&self, cursor: &mut MethodCursor, n: usize) -> Result<Vec<SearchHit>> {
-        merge_next_batch(self, cursor, n)
     }
 
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
@@ -219,52 +198,9 @@ impl SearchIndex for ScoreMethod {
         Ok(())
     }
 
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        self.base.single_shard_stats(self.long_list_bytes(), 0, 0)
-    }
-
-    fn long_list_bytes(&self) -> u64 {
-        // The clustered tree's disk footprint, including B+-tree overhead —
-        // the paper's Table 1 charges the Score method for exactly this.
-        self.base
-            .store(store_names::LONG)
-            .map(|s| s.disk().num_pages() * s.page_size() as u64)
-            .unwrap_or(0)
-    }
-
     fn clear_long_cache(&self) -> Result<()> {
         // Both the page cache and the decoded-node cache must go: the
         // clustered long list is a B+-tree.
         self.list.clear_caches()
-    }
-
-    fn env(&self) -> &Arc<StorageEnv> {
-        &self.base.env
-    }
-
-    fn current_score(&self, doc: DocId) -> Result<Score> {
-        self.base.current_score(doc)
-    }
-
-    fn logs_over(&self, threshold: u64) -> bool {
-        self.base.logs_over(
-            &[store_names::SCORE, store_names::DOCS, store_names::LONG],
-            threshold,
-        )
-    }
-
-    fn maybe_checkpoint(&self, threshold: u64) -> Result<()> {
-        self.base.maybe_checkpoint(
-            &[store_names::SCORE, store_names::DOCS, store_names::LONG],
-            threshold,
-        )
-    }
-
-    fn term_dfs(&self) -> Vec<(TermId, u64)> {
-        self.base.term_dfs()
-    }
-
-    fn corpus_num_docs(&self) -> u64 {
-        self.base.corpus_num_docs()
     }
 }

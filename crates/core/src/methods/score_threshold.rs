@@ -8,23 +8,20 @@
 //! answer, and always reports scores from the Score table.
 
 use std::collections::HashSet;
-use std::sync::Arc;
-
-use svr_storage::StorageEnv;
 
 use crate::aux_table::{ListScoreEntry, ListScoreTable};
 use crate::config::IndexConfig;
-use crate::cursor::{merge_next_batch, open_merge, CursorBackend, MethodCursor};
+use crate::cursor::CursorBackend;
 use crate::error::Result;
 use crate::long_list::{invert_corpus, ListFormat, LongListStore};
 use crate::merge::{Candidate, UnionCursor, UnionResume};
 use crate::methods::base::{MethodBase, ShardContext};
-use crate::methods::{store_names, MethodKind, ScoreMap, SearchIndex, ShardStats};
+use crate::methods::{store_names, Method, MethodKind, ScoreMap};
 use crate::short_list::{Op, PostingPos, ShortLists, ShortOrder};
-use crate::types::{DocId, Document, Query, Score, SearchHit, TermId};
+use crate::types::{DocId, Document, Score, TermId};
 
 /// The Score-Threshold method.
-pub struct ScoreThresholdMethod {
+pub(crate) struct ScoreThresholdMethod {
     base: MethodBase,
     config: IndexConfig,
     long: LongListStore,
@@ -33,18 +30,81 @@ pub struct ScoreThresholdMethod {
 }
 
 impl ScoreThresholdMethod {
-    /// Build from a corpus and initial scores.
-    pub fn build(
-        docs: &[Document],
-        scores: &ScoreMap,
-        config: &IndexConfig,
-    ) -> Result<ScoreThresholdMethod> {
-        ScoreThresholdMethod::build_in(ShardContext::standalone(config), docs, scores, config)
+    /// The document's list score and whether its postings are in the short
+    /// lists (Algorithm 1 lines 9-17).
+    fn list_state(&self, doc: DocId, fallback_score: Score) -> Result<ListScoreEntry> {
+        match self.list_score.get(doc)? {
+            Some(entry) => Ok(entry),
+            None => Ok(ListScoreEntry {
+                l_score: fallback_score,
+                in_short_list: false,
+            }),
+        }
+    }
+}
+
+impl CursorBackend for ScoreThresholdMethod {
+    fn base(&self) -> &MethodBase {
+        &self.base
     }
 
-    /// Build inside an existing shard context (shared environment and
-    /// corpus statistics).
-    pub(crate) fn build_in(
+    fn long_epoch(&self) -> u64 {
+        self.long.epoch()
+    }
+
+    fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
+        Ok(UnionCursor::resume(
+            self.long.resume_cursor(term, resume.long_resume())?,
+            self.short.cursor_after(term, resume.short_resume_key())?,
+            resume,
+        ))
+    }
+
+    /// Algorithm 2 lines 12-21: score resolution per occurrence.
+    fn resolve(&self, candidate: &Candidate, _idfs: &[f64]) -> Result<Option<Score>> {
+        let PostingPos::ByScore(list_score) = candidate.pos else {
+            unreachable!("score-threshold candidates are score-ordered");
+        };
+        if candidate.all_short() {
+            // Short-list result; scores in the short list may lag the
+            // Score table.
+            return Ok(Some(self.base.score_table.score_of(candidate.doc)?));
+        }
+        // Long-list (or mixed) result.
+        match self.list_score.get(candidate.doc)? {
+            // Never updated: the list score is current.
+            None => Ok(Some(list_score)),
+            Some(entry) if !entry.in_short_list => {
+                Ok(Some(self.base.score_table.score_of(candidate.doc)?))
+            }
+            // In the short list: this (stale) long posting is superseded by
+            // the short occurrence.
+            Some(_) => Ok(None),
+        }
+    }
+
+    /// Lemma 1.2: no document at or past list position `s` can currently
+    /// score above `thresholdValueOf(s)`.
+    fn svr_bound(&self, pos: Option<PostingPos>) -> Score {
+        match pos {
+            Some(PostingPos::ByScore(s)) => self.config.threshold_value_of(s),
+            Some(_) => f64::INFINITY,
+            None => f64::NEG_INFINITY,
+        }
+    }
+}
+
+impl Method for ScoreThresholdMethod {
+    const KIND: MethodKind = MethodKind::ScoreThreshold;
+    const STORES: &'static [&'static str] = &[
+        store_names::SCORE,
+        store_names::DOCS,
+        store_names::LONG,
+        store_names::SHORT,
+        store_names::AUX,
+    ];
+
+    fn build_in(
         ctx: ShardContext,
         docs: &[Document],
         scores: &ScoreMap,
@@ -82,9 +142,7 @@ impl ScoreThresholdMethod {
         })
     }
 
-    /// Reattach a durable shard from its recovered stores (see
-    /// [`crate::open_index_at`]).
-    pub(crate) fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<ScoreThresholdMethod> {
+    fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<ScoreThresholdMethod> {
         let base = MethodBase::open_with_context(ctx, config)?;
         let long = LongListStore::open(
             base.create_store(store_names::LONG, config.long_cache_pages),
@@ -106,81 +164,12 @@ impl ScoreThresholdMethod {
         })
     }
 
-    /// The document's list score and whether its postings are in the short
-    /// lists (Algorithm 1 lines 9-17).
-    fn list_state(&self, doc: DocId, fallback_score: Score) -> Result<ListScoreEntry> {
-        match self.list_score.get(doc)? {
-            Some(entry) => Ok(entry),
-            None => Ok(ListScoreEntry {
-                l_score: fallback_score,
-                in_short_list: false,
-            }),
-        }
-    }
-}
-
-impl CursorBackend for ScoreThresholdMethod {
-    fn cursor_kind(&self) -> MethodKind {
-        MethodKind::ScoreThreshold
-    }
-
-    fn pool_cap(&self) -> usize {
-        self.base.pool_cap
-    }
-
-    fn long_epoch(&self) -> u64 {
-        self.long.epoch()
-    }
-
-    fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
-        Ok(UnionCursor::resume(
-            self.long.resume_cursor(term, resume.long_resume())?,
-            self.short.cursor_after(term, resume.short_resume_key())?,
-            resume,
-        ))
-    }
-
-    fn is_deleted(&self, doc: DocId) -> bool {
-        self.base.is_deleted(doc)
-    }
-
-    /// Algorithm 2 lines 12-21: score resolution per occurrence.
-    fn resolve(&self, candidate: &Candidate, _idfs: &[f64]) -> Result<Option<Score>> {
-        let PostingPos::ByScore(list_score) = candidate.pos else {
-            unreachable!("score-threshold candidates are score-ordered");
-        };
-        if candidate.all_short() {
-            // Short-list result; scores in the short list may lag the
-            // Score table.
-            return Ok(Some(self.base.score_table.score_of(candidate.doc)?));
-        }
-        // Long-list (or mixed) result.
-        match self.list_score.get(candidate.doc)? {
-            // Never updated: the list score is current.
-            None => Ok(Some(list_score)),
-            Some(entry) if !entry.in_short_list => {
-                Ok(Some(self.base.score_table.score_of(candidate.doc)?))
-            }
-            // In the short list: this (stale) long posting is superseded by
-            // the short occurrence.
-            Some(_) => Ok(None),
-        }
-    }
-
-    /// Lemma 1.2: no document at or past list position `s` can currently
-    /// score above `thresholdValueOf(s)`.
-    fn svr_bound(&self, pos: Option<PostingPos>) -> Score {
-        match pos {
-            Some(PostingPos::ByScore(s)) => self.config.threshold_value_of(s),
-            Some(_) => f64::INFINITY,
-            None => f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl SearchIndex for ScoreThresholdMethod {
-    fn kind(&self) -> MethodKind {
-        MethodKind::ScoreThreshold
+    fn list_sizes(&self) -> (u64, u64, u64) {
+        (
+            self.long.total_bytes(),
+            self.long.total_postings(),
+            self.short.len(),
+        )
     }
 
     /// Algorithm 1.
@@ -220,15 +209,6 @@ impl SearchIndex for ScoreThresholdMethod {
         Ok(())
     }
 
-    /// Algorithm 2, as an any-k enumeration (see [`crate::cursor`]).
-    fn open_cursor(&self, query: &Query) -> Result<MethodCursor> {
-        Ok(open_merge(MethodKind::ScoreThreshold, query, Vec::new()))
-    }
-
-    fn next_batch(&self, cursor: &mut MethodCursor, n: usize) -> Result<Vec<SearchHit>> {
-        merge_next_batch(self, cursor, n)
-    }
-
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
         self.base.register_insert(doc, score)?;
         for term in doc.term_ids() {
@@ -245,10 +225,6 @@ impl SearchIndex for ScoreThresholdMethod {
         Ok(())
     }
 
-    fn delete_document(&self, doc: DocId) -> Result<()> {
-        self.base.register_delete(doc)
-    }
-
     fn uninsert_document(&self, doc: DocId) -> Result<()> {
         // No ListScore entry means the offline merge already folded the
         // insert's postings into the long lists (merges clear ListScore) —
@@ -263,12 +239,6 @@ impl SearchIndex for ScoreThresholdMethod {
         {
             self.list_score.delete(doc)?;
         }
-        Ok(())
-    }
-
-    fn undelete_document(&self, doc: DocId) -> Result<()> {
-        // Tombstoning kept the postings: reviving is pure bookkeeping.
-        self.base.register_undelete(doc)?;
         Ok(())
     }
 
@@ -298,66 +268,5 @@ impl SearchIndex for ScoreThresholdMethod {
         crate::maintenance::rebuild_score_lists(&self.base, &self.long)?;
         self.short.clear()?;
         self.list_score.clear()
-    }
-
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        self.base.single_shard_stats(
-            self.long.total_bytes(),
-            self.long.total_postings(),
-            self.short.len(),
-        )
-    }
-
-    fn long_list_bytes(&self) -> u64 {
-        self.long.total_bytes()
-    }
-
-    fn clear_long_cache(&self) -> Result<()> {
-        if let Some(store) = self.base.store(store_names::LONG) {
-            store.clear_cache()?;
-        }
-        Ok(())
-    }
-
-    fn env(&self) -> &Arc<StorageEnv> {
-        &self.base.env
-    }
-
-    fn current_score(&self, doc: DocId) -> Result<Score> {
-        self.base.current_score(doc)
-    }
-
-    fn logs_over(&self, threshold: u64) -> bool {
-        self.base.logs_over(
-            &[
-                store_names::SCORE,
-                store_names::DOCS,
-                store_names::LONG,
-                store_names::SHORT,
-                store_names::AUX,
-            ],
-            threshold,
-        )
-    }
-
-    fn maybe_checkpoint(&self, threshold: u64) -> Result<()> {
-        self.base.maybe_checkpoint(
-            &[
-                store_names::SCORE,
-                store_names::DOCS,
-                store_names::LONG,
-                store_names::SHORT,
-                store_names::AUX,
-            ],
-            threshold,
-        )
-    }
-
-    fn term_dfs(&self) -> Vec<(TermId, u64)> {
-        self.base.term_dfs()
-    }
-
-    fn corpus_num_docs(&self) -> u64 {
-        self.base.corpus_num_docs()
     }
 }

@@ -16,23 +16,21 @@
 //! `f(thresholdValueOf(listScore), termScoreBound) ≤ resultHeap.minScore(k)`.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use parking_lot::RwLock;
-use svr_storage::StorageEnv;
 use svr_text::postings::TermScoredPosting;
 use svr_text::unquantize_term_score;
 
 use crate::aux_table::{ListScoreEntry, ListScoreTable};
 use crate::config::IndexConfig;
-use crate::cursor::{merge_next_batch, CursorBackend, MergeState, MethodCursor};
+use crate::cursor::{CursorBackend, MergeState};
 use crate::error::Result;
 use crate::long_list::{invert_corpus, posting_term_score, ListFormat, LongListStore};
 use crate::merge::{Candidate, UnionCursor, UnionResume};
 use crate::methods::base::{MethodBase, ShardContext};
-use crate::methods::{store_names, MethodKind, ScoreMap, SearchIndex, ShardStats};
+use crate::methods::{store_names, Method, MethodKind, ScoreMap};
 use crate::short_list::{Op, PostingPos, ShortLists, ShortOrder};
-use crate::types::{DocId, Document, Query, Score, SearchHit, TermId};
+use crate::types::{DocId, Document, Query, Score, TermId};
 
 /// Per-term fancy-list metadata (same role as in Chunk-TermScore).
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,7 +48,7 @@ impl FancyMeta {
 }
 
 /// The Score-Threshold-TermScore method.
-pub struct ScoreThresholdTermMethod {
+pub(crate) struct ScoreThresholdTermMethod {
     base: MethodBase,
     config: IndexConfig,
     long: LongListStore,
@@ -88,18 +86,103 @@ fn build_fancy(
 }
 
 impl ScoreThresholdTermMethod {
-    /// Build from a corpus and initial scores.
-    pub fn build(
-        docs: &[Document],
-        scores: &ScoreMap,
-        config: &IndexConfig,
-    ) -> Result<ScoreThresholdTermMethod> {
-        ScoreThresholdTermMethod::build_in(ShardContext::standalone(config), docs, scores, config)
+    fn list_state(&self, doc: DocId, fallback_score: Score) -> Result<ListScoreEntry> {
+        match self.list_score.get(doc)? {
+            Some(entry) => Ok(entry),
+            None => Ok(ListScoreEntry {
+                l_score: fallback_score,
+                in_short_list: false,
+            }),
+        }
     }
 
-    /// Build inside an existing shard context (shared environment and
-    /// corpus statistics — the IDF weights stay collection-wide).
-    pub(crate) fn build_in(
+    fn widen_fancy_bound(&self, term: TermId, ts: u16) {
+        let mut meta = self.fancy_meta.write();
+        let m = meta.entry(term).or_default();
+        m.inserted_max = m.inserted_max.max(ts);
+    }
+
+    fn fancy_bound(&self, term: TermId) -> f64 {
+        let meta = self.fancy_meta.read();
+        unquantize_term_score(meta.get(&term).map(|m| m.bound()).unwrap_or(0))
+    }
+}
+
+impl CursorBackend for ScoreThresholdTermMethod {
+    fn base(&self) -> &MethodBase {
+        &self.base
+    }
+
+    fn long_epoch(&self) -> u64 {
+        self.long.epoch()
+    }
+
+    fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
+        Ok(UnionCursor::resume(
+            self.long.resume_cursor(term, resume.long_resume())?,
+            self.short.cursor_after(term, resume.short_resume_key())?,
+            resume,
+        ))
+    }
+
+    /// SVR score resolution exactly as in Score-Threshold, plus the
+    /// matched term-score contributions.
+    fn resolve(&self, candidate: &Candidate, idfs: &[f64]) -> Result<Option<Score>> {
+        let PostingPos::ByScore(list_score) = candidate.pos else {
+            unreachable!("score-threshold-term candidates are score-ordered");
+        };
+        let svr = if candidate.all_short() {
+            self.base.score_table.score_of(candidate.doc)?
+        } else {
+            match self.list_score.get(candidate.doc)? {
+                None => list_score,
+                Some(entry) if !entry.in_short_list => {
+                    self.base.score_table.score_of(candidate.doc)?
+                }
+                Some(_) => return Ok(None), // superseded by a short occurrence
+            }
+        };
+        let mut ts_sum = 0.0;
+        for (i, matched) in candidate.matches.iter().enumerate() {
+            if let Some(mt) = matched {
+                ts_sum += idfs[i] * unquantize_term_score(mt.tscore);
+            }
+        }
+        Ok(Some(self.base.combine(svr, ts_sum)))
+    }
+
+    /// Lemma 1.2: `thresholdValueOf(listScore)` bounds any unresolved
+    /// doc's current SVR score.
+    fn svr_bound(&self, pos: Option<PostingPos>) -> Score {
+        match pos {
+            Some(PostingPos::ByScore(s)) => self.config.threshold_value_of(s),
+            Some(_) => f64::INFINITY,
+            None => f64::NEG_INFINITY,
+        }
+    }
+
+    fn term_fancy_bound(&self, term: TermId) -> f64 {
+        self.fancy_bound(term)
+    }
+
+    fn combine(&self, svr: Score, ts_sum: f64) -> Score {
+        self.base.combine(svr, ts_sum)
+    }
+}
+
+impl Method for ScoreThresholdTermMethod {
+    const KIND: MethodKind = MethodKind::ScoreThresholdTermScore;
+    const STORES: &'static [&'static str] = &[
+        store_names::SCORE,
+        store_names::DOCS,
+        store_names::LONG,
+        store_names::SHORT,
+        store_names::AUX,
+        store_names::FANCY,
+        store_names::META,
+    ];
+
+    fn build_in(
         ctx: ShardContext,
         docs: &[Document],
         scores: &ScoreMap,
@@ -159,10 +242,7 @@ impl ScoreThresholdTermMethod {
     /// [`crate::open_index_at`]) — structures reopen, fancy metadata and
     /// content-dirty markers reload, and the insert-time bound widening is
     /// re-derived from the short lists (soundly looser, never wrong).
-    pub(crate) fn open_in(
-        ctx: ShardContext,
-        config: &IndexConfig,
-    ) -> Result<ScoreThresholdTermMethod> {
+    fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<ScoreThresholdTermMethod> {
         let base = MethodBase::open_with_context(ctx, config)?;
         let long = LongListStore::open(
             base.create_store(store_names::LONG, config.long_cache_pages),
@@ -215,106 +295,12 @@ impl ScoreThresholdTermMethod {
         })
     }
 
-    fn list_state(&self, doc: DocId, fallback_score: Score) -> Result<ListScoreEntry> {
-        match self.list_score.get(doc)? {
-            Some(entry) => Ok(entry),
-            None => Ok(ListScoreEntry {
-                l_score: fallback_score,
-                in_short_list: false,
-            }),
-        }
-    }
-
-    /// Total postings across all short lists (tests and diagnostics).
-    pub fn short_list_len(&self) -> u64 {
-        self.short.len()
-    }
-
-    fn widen_fancy_bound(&self, term: TermId, ts: u16) {
-        let mut meta = self.fancy_meta.write();
-        let m = meta.entry(term).or_default();
-        m.inserted_max = m.inserted_max.max(ts);
-    }
-
-    fn fancy_bound(&self, term: TermId) -> f64 {
-        let meta = self.fancy_meta.read();
-        unquantize_term_score(meta.get(&term).map(|m| m.bound()).unwrap_or(0))
-    }
-}
-
-impl CursorBackend for ScoreThresholdTermMethod {
-    fn cursor_kind(&self) -> MethodKind {
-        MethodKind::ScoreThresholdTermScore
-    }
-
-    fn pool_cap(&self) -> usize {
-        self.base.pool_cap
-    }
-
-    fn long_epoch(&self) -> u64 {
-        self.long.epoch()
-    }
-
-    fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
-        Ok(UnionCursor::resume(
-            self.long.resume_cursor(term, resume.long_resume())?,
-            self.short.cursor_after(term, resume.short_resume_key())?,
-            resume,
-        ))
-    }
-
-    fn is_deleted(&self, doc: DocId) -> bool {
-        self.base.is_deleted(doc)
-    }
-
-    /// SVR score resolution exactly as in Score-Threshold, plus the
-    /// matched term-score contributions.
-    fn resolve(&self, candidate: &Candidate, idfs: &[f64]) -> Result<Option<Score>> {
-        let PostingPos::ByScore(list_score) = candidate.pos else {
-            unreachable!("score-threshold-term candidates are score-ordered");
-        };
-        let svr = if candidate.all_short() {
-            self.base.score_table.score_of(candidate.doc)?
-        } else {
-            match self.list_score.get(candidate.doc)? {
-                None => list_score,
-                Some(entry) if !entry.in_short_list => {
-                    self.base.score_table.score_of(candidate.doc)?
-                }
-                Some(_) => return Ok(None), // superseded by a short occurrence
-            }
-        };
-        let mut ts_sum = 0.0;
-        for (i, matched) in candidate.matches.iter().enumerate() {
-            if let Some(mt) = matched {
-                ts_sum += idfs[i] * unquantize_term_score(mt.tscore);
-            }
-        }
-        Ok(Some(self.base.combine(svr, ts_sum)))
-    }
-
-    /// Lemma 1.2: `thresholdValueOf(listScore)` bounds any unresolved
-    /// doc's current SVR score.
-    fn svr_bound(&self, pos: Option<PostingPos>) -> Score {
-        match pos {
-            Some(PostingPos::ByScore(s)) => self.config.threshold_value_of(s),
-            Some(_) => f64::INFINITY,
-            None => f64::NEG_INFINITY,
-        }
-    }
-
-    fn term_fancy_bound(&self, term: TermId) -> f64 {
-        self.fancy_bound(term)
-    }
-
-    fn combine(&self, svr: Score, ts_sum: f64) -> Score {
-        self.base.combine(svr, ts_sum)
-    }
-}
-
-impl SearchIndex for ScoreThresholdTermMethod {
-    fn kind(&self) -> MethodKind {
-        MethodKind::ScoreThresholdTermScore
+    fn list_sizes(&self) -> (u64, u64, u64) {
+        (
+            self.long.total_bytes(),
+            self.long.total_postings(),
+            self.short.len(),
+        )
     }
 
     /// Algorithm 1, with the document's stored term scores replicated into
@@ -358,7 +344,7 @@ impl SearchIndex for ScoreThresholdTermMethod {
     /// Algorithm 3 over score-ordered lists, as an any-k enumeration:
     /// phase 1 (fancy-list merge) runs at open time; phase 2 is the
     /// suspendable score-ordered merge driven by [`crate::cursor`].
-    fn open_cursor(&self, query: &Query) -> Result<MethodCursor> {
+    fn open_cursor(&self, query: &Query) -> Result<MergeState> {
         let m = query.terms.len();
         let idfs: Vec<f64> = query.terms.iter().map(|&t| self.base.idf(t)).collect();
         let mut state = MergeState::new(m, idfs);
@@ -385,15 +371,7 @@ impl SearchIndex for ScoreThresholdTermMethod {
             }
         }
         drop(content_dirty);
-        Ok(MethodCursor::merge(
-            MethodKind::ScoreThresholdTermScore,
-            query.clone(),
-            state,
-        ))
-    }
-
-    fn next_batch(&self, cursor: &mut MethodCursor, n: usize) -> Result<Vec<SearchHit>> {
-        merge_next_batch(self, cursor, n)
+        Ok(state)
     }
 
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
@@ -415,10 +393,6 @@ impl SearchIndex for ScoreThresholdTermMethod {
         Ok(())
     }
 
-    fn delete_document(&self, doc: DocId) -> Result<()> {
-        self.base.register_delete(doc)
-    }
-
     fn uninsert_document(&self, doc: DocId) -> Result<()> {
         // Fancy bounds widened by the insertion stay widened: they are
         // upper bounds, looser but never wrong. A missing ListScore entry
@@ -434,12 +408,6 @@ impl SearchIndex for ScoreThresholdTermMethod {
         {
             self.list_score.delete(doc)?;
         }
-        Ok(())
-    }
-
-    fn undelete_document(&self, doc: DocId) -> Result<()> {
-        // Tombstoning kept the postings: reviving is pure bookkeeping.
-        self.base.register_undelete(doc)?;
         Ok(())
     }
 
@@ -495,72 +463,5 @@ impl SearchIndex for ScoreThresholdTermMethod {
         self.content_dirty.write().clear();
         self.short.clear()?;
         self.list_score.clear()
-    }
-
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        self.base.single_shard_stats(
-            self.long.total_bytes(),
-            self.long.total_postings(),
-            self.short.len(),
-        )
-    }
-
-    fn long_list_bytes(&self) -> u64 {
-        self.long.total_bytes()
-    }
-
-    fn clear_long_cache(&self) -> Result<()> {
-        for name in [store_names::LONG, store_names::FANCY] {
-            if let Some(store) = self.base.store(name) {
-                store.clear_cache()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn env(&self) -> &Arc<StorageEnv> {
-        &self.base.env
-    }
-
-    fn current_score(&self, doc: DocId) -> Result<Score> {
-        self.base.current_score(doc)
-    }
-
-    fn logs_over(&self, threshold: u64) -> bool {
-        self.base.logs_over(
-            &[
-                store_names::SCORE,
-                store_names::DOCS,
-                store_names::LONG,
-                store_names::SHORT,
-                store_names::AUX,
-                store_names::FANCY,
-                store_names::META,
-            ],
-            threshold,
-        )
-    }
-
-    fn maybe_checkpoint(&self, threshold: u64) -> Result<()> {
-        self.base.maybe_checkpoint(
-            &[
-                store_names::SCORE,
-                store_names::DOCS,
-                store_names::LONG,
-                store_names::SHORT,
-                store_names::AUX,
-                store_names::FANCY,
-                store_names::META,
-            ],
-            threshold,
-        )
-    }
-
-    fn term_dfs(&self) -> Vec<(TermId, u64)> {
-        self.base.term_dfs()
-    }
-
-    fn corpus_num_docs(&self) -> u64 {
-        self.base.corpus_num_docs()
     }
 }

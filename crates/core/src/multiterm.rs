@@ -112,7 +112,7 @@ impl Add for SeekStats {
 
 /// Cumulative, internally synchronized [`SeekStats`] accumulator — one per
 /// method instance, summed across shards by
-/// [`crate::methods::ShardedIndex`].
+/// [`SearchIndex::seek_stats`](crate::SearchIndex::seek_stats).
 #[derive(Debug, Default)]
 pub struct SeekCounters {
     blocks_skipped: AtomicU64,

@@ -6,9 +6,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use svr_core::methods::{ChunkMethod, ScoreThresholdMethod};
 use svr_core::types::{DocId, Document, Query, TermId};
-use svr_core::{build_index, store_names, IndexConfig, MethodKind, Oracle, ScoreMap, SearchIndex};
+use svr_core::{
+    build_index, store_names, ChunkMap, IndexConfig, MethodKind, Oracle, ScoreMap, SearchIndex,
+};
 
 const T: TermId = TermId(1);
 
@@ -34,13 +35,25 @@ fn cfg() -> IndexConfig {
     }
 }
 
+/// The chunk map a Chunk index lays its long lists out by at build and merge
+/// time: a pure function of the score distribution and the two chunk knobs.
+fn chunk_map_of(scores: &ScoreMap) -> ChunkMap {
+    let all: Vec<f64> = scores.values().copied().collect();
+    ChunkMap::from_scores(&all, cfg().chunk_ratio, cfg().min_chunk_docs)
+}
+
+/// Postings currently parked in the index's short lists.
+fn short_list_len(index: &dyn SearchIndex) -> u64 {
+    index.shard_stats().iter().map(|s| s.short_postings).sum()
+}
+
 /// The scenario from §4.3.1: a document's score rises beyond the threshold
 /// in two steps — the first leaves the lists alone, the second relocates
 /// the postings. Results must be exact at every step.
 #[test]
 fn score_threshold_walkthrough_example() {
     let (docs, scores) = linear_corpus(64);
-    let index = ScoreThresholdMethod::build(&docs, &scores, &cfg()).unwrap();
+    let index = build_index(MethodKind::ScoreThreshold, &docs, &scores, &cfg()).unwrap();
     let mut oracle = Oracle::build(&docs, &scores, 0.0);
 
     // Doc 10's list score is 1100; thresholdValueOf = 2200.
@@ -72,8 +85,8 @@ fn score_threshold_walkthrough_example() {
 #[test]
 fn chunk_two_boundary_rule() {
     let (docs, scores) = linear_corpus(64);
-    let index = ChunkMethod::build(&docs, &scores, &cfg()).unwrap();
-    let map = index.chunk_map_snapshot();
+    let index = build_index(MethodKind::Chunk, &docs, &scores, &cfg()).unwrap();
+    let map = chunk_map_of(&scores);
 
     // Pick a low-scored doc and nudge it just over the next boundary.
     let doc = DocId(4); // score 500
@@ -85,7 +98,7 @@ fn chunk_two_boundary_rule() {
     let one_up = map.lower_bound(old_chunk + 1).expect("next chunk") + 1.0;
     index.update_score(doc, one_up).unwrap();
     assert_eq!(
-        index.short_list_len(),
+        short_list_len(index.as_ref()),
         0,
         "one-boundary move must not touch short lists"
     );
@@ -94,7 +107,7 @@ fn chunk_two_boundary_rule() {
     let two_up = map.lower_bound(old_chunk + 2).expect("chunk + 2") + 1.0;
     index.update_score(doc, two_up).unwrap();
     assert_eq!(
-        index.short_list_len(),
+        short_list_len(index.as_ref()),
         docs[doc.0 as usize].num_distinct_terms() as u64,
         "two-boundary move writes one short posting per distinct term"
     );
@@ -202,7 +215,7 @@ fn chunk_term_fancy_bound_widens_on_insert() {
 #[test]
 fn merge_recomputes_chunks() {
     let (docs, scores) = linear_corpus(128);
-    let index = ChunkMethod::build(&docs, &scores, &cfg()).unwrap();
+    let index = build_index(MethodKind::Chunk, &docs, &scores, &cfg()).unwrap();
     // Blow up a few scores, merge, and compare against a fresh build on the
     // final score assignment.
     let mut final_scores = scores.clone();
@@ -213,9 +226,13 @@ fn merge_recomputes_chunks() {
         final_scores.insert(DocId(i), 1_000_000.0 + f64::from(i));
     }
     index.merge_short_lists().unwrap();
-    assert_eq!(index.short_list_len(), 0, "merge must clear short lists");
+    assert_eq!(
+        short_list_len(index.as_ref()),
+        0,
+        "merge must clear short lists"
+    );
 
-    let fresh = ChunkMethod::build(&docs, &final_scores, &cfg()).unwrap();
+    let fresh = build_index(MethodKind::Chunk, &docs, &final_scores, &cfg()).unwrap();
     for k in [1, 5, 50] {
         let q = Query::conjunctive([T], k);
         assert_eq!(
@@ -225,7 +242,7 @@ fn merge_recomputes_chunks() {
         );
     }
     // The spiked docs live in the rebuilt map's top chunk.
-    let map = index.chunk_map_snapshot();
+    let map = chunk_map_of(&final_scores);
     assert_eq!(map.chunk_of(1_000_050.0), map.num_chunks());
 }
 

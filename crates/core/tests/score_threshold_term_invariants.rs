@@ -3,7 +3,6 @@
 //! relocation with combined scores, fancy-bound widening, content-update
 //! dirtiness, early termination, and merge equivalence.
 
-use svr_core::methods::ScoreThresholdTermMethod;
 use svr_core::types::{DocId, Document, Query, TermId};
 use svr_core::{build_index, store_names, IndexConfig, MethodKind, Oracle, ScoreMap, SearchIndex};
 
@@ -19,6 +18,15 @@ fn cfg() -> IndexConfig {
         term_weight: 10_000.0,
         ..IndexConfig::default()
     }
+}
+
+fn build(docs: &[Document], scores: &ScoreMap) -> Box<dyn SearchIndex> {
+    build_index(MethodKind::ScoreThresholdTermScore, docs, scores, &cfg()).unwrap()
+}
+
+/// Postings currently parked in the index's short lists.
+fn short_list_len(index: &dyn SearchIndex) -> u64 {
+    index.shard_stats().iter().map(|s| s.short_postings).sum()
 }
 
 /// `n` docs all containing term 1 plus a filler term; scores `100 * (i+1)`.
@@ -38,14 +46,14 @@ fn linear_corpus(n: u32) -> (Vec<Document>, ScoreMap) {
 #[test]
 fn threshold_gated_relocation_with_term_scores() {
     let (docs, scores) = linear_corpus(64);
-    let index = ScoreThresholdTermMethod::build(&docs, &scores, &cfg()).unwrap();
+    let index = build(&docs, &scores);
     let mut oracle = Oracle::build(&docs, &scores, cfg().term_weight);
 
     // Below threshold: no short-list postings.
     index.update_score(DocId(10), 1500.0).unwrap();
     oracle.update_score(DocId(10), 1500.0).unwrap();
     assert_eq!(
-        index.short_list_len(),
+        short_list_len(index.as_ref()),
         0,
         "sub-threshold update must not touch lists"
     );
@@ -56,7 +64,7 @@ fn threshold_gated_relocation_with_term_scores() {
     index.update_score(DocId(10), 25_000.0).unwrap();
     oracle.update_score(DocId(10), 25_000.0).unwrap();
     assert_eq!(
-        index.short_list_len(),
+        short_list_len(index.as_ref()),
         docs[10].num_distinct_terms() as u64,
         "relocation writes every distinct term"
     );
@@ -175,7 +183,7 @@ fn early_termination_saves_pages() {
 #[test]
 fn merge_equals_fresh_build() {
     let (docs, scores) = linear_corpus(128);
-    let index = ScoreThresholdTermMethod::build(&docs, &scores, &cfg()).unwrap();
+    let index = build(&docs, &scores);
     let mut final_scores = scores.clone();
     for i in [3u32, 60, 100] {
         index
@@ -184,9 +192,13 @@ fn merge_equals_fresh_build() {
         final_scores.insert(DocId(i), 1_000_000.0 + f64::from(i));
     }
     index.merge_short_lists().unwrap();
-    assert_eq!(index.short_list_len(), 0, "merge must clear short lists");
+    assert_eq!(
+        short_list_len(index.as_ref()),
+        0,
+        "merge must clear short lists"
+    );
 
-    let fresh = ScoreThresholdTermMethod::build(&docs, &final_scores, &cfg()).unwrap();
+    let fresh = build(&docs, &final_scores);
     for k in [1, 5, 50] {
         let q = Query::conjunctive([T], k);
         assert_eq!(

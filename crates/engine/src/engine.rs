@@ -1224,40 +1224,15 @@ impl SvrEngine {
         let table = &table_ref.schema().name;
         let text_col = table_ref.schema().columns[text_idx].0.clone();
         self.shared.db.create_score_view(name, table, spec)?;
-
-        // Tokenize the existing rows.
-        let rows = table_ref.scan()?;
-        let mut docs = Vec::with_capacity(rows.len());
+        let index = match self.build_text_index(name, table_ref, text_idx, pk_idx, method, &config)
         {
-            let mut vocab = self.shared.vocab.write();
-            for row in &rows {
-                let pk = row[pk_idx]
-                    .as_i64()
-                    .ok_or_else(|| SvrError::Engine("text index requires integer keys".into()))?;
-                let text = row[text_idx].as_text().unwrap_or("");
-                docs.push(Document::from_text(doc_id(pk)?, text, &mut vocab));
-            }
-        }
-        // Log the vocabulary growth before the postings referencing it.
-        self.persist_new_terms()?;
-        let scores: svr_core::ScoreMap = self
-            .shared
-            .db
-            .all_scores(name)?
-            .into_iter()
-            .map(|(pk, s)| Ok((doc_id(pk)?, s)))
-            .collect::<Result<_>>()?;
-
-        let index: Arc<dyn SearchIndex> = match &self.shared.durable {
-            None => Arc::from(build_index(method, &docs, &scores, &config)?),
-            Some(durable) => {
-                // A crash between a drop's catalog delete and its store
-                // removal (or mid-build) can leave orphaned index stores;
-                // clear them so the build starts from empty stores with
-                // the metadata pages where `open` expects them.
-                durable.env.remove_prefix(&index_prefix(name));
-                let loc = IndexLocation::new(durable.env.clone(), index_prefix(name));
-                Arc::from(build_index_at(&loc, method, &docs, &scores, &config)?)
+            Ok(index) => index,
+            Err(e) => {
+                // Nothing references the view yet (a rejected option, a
+                // non-integer key, a storage error): drop it so a retry of
+                // the same name starts clean.
+                let _ = self.shared.db.drop_score_view(name);
+                return Err(e);
             }
         };
         index.set_group_refresh(
@@ -1313,6 +1288,54 @@ impl SvrEngine {
             },
         )?;
         Ok(())
+    }
+
+    /// Tokenize `table_ref`'s existing rows and build the index structures
+    /// over them with the scores of the (already created) view `name`.
+    fn build_text_index(
+        &self,
+        name: &str,
+        table_ref: &svr_relation::Table,
+        text_idx: usize,
+        pk_idx: usize,
+        method: MethodKind,
+        config: &IndexConfig,
+    ) -> Result<Arc<dyn SearchIndex>> {
+        // Tokenize the existing rows.
+        let rows = table_ref.scan()?;
+        let mut docs = Vec::with_capacity(rows.len());
+        {
+            let mut vocab = self.shared.vocab.write();
+            for row in &rows {
+                let pk = row[pk_idx]
+                    .as_i64()
+                    .ok_or_else(|| SvrError::Engine("text index requires integer keys".into()))?;
+                let text = row[text_idx].as_text().unwrap_or("");
+                docs.push(Document::from_text(doc_id(pk)?, text, &mut vocab));
+            }
+        }
+        // Log the vocabulary growth before the postings referencing it.
+        self.persist_new_terms()?;
+        let scores: svr_core::ScoreMap = self
+            .shared
+            .db
+            .all_scores(name)?
+            .into_iter()
+            .map(|(pk, s)| Ok((doc_id(pk)?, s)))
+            .collect::<Result<_>>()?;
+
+        Ok(match &self.shared.durable {
+            None => Arc::from(build_index(method, &docs, &scores, config)?),
+            Some(durable) => {
+                // A crash between a drop's catalog delete and its store
+                // removal (or mid-build) can leave orphaned index stores;
+                // clear them so the build starts from empty stores with
+                // the metadata pages where `open` expects them.
+                durable.env.remove_prefix(&index_prefix(name));
+                let loc = IndexLocation::new(durable.env.clone(), index_prefix(name));
+                Arc::from(build_index_at(&loc, method, &docs, &scores, config)?)
+            }
+        })
     }
 
     /// Drop a text index: its backing score view, its catalog record and

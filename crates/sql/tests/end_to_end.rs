@@ -1145,3 +1145,52 @@ fn parse_statement_arity_is_an_error_not_a_panic() {
     assert!(parse_statement("SELECT a FROM t; SELECT b FROM t").is_err());
     assert!(parse_statement("SELECT a FROM t").is_ok());
 }
+
+/// Out-of-range `OPTIONS (...)` values arrive from outside: each must be an
+/// execution error (not a panic), and must leave nothing behind — the same
+/// index name is creatable with valid options right after.
+#[test]
+fn out_of_range_index_options_are_errors_and_leave_no_orphan_view() {
+    let session = SqlSession::new();
+    session
+        .execute_script(
+            "CREATE TABLE d (id INT PRIMARY KEY, b TEXT);
+             CREATE TABLE p (id INT PRIMARY KEY, v INT);
+             CREATE FUNCTION c (x INT) RETURNS FLOAT
+                 RETURN SELECT p.v FROM p WHERE p.id = x;
+             INSERT INTO d VALUES (1, 'golden gate'), (2, 'golden bridge');
+             INSERT INTO p VALUES (1, 10), (2, 20);",
+        )
+        .unwrap();
+    for (option, needle) in [
+        ("chunk_ratio = 0.5", "chunk ratio"),
+        ("page_size = 16", "page size"),
+        ("fancy_size = 0", "fancy list size"),
+        ("threshold_ratio = 1", "threshold ratio"),
+    ] {
+        let err = session
+            .execute(&format!(
+                "CREATE TEXT INDEX i ON d(b) SCORE WITH (c) USING METHOD CHUNK OPTIONS ({option})"
+            ))
+            .unwrap_err();
+        let message = err.to_string();
+        assert!(
+            message.contains("invalid index configuration") && message.contains(needle),
+            "{option}: {message}"
+        );
+    }
+    session
+        .execute(
+            "CREATE TEXT INDEX i ON d(b) SCORE WITH (c) USING METHOD CHUNK
+             OPTIONS (chunk_ratio = 2.0, min_chunk_docs = 1)",
+        )
+        .unwrap();
+    let result = session
+        .execute("SELECT id FROM d ORDER BY SCORE(b, 'golden') FETCH TOP 2 RESULTS ONLY")
+        .unwrap();
+    let SqlResult::Ranked { rows, .. } = &result else {
+        panic!("expected ranked result, got {result:?}")
+    };
+    assert_eq!(rows[0].row[0], Value::Int(2));
+    assert_eq!(rows.len(), 2);
+}

@@ -44,8 +44,8 @@ pub enum LockClass {
     /// view mutation and structural index operations; every other tracked
     /// class may be acquired under it, and it may be acquired under none.
     Table = 0,
-    /// Tier 2: a per-shard index writer/reader lock (`svr_core`'s
-    /// `LockedIndex`, one per shard of a `ShardedIndex`). Score refreshes
+    /// Tier 2: a per-shard index writer/reader lock (one per shard of
+    /// `svr_core`'s index body, `methods::index`). Score refreshes
     /// and maintenance take only this tier; acquiring a table lock while
     /// holding one is the classic two-tier deadlock and is exactly what
     /// the validator (and `svr-lint`'s `lock-order` rule) rejects.
