@@ -284,7 +284,30 @@ fn wal_benches(c: &mut Criterion) {
             store.checkpoint().unwrap()
         })
     });
+
+    // The log's per-byte costs: the record checksum alone, and a page-image
+    // append to a file log (checksum + positional write).
+    group.throughput(Throughput::Bytes(4096));
+    let page = vec![0xA5u8; 4096];
+    group.bench_function("crc32_4k", |b| {
+        b.iter(|| svr_storage::wal::crc32(criterion::black_box(&page)))
+    });
+    let dir = std::env::temp_dir().join(format!("svr-micro-wal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file_wal = Wal::open_file(&dir.join("append.wal")).unwrap();
+    group.bench_function("append_file_4k", |b| {
+        b.iter(|| {
+            let lsn = file_wal.append_page(7, &page).unwrap();
+            // Keep the file bounded, as a checkpoint would.
+            if file_wal.stats().bytes > 8 << 20 {
+                file_wal.truncate().unwrap();
+            }
+            lsn
+        })
+    });
     group.finish();
+    drop(file_wal);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 criterion_group!(

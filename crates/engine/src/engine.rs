@@ -217,9 +217,11 @@ pub struct EngineConfig {
     /// WAL group-sync interval: `0` (the default) fsyncs every commit
     /// marker of a file-backed engine; a positive value fsyncs at most
     /// once per this many milliseconds, amortizing the fsync across the
-    /// commits of the interval. A crash can then lose up to one
-    /// interval's worth of *acknowledged* transactions, but recovery
-    /// still lands on a clean prefix of them (the log is append-only).
+    /// commits of the interval. A crash can then lose *acknowledged*
+    /// transactions: each store recovers to a clean prefix of its own
+    /// commits (its log is append-only), but stores keep separate sync
+    /// clocks and sync only when they commit, so neither an engine-wide
+    /// prefix nor a one-interval bound is guaranteed (see the crate docs).
     pub wal_sync_interval_ms: u64,
     /// Group-commit drain of deferred score refreshes: a writer winning a
     /// shard's refresh lock applies the batches other writers queued
@@ -823,7 +825,7 @@ impl SvrEngine {
     /// Convenience: open (or bootstrap, when the directory holds no
     /// engine) a **file-backed** engine at `path` — real durability across
     /// process restarts, every store in `<path>/<name>.pages` with its log
-    /// mirrored to `<path>/<name>.wal`.
+    /// in `<path>/<name>.wal`.
     pub fn open_path(path: impl Into<std::path::PathBuf>) -> Result<SvrEngine> {
         SvrEngine::open_path_with(path, EngineConfig::default())
     }

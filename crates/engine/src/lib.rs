@@ -64,11 +64,16 @@
 //!   an acknowledged transaction is on disk. A positive interval fsyncs
 //!   at most once per interval; the markers in between are acknowledged
 //!   once *logged*, so one fsync absorbs every commit in the window.
-//!   The durability window this opens is bounded and well-formed: the
-//!   log is append-only, so a crash loses at most the last interval's
-//!   acknowledged transactions and recovery always lands on a *prefix*
-//!   of the acknowledged sequence — never a torn or reordered state
-//!   (proptested in `tests/group_sync_crash.rs`).
+//!   The durability window this opens is well-formed **per store**: each
+//!   store's log is append-only, so recovery lands every store on a
+//!   *prefix* of its own acknowledged commits — never a torn or reordered
+//!   state (proptested in `tests/group_sync_crash.rs`, which syncs every
+//!   log at the cut). It is not an engine-wide prefix: every store keeps
+//!   its own sync clock, so a crash can cut a table and an index shard at
+//!   different transactions. Nor is it bounded in time: a store syncs
+//!   only when it commits, so "at most the last interval" holds only
+//!   while commits keep arriving; [`SvrEngine::checkpoint`] or a zero
+//!   interval closes the window.
 //! * [`EngineConfig::group_refresh`] — **group-commit drain of queued
 //!   score refreshes.** Concurrent writers queue their index refresh
 //!   batches; whichever writer wins the shard's writer lock drains the

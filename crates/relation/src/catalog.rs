@@ -592,7 +592,12 @@ impl Drop for WalBatch {
     fn drop(&mut self) {
         for store in &self.stores {
             if let Some(wal) = store.wal() {
-                wal.end_batch();
+                // `Drop` cannot return a failed marker append or fsync: the
+                // batch then stays unsealed (recovery rolls it back, though
+                // the transaction already reported success). ROADMAP
+                // direction 1B replaces these per-store markers with one
+                // commit record appended by a call that returns `Result`.
+                let _ = wal.end_batch();
                 let _ = store.maybe_checkpoint(self.checkpoint_bytes);
             }
         }
@@ -1069,7 +1074,7 @@ mod tests {
         let db = paper_db();
         let movies = db.table("movies").unwrap();
         let wal = movies.store().wal().expect("table stores are logged");
-        let sealed_before = wal.committed_pages().len();
+        let sealed_before = wal.committed_pages().unwrap().len();
         {
             let _batch = db.wal_batch(&["movies".to_string()]).unwrap();
             db.insert_row("movies", vec![Value::Int(1), Value::Text("a".into())])
@@ -1078,14 +1083,14 @@ mod tests {
                 .unwrap();
             assert!(wal.in_batch());
             assert_eq!(
-                wal.committed_pages().len(),
+                wal.committed_pages().unwrap().len(),
                 sealed_before,
                 "nothing new is sealed mid-bracket"
             );
         }
         assert!(!wal.in_batch());
         assert!(
-            wal.committed_pages().len() > sealed_before,
+            wal.committed_pages().unwrap().len() > sealed_before,
             "closing the bracket seals the batch"
         );
     }

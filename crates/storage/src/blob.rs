@@ -83,7 +83,7 @@ impl BlobStore {
             page.extend_from_slice(chunk);
             self.store.write_page(page_ids[i], Bytes::from(page))?;
         }
-        self.store.log_commit();
+        self.store.log_commit()?;
         Ok(BlobHandle {
             first_page: Some(page_ids[0]),
             len: data.len() as u64,
@@ -138,7 +138,7 @@ impl BlobStore {
             next = decode_page_link(u64::from_le_bytes(page[0..8].try_into().unwrap()));
             self.store.free_page(page_id);
         }
-        self.store.log_commit();
+        self.store.log_commit()?;
         Ok(())
     }
 }

@@ -88,7 +88,7 @@ impl BTree {
             meta_page: Some(meta),
         };
         tree.write_meta(root)?;
-        tree.store.log_commit();
+        tree.store.log_commit()?;
         Ok(tree)
     }
 
@@ -247,7 +247,7 @@ impl BTree {
         if prev.is_none() {
             state.len += 1;
         }
-        self.store.log_commit();
+        self.store.log_commit()?;
         Ok(prev)
     }
 
@@ -392,7 +392,7 @@ impl BTree {
                 self.write_meta(state.root)?;
             }
         }
-        self.store.log_commit();
+        self.store.log_commit()?;
         Ok(removed)
     }
 

@@ -55,7 +55,8 @@ enum EnvBackend {
     /// pools while the [`MemDisk`]s and in-memory logs survive).
     Mem,
     /// One pair of files per store (`<name>.pages`, `<name>.wal`) under a
-    /// directory — real durability across process restarts.
+    /// directory — real durability across process restarts. The `.wal`
+    /// file is the store's log; no copy of it is kept in memory.
     File { dir: PathBuf },
 }
 
@@ -71,9 +72,9 @@ enum EnvBackend {
 /// crash-simulation durability) or [`StorageEnv::open_dir`] (file-backed,
 /// real durability) logs **every** store it creates: [`StorageEnv::crash`]
 /// loses exactly the buffer pools, and [`StorageEnv::recover_all`] replays
-/// each store's committed log batches. File-backed environments mirror
-/// every log to disk ([`wal::Wal::open_file`]) and attach transparently to
-/// the files a previous process left behind, recovering them on first
+/// each store's committed log batches. File-backed environments keep each
+/// log in its own file ([`wal::Wal::open_file`]) and attach transparently
+/// to the files a previous process left behind, recovering them on first
 /// touch.
 pub struct StorageEnv {
     page_size: usize,
@@ -115,7 +116,7 @@ impl StorageEnv {
 
     /// Open (creating the directory if needed) a **file-backed** durable
     /// environment: each store's pages live in `<dir>/<name>.pages` and its
-    /// write-ahead log is mirrored to `<dir>/<name>.wal`. Stores left by a
+    /// write-ahead log in `<dir>/<name>.wal`. Stores left by a
     /// previous process are attached lazily by name and recovered (log
     /// replay) on first touch.
     pub fn open_dir(dir: impl Into<PathBuf>, page_size: usize) -> Result<Self> {
@@ -331,13 +332,20 @@ impl StorageEnv {
     /// the bytes appended since its last commit-path sync (the tail the OS
     /// page cache had not yet flushed — see
     /// [`Wal::simulate_crash_unsynced_tail`](crate::wal::Wal::simulate_crash_unsynced_tail)).
-    /// With a zero sync interval this is identical to `crash`. Returns the
-    /// total log bytes lost.
+    /// With a zero sync interval this is identical to `crash`. File-backed
+    /// logs lose the tail in their files, so a reopen sees the same cut.
+    /// Returns the total log bytes lost.
+    ///
+    /// # Panics
+    ///
+    /// If a log file cannot be cut: the injected crash would not happen.
     pub fn crash_unsynced(&self) -> usize {
         let mut lost = 0;
         for store in self.stores.lock().values() {
             if let Some(wal) = store.wal() {
-                lost += wal.simulate_crash_unsynced_tail();
+                lost += wal
+                    .simulate_crash_unsynced_tail()
+                    .expect("cutting the unsynced log tail"); // svr-lint: allow(no-unwrap): failure injection; a log that cannot be cut leaves no crash to test
             }
             store.crash();
         }
@@ -378,10 +386,10 @@ impl StorageEnv {
 
     /// Set the WAL group-sync interval for **every** store of this
     /// environment — the ones already attached and the ones created later.
-    /// `0` (the default) fsyncs the file-mirrored log on every commit
+    /// `0` (the default) fsyncs the log file on every commit
     /// marker; a positive interval fsyncs at most once per that many
-    /// milliseconds, trading a bounded durability window for commit
-    /// throughput (see [`Wal::set_sync_interval_ms`]).
+    /// milliseconds, trading a durability window for commit throughput
+    /// (see [`Wal::set_sync_interval_ms`]).
     pub fn set_wal_sync_interval_ms(&self, ms: u64) {
         self.wal_sync_interval_ms
             .store(ms, std::sync::atomic::Ordering::Relaxed);
@@ -550,13 +558,13 @@ mod tests {
             for i in 0..20u32 {
                 tree.put(&i.to_be_bytes(), &i.to_le_bytes()).unwrap();
             }
-            // No checkpoint, no flush: only the mirrored log survives the
-            // end of this "process".
+            // No checkpoint, no flush: only the log file survives the end
+            // of this "process".
         }
         {
             let env = StorageEnv::open_dir(&dir, 512).unwrap();
             assert!(env.store_exists("table:x"));
-            // Attaching recovers from the mirrored log.
+            // Attaching recovers from the log file.
             let store = env.create_store("table:x", 4);
             let tree = BTree::reopen(store, 0).unwrap();
             assert_eq!(tree.len(), 20);

@@ -289,7 +289,7 @@ impl Store {
     /// to the WAL first).
     pub fn write_page(&self, id: PageId, data: Bytes) -> Result<()> {
         if let Some(wal) = &self.wal {
-            wal.append_page(id, &data);
+            wal.append_page(id, &data)?;
         }
         self.pool.write_page(id, data)
     }
@@ -297,10 +297,11 @@ impl Store {
     /// Seal the page writes since the previous commit into an atomically
     /// recoverable batch. The storage structures call this at the end of
     /// every completed logical mutation; a no-op for unlogged stores.
-    pub fn log_commit(&self) {
+    pub fn log_commit(&self) -> Result<()> {
         if let Some(wal) = &self.wal {
-            wal.commit();
+            wal.commit()?;
         }
+        Ok(())
     }
 
     /// Flush dirty pages and truncate the log: the disk image becomes the
@@ -309,7 +310,7 @@ impl Store {
         let _checkpoint_guard = self.checkpoint_lock.lock();
         self.pool.flush()?;
         if let Some(wal) = &self.wal {
-            wal.truncate();
+            wal.truncate()?;
         }
         Ok(())
     }
@@ -347,10 +348,10 @@ impl Store {
     pub fn recover(&self) -> Result<()> {
         self.pool.drop_cache();
         if let Some(wal) = &self.wal {
-            for (page_id, data) in wal.committed_pages() {
+            for (page_id, data) in wal.committed_pages()? {
                 self.disk.write(page_id, data)?;
             }
-            wal.truncate();
+            wal.truncate()?;
         }
         Ok(())
     }

@@ -19,14 +19,20 @@
 //! * records carry a CRC-32 and recovery stops at the first torn or
 //!   corrupt record, exactly like a log whose tail write was interrupted.
 //!
-//! The log medium is an in-memory byte buffer (the crash model of this
-//! repository keeps "disk" and "log" as the surviving state and the buffer
-//! pool as the volatile state); [`Wal::simulate_torn_tail`] chops bytes off
-//! the end for failure-injection tests. A log can additionally be
-//! **mirrored to a file** ([`Wal::open_file`]): every append goes to the
-//! file as well and a reopen reads the surviving bytes back, which is what
-//! makes `FileDisk`-backed storage environments recoverable across real
-//! process restarts, not just simulated crashes.
+//! Each log has exactly **one medium**. A [`Wal::new`] log is an in-memory
+//! byte buffer (the crash model of this repository keeps "disk" and "log"
+//! as the surviving state and the buffer pool as the volatile state). A
+//! [`Wal::open_file`] log *is* its file: appends are positional writes at
+//! the log's length, recovery reads the file back, and only that length
+//! is held in RAM — which is what makes `FileDisk`-backed storage
+//! environments recoverable across real process restarts. The failure
+//! injections ([`Wal::simulate_torn_tail`],
+//! [`Wal::simulate_crash_unsynced_tail`], [`Wal::simulate_corruption`]) act
+//! on the medium too, so a file log keeps exactly the damage a real crash
+//! would leave when the process restarts.
+
+use std::borrow::Cow;
+use std::os::unix::fs::FileExt;
 
 use bytes::Bytes;
 
@@ -41,25 +47,127 @@ pub type Lsn = u64;
 const REC_PAGE: u8 = 1;
 const REC_COMMIT: u8 = 2;
 
-/// CRC-32 (IEEE) — bitwise implementation; the log is not a hot path.
+/// Lookup table of the reflected IEEE polynomial, one entry per byte value.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE), one table lookup per byte.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
 
+fn io_error(e: std::io::Error) -> StorageError {
+    StorageError::Io(e.to_string())
+}
+
+/// Where a log's bytes live — exactly one place.
+enum Medium {
+    /// [`Wal::new`]: the log is this buffer.
+    Memory(Vec<u8>),
+    /// [`Wal::open_file`]: the log is the file; `len` is its logical end,
+    /// where the next record is written.
+    File { file: std::fs::File, len: u64 },
+}
+
+impl Medium {
+    fn len(&self) -> u64 {
+        match self {
+            Medium::Memory(log) => log.len() as u64,
+            Medium::File { len, .. } => *len,
+        }
+    }
+
+    /// Append one record. A failed file write leaves `len` where it was,
+    /// so the next append overwrites whatever part of the record landed.
+    fn append(&mut self, record: &[u8]) -> Result<()> {
+        match self {
+            Medium::Memory(log) => log.extend_from_slice(record),
+            Medium::File { file, len } => {
+                file.write_all_at(record, *len).map_err(io_error)?;
+                *len += record.len() as u64;
+            }
+        }
+        Ok(())
+    }
+
+    /// The whole log (read back from the file for a file medium).
+    fn contents(&self) -> Result<Cow<'_, [u8]>> {
+        match self {
+            Medium::Memory(log) => Ok(Cow::Borrowed(log)),
+            Medium::File { file, len } => {
+                let mut log = vec![0u8; *len as usize];
+                file.read_exact_at(&mut log, 0).map_err(io_error)?;
+                Ok(Cow::Owned(log))
+            }
+        }
+    }
+
+    /// Cut the log to its first `keep` bytes (`keep <= len`).
+    fn truncate(&mut self, keep: u64) -> Result<()> {
+        match self {
+            // An emptied buffer gives its high-water capacity back.
+            Medium::Memory(log) if keep == 0 => *log = Vec::new(),
+            Medium::Memory(log) => log.truncate(keep as usize),
+            Medium::File { file, len } => {
+                file.set_len(keep).map_err(io_error)?;
+                *len = keep;
+            }
+        }
+        Ok(())
+    }
+
+    fn sync(&self) -> Result<()> {
+        match self {
+            Medium::Memory(_) => Ok(()),
+            Medium::File { file, .. } => file.sync_data().map_err(io_error),
+        }
+    }
+
+    fn flip_byte(&mut self, offset: usize) -> Result<()> {
+        let len = self.len() as usize;
+        let out_of_bounds = StorageError::WalOffsetOutOfBounds { offset, len };
+        match self {
+            Medium::Memory(log) => *log.get_mut(offset).ok_or(out_of_bounds)? ^= 0xFF,
+            Medium::File { file, .. } => {
+                if offset >= len {
+                    return Err(out_of_bounds);
+                }
+                let mut byte = [0u8];
+                file.read_exact_at(&mut byte, offset as u64)
+                    .map_err(io_error)?;
+                file.write_all_at(&[byte[0] ^ 0xFF], offset as u64)
+                    .map_err(io_error)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 struct WalInner {
-    log: Vec<u8>,
-    /// File mirror of the log, when the store lives on a real disk: bytes
-    /// are appended as they are logged and the file is truncated with the
-    /// log, so the on-disk log always equals `log` at rest.
-    file: Option<std::fs::File>,
+    medium: Medium,
+    /// The medium holds bytes a previous process left behind that no walk
+    /// has read yet, so `next_lsn`/`records`/`open_batch` describe nothing.
+    /// The first walk ([`Wal::committed_pages`], run by
+    /// [`Store::recover`](crate::Store::recover)) — or, failing that, the
+    /// first append — rebuilds them.
+    unscanned: bool,
     next_lsn: Lsn,
     /// Records appended since the last commit marker.
     open_batch: u64,
@@ -69,7 +177,7 @@ struct WalInner {
     /// [`Wal::commit`] calls are suppressed so the whole bracket seals as
     /// one atomically recoverable batch at the final [`Wal::end_batch`].
     batch_depth: u32,
-    /// Group-sync interval: `0` = fsync the file mirror on every commit
+    /// Group-sync interval: `0` = fsync the log file on every commit
     /// marker; `> 0` = fsync at most once per this many milliseconds
     /// (commits in between are acknowledged from the OS page cache).
     sync_interval_ms: u64,
@@ -82,7 +190,66 @@ struct WalInner {
     /// Log length at the last commit-path (or explicit) sync: the bytes
     /// guaranteed to survive a crash under the group-sync durability
     /// model. [`Wal::simulate_crash_unsynced_tail`] truncates here.
-    synced_len: usize,
+    synced_len: u64,
+}
+
+impl WalInner {
+    /// The one walk over the log: validate every record (CRC, LSN
+    /// contiguity), rebuild the counters from the valid prefix so appends
+    /// continue its sequence, and return the prefix's sealed batches.
+    fn walk(&mut self) -> Result<Vec<Vec<(PageId, Bytes)>>> {
+        let scan = parse_log(&self.medium.contents()?);
+        self.records = scan.records;
+        self.open_batch = scan.uncommitted;
+        // An empty log keeps counting from where it was: LSNs are never
+        // reused across a truncation, so a stale segment spliced behind a
+        // fresh one cannot pass the contiguity check.
+        if let Some(next_lsn) = scan.next_lsn {
+            self.next_lsn = next_lsn;
+        }
+        self.unscanned = false;
+        Ok(scan.batches)
+    }
+
+    /// Append the record `encode` builds for the next LSN. The counters
+    /// move only once the medium took the record, so a failed write leaves
+    /// no gap in the LSN sequence.
+    fn append(&mut self, encode: impl FnOnce(Lsn) -> Vec<u8>) -> Result<Lsn> {
+        if self.unscanned {
+            self.walk()?;
+        }
+        let lsn = self.next_lsn;
+        self.medium.append(&encode(lsn))?;
+        self.next_lsn += 1;
+        self.records += 1;
+        Ok(lsn)
+    }
+
+    fn append_commit(&mut self) -> Result<Lsn> {
+        let lsn = self.append(commit_record)?;
+        self.open_batch = 0;
+        self.apply_sync_policy()?;
+        Ok(lsn)
+    }
+
+    /// Commit-path sync policy (see [`Wal::set_sync_interval_ms`]). The log
+    /// is append-only, so whatever bytes reach the disk are a sealed-batch
+    /// prefix of the markers it acknowledged.
+    fn apply_sync_policy(&mut self) -> Result<()> {
+        let due = match (self.sync_interval_ms, self.last_sync) {
+            (0, _) | (_, None) => true,
+            (ms, Some(at)) => at.elapsed() >= std::time::Duration::from_millis(ms),
+        };
+        if due {
+            self.syncs += 1;
+            self.last_sync = Some(std::time::Instant::now());
+            self.medium.sync()?;
+            self.synced_len = self.medium.len();
+        } else {
+            self.sync_skips += 1;
+        }
+        Ok(())
+    }
 }
 
 /// Counters describing the current log.
@@ -112,14 +279,36 @@ impl Default for Wal {
 }
 
 impl Wal {
-    /// Create an empty log.
+    /// Create an empty in-memory log.
     pub fn new() -> Wal {
+        Wal::over(Medium::Memory(Vec::new()))
+    }
+
+    /// Open the log file at `path`, creating it if needed. Bytes a previous
+    /// session left behind stay in the file and replay exactly as if the
+    /// process had never exited; the first [`Wal::committed_pages`] walk
+    /// (which [`Store::recover`](crate::Store::recover) runs when a store
+    /// attaches) validates them and rebuilds the counters.
+    pub fn open_file(path: &std::path::Path) -> Result<Wal> {
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .map_err(io_error)?;
+        let len = file.metadata().map_err(io_error)?.len();
+        Ok(Wal::over(Medium::File { file, len }))
+    }
+
+    fn over(medium: Medium) -> Wal {
+        let len = medium.len();
         Wal {
             inner: OrderedMutex::new(
                 LockClass::Wal,
                 WalInner {
-                    log: Vec::new(),
-                    file: None,
+                    medium,
+                    unscanned: len > 0,
                     next_lsn: 0,
                     open_batch: 0,
                     records: 0,
@@ -128,86 +317,21 @@ impl Wal {
                     last_sync: None,
                     syncs: 0,
                     sync_skips: 0,
-                    synced_len: 0,
+                    // Bytes found on open survived the previous process:
+                    // a simulated crash must not take them away.
+                    synced_len: len,
                 },
             ),
-        }
-    }
-
-    /// Open a file-mirrored log at `path`, loading any bytes a previous
-    /// session left behind (they become replayable exactly as if the
-    /// process had never exited). Appends write through to the file;
-    /// [`Wal::truncate`] truncates it.
-    pub fn open_file(path: &std::path::Path) -> Result<Wal> {
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(|e| StorageError::Io(e.to_string()))?;
-        let mut log = Vec::new();
-        use std::io::{Read, Seek};
-        file.read_to_end(&mut log)
-            .map_err(|e| StorageError::Io(e.to_string()))?;
-        file.seek(std::io::SeekFrom::End(0))
-            .map_err(|e| StorageError::Io(e.to_string()))?;
-        // Rebuild the counters from the surviving bytes. `next_lsn` must
-        // continue the on-disk sequence, or post-reopen appends would trip
-        // the contiguity check during a later recovery.
-        let (records, uncommitted, next_lsn) = summarize_log(&log);
-        let log_len = log.len();
-        Ok(Wal {
-            inner: OrderedMutex::new(
-                LockClass::Wal,
-                WalInner {
-                    log,
-                    file: Some(file),
-                    next_lsn,
-                    open_batch: uncommitted,
-                    records,
-                    batch_depth: 0,
-                    sync_interval_ms: 0,
-                    last_sync: None,
-                    syncs: 0,
-                    sync_skips: 0,
-                    // The surviving bytes were read back from the disk: all
-                    // of them are, by construction, synced.
-                    synced_len: log_len,
-                },
-            ),
-        })
-    }
-
-    fn mirror_append(inner: &mut WalInner, from: usize) {
-        if let Some(file) = &mut inner.file {
-            use std::io::Write;
-            // A failed mirror write narrows durability to the in-memory
-            // crash model; the in-memory log stays authoritative.
-            let _ = file.write_all(&inner.log[from..]);
         }
     }
 
     /// Append a page-image record. Must happen before the page write is
     /// buffered (the caller enforces the write-ahead discipline).
-    pub fn append_page(&self, page_id: PageId, data: &[u8]) -> Lsn {
+    pub fn append_page(&self, page_id: PageId, data: &[u8]) -> Result<Lsn> {
         let mut inner = self.inner.lock();
-        let lsn = inner.next_lsn;
-        inner.next_lsn += 1;
+        let lsn = inner.append(|lsn| page_record(lsn, page_id, data))?;
         inner.open_batch += 1;
-        inner.records += 1;
-        let mut record = Vec::with_capacity(1 + 8 + 8 + 4 + data.len() + 4);
-        record.push(REC_PAGE);
-        record.extend_from_slice(&lsn.to_le_bytes());
-        record.extend_from_slice(&page_id.to_le_bytes());
-        record.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        record.extend_from_slice(data);
-        let crc = crc32(&record);
-        record.extend_from_slice(&crc.to_le_bytes());
-        inner.log.extend_from_slice(&record);
-        let from = inner.log.len() - record.len();
-        Self::mirror_append(&mut inner, from);
-        lsn
+        Ok(lsn)
     }
 
     /// Append a commit marker, sealing every record since the previous
@@ -218,59 +342,20 @@ impl Wal {
     /// the single marker [`Wal::end_batch`] appends, so a crash anywhere
     /// inside the bracket recovers to the pre-bracket state. Returns the
     /// LSN the marker got (or would get, when suppressed).
-    pub fn commit(&self) -> Lsn {
+    pub fn commit(&self) -> Result<Lsn> {
         let mut inner = self.inner.lock();
         if inner.batch_depth > 0 {
-            return inner.next_lsn;
+            return Ok(inner.next_lsn);
         }
-        Self::append_commit(&mut inner)
+        inner.append_commit()
     }
 
-    fn append_commit(inner: &mut WalInner) -> Lsn {
-        let lsn = inner.next_lsn;
-        inner.next_lsn += 1;
-        inner.open_batch = 0;
-        inner.records += 1;
-        let mut record = Vec::with_capacity(1 + 8 + 4);
-        record.push(REC_COMMIT);
-        record.extend_from_slice(&lsn.to_le_bytes());
-        let crc = crc32(&record);
-        record.extend_from_slice(&crc.to_le_bytes());
-        inner.log.extend_from_slice(&record);
-        let from = inner.log.len() - record.len();
-        Self::mirror_append(inner, from);
-        Self::apply_sync_policy(inner);
-        lsn
-    }
-
-    /// Commit-path sync policy: with a zero interval every marker fsyncs
-    /// the file mirror (the durable default); with a positive interval at
-    /// most one marker per interval pays the fsync and the rest are
-    /// acknowledged unsynced — a crash then loses at most the last
-    /// interval's worth of *acknowledged* transactions, but recovery still
-    /// lands on a sealed-batch prefix (the log is append-only, so whatever
-    /// bytes reached the disk are a prefix of the acknowledged sequence).
-    fn apply_sync_policy(inner: &mut WalInner) {
-        let due = match (inner.sync_interval_ms, inner.last_sync) {
-            (0, _) | (_, None) => true,
-            (ms, Some(at)) => at.elapsed() >= std::time::Duration::from_millis(ms),
-        };
-        if due {
-            inner.syncs += 1;
-            inner.last_sync = Some(std::time::Instant::now());
-            inner.synced_len = inner.log.len();
-            if let Some(file) = &inner.file {
-                // Failure narrows durability to the in-memory crash model,
-                // same as a failed mirror write.
-                let _ = file.sync_data();
-            }
-        } else {
-            inner.sync_skips += 1;
-        }
-    }
-
-    /// Set the group-sync interval (see [`Wal::apply_sync_policy`]'s note on
-    /// the durability window). `0` restores sync-every-commit.
+    /// Set the group-sync interval: `0` (sync-every-commit) fsyncs every
+    /// commit marker; a positive interval fsyncs at most one marker per
+    /// interval and acknowledges the rest unsynced. This log then loses at
+    /// most its tail since its last sync, and recovers to a sealed-batch
+    /// prefix of what it acknowledged; the clock is per log and advances
+    /// only when this log commits.
     pub fn set_sync_interval_ms(&self, ms: u64) {
         self.inner.lock().sync_interval_ms = ms;
     }
@@ -294,17 +379,17 @@ impl Wal {
 
     /// Close a [`Wal::begin_batch`] bracket, appending the batch's single
     /// commit marker when the outermost bracket closes.
-    pub fn end_batch(&self) -> Lsn {
+    pub fn end_batch(&self) -> Result<Lsn> {
         let mut inner = self.inner.lock();
         match inner.batch_depth {
-            0 => inner.next_lsn, // unmatched end: nothing to seal
+            0 => Ok(inner.next_lsn), // unmatched end: nothing to seal
             1 => {
                 inner.batch_depth = 0;
-                Self::append_commit(&mut inner)
+                inner.append_commit()
             }
             _ => {
                 inner.batch_depth -= 1;
-                inner.next_lsn
+                Ok(inner.next_lsn)
             }
         }
     }
@@ -317,36 +402,31 @@ impl Wal {
 
     /// Drop the whole log (the disk image is the new recovery baseline).
     /// Only sound right after the owning store flushed its dirty pages.
-    pub fn truncate(&self) {
+    pub fn truncate(&self) -> Result<()> {
         let mut inner = self.inner.lock();
-        inner.log.clear();
+        inner.medium.truncate(0)?;
+        inner.unscanned = false;
         inner.open_batch = 0;
         inner.records = 0;
         inner.synced_len = 0;
-        if let Some(file) = &mut inner.file {
-            use std::io::{Seek, Write};
-            let _ = file.set_len(0);
-            let _ = file.seek(std::io::SeekFrom::Start(0));
-            let _ = file.flush();
-        }
-    }
-
-    /// Flush the file mirror (if any) to stable storage.
-    pub fn sync(&self) -> Result<()> {
-        let mut inner = self.inner.lock();
-        inner.synced_len = inner.log.len();
-        if let Some(file) = &inner.file {
-            file.sync_data()
-                .map_err(|e| StorageError::Io(e.to_string()))?;
-        }
         Ok(())
     }
 
-    /// Current log statistics (O(1): counters, no log parse).
+    /// Flush the log file (if any) to stable storage.
+    pub fn sync(&self) -> Result<()> {
+        let mut inner = self.inner.lock();
+        inner.medium.sync()?;
+        inner.synced_len = inner.medium.len();
+        Ok(())
+    }
+
+    /// Current log statistics (O(1): counters, no log parse). Before the
+    /// first walk of a reopened log only `bytes` is known; the other
+    /// counters read zero.
     pub fn stats(&self) -> WalStats {
         let inner = self.inner.lock();
         WalStats {
-            bytes: inner.log.len() as u64,
+            bytes: inner.medium.len(),
             records: inner.records,
             uncommitted: inner.open_batch,
             syncs: inner.syncs,
@@ -356,11 +436,11 @@ impl Wal {
 
     /// The committed page images, in log order: the redo work of recovery.
     /// Parsing stops at the first torn or corrupt record; unsealed batches
-    /// are discarded.
-    pub fn committed_pages(&self) -> Vec<(PageId, Bytes)> {
-        let inner = self.inner.lock();
-        let (batches, _) = parse_log(&inner.log);
-        batches.into_iter().flatten().collect()
+    /// are discarded. This walk also rebuilds the log's counters from the
+    /// records it accepted.
+    pub fn committed_pages(&self) -> Result<Vec<(PageId, Bytes)>> {
+        let batches = self.inner.lock().walk()?;
+        Ok(batches.into_iter().flatten().collect())
     }
 
     /// Failure injection for the group-sync window: lose every log byte
@@ -371,85 +451,72 @@ impl Wal {
     /// exactly like a torn tail (the surviving prefix of sealed batches
     /// replays). Counters are rebuilt from the surviving bytes so the log
     /// keeps working after recovery. Returns the bytes lost.
-    pub fn simulate_crash_unsynced_tail(&self) -> usize {
+    pub fn simulate_crash_unsynced_tail(&self) -> Result<usize> {
         let mut inner = self.inner.lock();
-        let keep = inner.synced_len.min(inner.log.len());
-        let lost = inner.log.len() - keep;
-        inner.log.truncate(keep);
-        let (records, uncommitted, next_lsn) = summarize_log(&inner.log);
-        inner.records = records;
-        inner.open_batch = uncommitted;
-        inner.next_lsn = next_lsn;
-        lost
+        let len = inner.medium.len();
+        let keep = inner.synced_len.min(len);
+        if keep < len {
+            inner.medium.truncate(keep)?;
+            inner.walk()?;
+        }
+        Ok((len - keep) as usize)
     }
 
     /// Failure injection: lose the last `bytes` of the log, as if the final
     /// write(s) were interrupted mid-sector.
-    pub fn simulate_torn_tail(&self, bytes: usize) {
+    pub fn simulate_torn_tail(&self, bytes: usize) -> Result<()> {
         let mut inner = self.inner.lock();
-        let keep = inner.log.len().saturating_sub(bytes);
-        inner.log.truncate(keep);
+        let keep = inner.medium.len().saturating_sub(bytes as u64);
+        inner.medium.truncate(keep)
     }
 
     /// Failure injection: flip one byte at `offset` (corruption must be
     /// caught by the record CRC).
     pub fn simulate_corruption(&self, offset: usize) -> Result<()> {
-        let mut inner = self.inner.lock();
-        let len = inner.log.len();
-        let byte = inner
-            .log
-            .get_mut(offset)
-            .ok_or(StorageError::WalOffsetOutOfBounds { offset, len })?;
-        *byte ^= 0xFF;
-        Ok(())
+        self.inner.lock().medium.flip_byte(offset)
     }
 }
 
-/// Walk a log's record structure, returning `(records, uncommitted, next_lsn)`
-/// — the counters [`Wal::open_file`] must rebuild when it adopts surviving
-/// bytes. Stops at the first torn or corrupt record, like replay; the
-/// LSN-contiguity validation lives in [`parse_log`] only (a counter
-/// summary past a splice is harmless — replay itself will stop there).
-fn summarize_log(log: &[u8]) -> (u64, u64, Lsn) {
-    let mut records = 0u64;
-    let mut uncommitted = 0u64;
-    let mut next_lsn = 0u64;
-    let mut pos = 0usize;
-    while pos < log.len() {
-        let (rec_end, is_commit) = match log[pos] {
-            REC_PAGE => {
-                let header_end = pos + 1 + 8 + 8 + 4;
-                if header_end > log.len() {
-                    break;
-                }
-                let len = u32::from_le_bytes(log[pos + 17..pos + 21].try_into().expect("4 bytes"))
-                    as usize;
-                (header_end + len + 4, false)
-            }
-            REC_COMMIT => (pos + 1 + 8 + 4, true),
-            _ => break,
-        };
-        if rec_end > log.len()
-            || crc32(&log[pos..rec_end - 4])
-                != u32::from_le_bytes(log[rec_end - 4..rec_end].try_into().expect("4 bytes"))
-        {
-            break;
-        }
-        let lsn = u64::from_le_bytes(log[pos + 1..pos + 9].try_into().expect("8 bytes"));
-        next_lsn = lsn + 1;
-        records += 1;
-        if is_commit {
-            uncommitted = 0;
-        } else {
-            uncommitted += 1;
-        }
-        pos = rec_end;
-    }
-    (records, uncommitted, next_lsn)
+/// `[REC_PAGE][lsn 8][page 8][len 4][data][crc 4]`
+fn page_record(lsn: Lsn, page_id: PageId, data: &[u8]) -> Vec<u8> {
+    let mut record = Vec::with_capacity(1 + 8 + 8 + 4 + data.len() + 4);
+    record.push(REC_PAGE);
+    record.extend_from_slice(&lsn.to_le_bytes());
+    record.extend_from_slice(&page_id.to_le_bytes());
+    record.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    record.extend_from_slice(data);
+    let crc = crc32(&record);
+    record.extend_from_slice(&crc.to_le_bytes());
+    record
 }
 
-/// Parse the log into committed batches. Returns `(batches, clean)` where
-/// `clean` is false when a torn/corrupt tail was skipped.
+/// `[REC_COMMIT][lsn 8][crc 4]`
+fn commit_record(lsn: Lsn) -> Vec<u8> {
+    let mut record = Vec::with_capacity(1 + 8 + 4);
+    record.push(REC_COMMIT);
+    record.extend_from_slice(&lsn.to_le_bytes());
+    let crc = crc32(&record);
+    record.extend_from_slice(&crc.to_le_bytes());
+    record
+}
+
+/// What one walk over a log found.
+#[derive(Default)]
+struct LogScan {
+    /// Page images of each sealed batch of the valid prefix, in log order.
+    batches: Vec<Vec<(PageId, Bytes)>>,
+    /// False when a torn, corrupt or non-contiguous tail was skipped.
+    clean: bool,
+    /// Records in the valid prefix.
+    records: u64,
+    /// Page-image records of the prefix after its last commit marker.
+    uncommitted: u64,
+    /// The LSN following the prefix's last record (`None`: empty prefix).
+    next_lsn: Option<Lsn>,
+}
+
+/// Parse the log into committed batches, stopping at the first torn or
+/// corrupt record.
 ///
 /// Besides the per-record CRC, replay accepts only a **contiguous,
 /// monotonically increasing LSN sequence**: the first record anchors the
@@ -457,73 +524,66 @@ fn summarize_log(log: &[u8]) -> (u64, u64, Lsn) {
 /// A gap or repeat — the signature of a truncate/append race splicing a
 /// stale log segment behind a fresh one — stops replay at the last sealed
 /// batch before the break, exactly like a torn tail.
-#[allow(clippy::type_complexity)]
-fn parse_log(log: &[u8]) -> (Vec<Vec<(PageId, Bytes)>>, bool) {
-    let mut batches = Vec::new();
+fn parse_log(log: &[u8]) -> LogScan {
+    let mut scan = LogScan::default();
     let mut current: Vec<(PageId, Bytes)> = Vec::new();
     let mut pos = 0usize;
-    let mut expected_lsn: Option<Lsn> = None;
-    let mut check_lsn = |lsn: Lsn| -> bool {
-        let ok = expected_lsn.is_none_or(|expected| lsn == expected);
-        expected_lsn = Some(lsn.wrapping_add(1));
-        ok
-    };
-    while pos < log.len() {
-        let kind = log[pos];
-        match kind {
-            REC_PAGE => {
-                // [1][lsn 8][page 8][len 4][data][crc 4]
-                let header_end = pos + 1 + 8 + 8 + 4;
-                if header_end > log.len() {
-                    return (batches, false);
+    scan.clean = loop {
+        let Some(&kind) = log.get(pos) else {
+            break true;
+        };
+        // The record body (everything the CRC covers) ends at `body_end`.
+        let body_end = match kind {
+            REC_PAGE => match log.get(pos + 17..pos + 21) {
+                Some(len) => {
+                    pos + 21 + u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize
                 }
-                let len = u32::from_le_bytes(log[pos + 17..pos + 21].try_into().expect("4 bytes"))
-                    as usize;
-                let data_end = header_end + len;
-                let rec_end = data_end + 4;
-                if rec_end > log.len() {
-                    return (batches, false);
-                }
-                let crc_stored =
-                    u32::from_le_bytes(log[data_end..rec_end].try_into().expect("4 bytes"));
-                if crc32(&log[pos..data_end]) != crc_stored {
-                    return (batches, false);
-                }
-                let lsn = u64::from_le_bytes(log[pos + 1..pos + 9].try_into().expect("8 bytes"));
-                if !check_lsn(lsn) {
-                    return (batches, false);
-                }
-                let page_id =
-                    u64::from_le_bytes(log[pos + 9..pos + 17].try_into().expect("8 bytes"));
-                current.push((page_id, Bytes::copy_from_slice(&log[header_end..data_end])));
-                pos = rec_end;
-            }
-            REC_COMMIT => {
-                let rec_end = pos + 1 + 8 + 4;
-                if rec_end > log.len() {
-                    return (batches, false);
-                }
-                let crc_stored =
-                    u32::from_le_bytes(log[rec_end - 4..rec_end].try_into().expect("4 bytes"));
-                if crc32(&log[pos..rec_end - 4]) != crc_stored {
-                    return (batches, false);
-                }
-                let lsn = u64::from_le_bytes(log[pos + 1..pos + 9].try_into().expect("8 bytes"));
-                if !check_lsn(lsn) {
-                    return (batches, false);
-                }
-                batches.push(std::mem::take(&mut current));
-                pos = rec_end;
-            }
-            _ => return (batches, false),
+                None => break false,
+            },
+            REC_COMMIT => pos + 9,
+            _ => break false,
+        };
+        let Some(crc_stored) = log.get(body_end..body_end + 4) else {
+            break false;
+        };
+        if crc32(&log[pos..body_end]) != u32::from_le_bytes(crc_stored.try_into().expect("4 bytes"))
+        {
+            break false;
         }
-    }
-    (batches, true)
+        let lsn = u64::from_le_bytes(log[pos + 1..pos + 9].try_into().expect("8 bytes"));
+        if scan.next_lsn.is_some_and(|expected| lsn != expected) {
+            break false;
+        }
+        scan.next_lsn = Some(lsn.wrapping_add(1));
+        scan.records += 1;
+        if kind == REC_PAGE {
+            let page_id = u64::from_le_bytes(log[pos + 9..pos + 17].try_into().expect("8 bytes"));
+            current.push((page_id, Bytes::copy_from_slice(&log[pos + 21..body_end])));
+        } else {
+            scan.batches.push(std::mem::take(&mut current));
+        }
+        pos = body_end + 4;
+    };
+    scan.uncommitted = current.len() as u64;
+    scan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bit-at-a-time CRC-32 (IEEE): the reference the table must match.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_known_vectors() {
@@ -533,14 +593,33 @@ mod tests {
     }
 
     #[test]
+    fn crc32_table_matches_bitwise_reference() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in [0, 1, 4096, 4096 + 21] {
+            for _ in 0..8 {
+                let data: Vec<u8> = (0..len)
+                    .map(|_| {
+                        // xorshift64: deterministic pseudo-random bytes.
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state as u8
+                    })
+                    .collect();
+                assert_eq!(crc32(&data), crc32_bitwise(&data), "len {len}");
+            }
+        }
+    }
+
+    #[test]
     fn committed_batches_replay_in_order() {
         let wal = Wal::new();
-        wal.append_page(3, b"aaa");
-        wal.append_page(5, b"bbb");
-        wal.commit();
-        wal.append_page(3, b"ccc");
-        wal.commit();
-        let pages = wal.committed_pages();
+        wal.append_page(3, b"aaa").unwrap();
+        wal.append_page(5, b"bbb").unwrap();
+        wal.commit().unwrap();
+        wal.append_page(3, b"ccc").unwrap();
+        wal.commit().unwrap();
+        let pages = wal.committed_pages().unwrap();
         assert_eq!(pages.len(), 3);
         assert_eq!(pages[0], (3, Bytes::from_static(b"aaa")));
         assert_eq!(pages[2], (3, Bytes::from_static(b"ccc")));
@@ -549,10 +628,10 @@ mod tests {
     #[test]
     fn unsealed_batch_is_discarded() {
         let wal = Wal::new();
-        wal.append_page(1, b"committed");
-        wal.commit();
-        wal.append_page(2, b"in flight");
-        let pages = wal.committed_pages();
+        wal.append_page(1, b"committed").unwrap();
+        wal.commit().unwrap();
+        wal.append_page(2, b"in flight").unwrap();
+        let pages = wal.committed_pages().unwrap();
         assert_eq!(pages.len(), 1);
         assert_eq!(pages[0].0, 1);
         assert_eq!(wal.stats().uncommitted, 1);
@@ -561,27 +640,27 @@ mod tests {
     #[test]
     fn torn_tail_stops_replay_cleanly() {
         let wal = Wal::new();
-        wal.append_page(1, b"first");
-        wal.commit();
-        wal.append_page(2, b"second");
-        wal.commit();
+        wal.append_page(1, b"first").unwrap();
+        wal.commit().unwrap();
+        wal.append_page(2, b"second").unwrap();
+        wal.commit().unwrap();
         // Tear into the middle of the second batch's commit record.
-        wal.simulate_torn_tail(3);
-        let pages = wal.committed_pages();
+        wal.simulate_torn_tail(3).unwrap();
+        let pages = wal.committed_pages().unwrap();
         assert_eq!(pages.len(), 1, "only the first sealed batch survives");
     }
 
     #[test]
     fn corruption_is_detected_by_crc() {
         let wal = Wal::new();
-        wal.append_page(1, b"payload-bytes");
-        wal.commit();
-        wal.append_page(2, b"later");
-        wal.commit();
+        wal.append_page(1, b"payload-bytes").unwrap();
+        wal.commit().unwrap();
+        wal.append_page(2, b"later").unwrap();
+        wal.commit().unwrap();
         // Corrupt a byte inside the first record's payload.
         wal.simulate_corruption(25).unwrap();
         assert!(
-            wal.committed_pages().is_empty(),
+            wal.committed_pages().unwrap().is_empty(),
             "corrupt prefix stops recovery"
         );
     }
@@ -589,35 +668,35 @@ mod tests {
     #[test]
     fn truncate_resets() {
         let wal = Wal::new();
-        wal.append_page(1, b"x");
-        wal.commit();
-        wal.truncate();
-        assert!(wal.committed_pages().is_empty());
+        wal.append_page(1, b"x").unwrap();
+        wal.commit().unwrap();
+        wal.truncate().unwrap();
+        assert!(wal.committed_pages().unwrap().is_empty());
         assert_eq!(wal.stats().bytes, 0);
     }
 
     #[test]
     fn empty_commit_batches_are_fine() {
         let wal = Wal::new();
-        wal.commit();
-        wal.commit();
-        assert!(wal.committed_pages().is_empty());
+        wal.commit().unwrap();
+        wal.commit().unwrap();
+        assert!(wal.committed_pages().unwrap().is_empty());
     }
 
     #[test]
     fn batch_bracket_coalesces_commit_markers() {
         let wal = Wal::new();
         wal.begin_batch();
-        wal.append_page(1, b"a");
-        wal.commit(); // suppressed
-        wal.append_page(2, b"b");
-        wal.commit(); // suppressed
+        wal.append_page(1, b"a").unwrap();
+        wal.commit().unwrap(); // suppressed
+        wal.append_page(2, b"b").unwrap();
+        wal.commit().unwrap(); // suppressed
         assert!(wal.in_batch());
         // Nothing is recoverable until the bracket closes.
-        assert!(wal.committed_pages().is_empty());
-        wal.end_batch();
+        assert!(wal.committed_pages().unwrap().is_empty());
+        wal.end_batch().unwrap();
         assert!(!wal.in_batch());
-        let pages = wal.committed_pages();
+        let pages = wal.committed_pages().unwrap();
         assert_eq!(pages.len(), 2, "one marker seals the whole bracket");
         // Exactly one commit record was appended for the two suppressed ones.
         assert_eq!(wal.stats().records, 3);
@@ -627,46 +706,26 @@ mod tests {
     fn nested_batch_brackets_seal_once() {
         let wal = Wal::new();
         wal.begin_batch();
-        wal.append_page(1, b"outer");
+        wal.append_page(1, b"outer").unwrap();
         wal.begin_batch();
-        wal.append_page(2, b"inner");
-        wal.end_batch();
-        assert!(wal.committed_pages().is_empty(), "inner end seals nothing");
-        wal.end_batch();
-        assert_eq!(wal.committed_pages().len(), 2);
+        wal.append_page(2, b"inner").unwrap();
+        wal.end_batch().unwrap();
+        assert!(
+            wal.committed_pages().unwrap().is_empty(),
+            "inner end seals nothing"
+        );
+        wal.end_batch().unwrap();
+        assert_eq!(wal.committed_pages().unwrap().len(), 2);
     }
 
     #[test]
     fn unmatched_end_batch_is_a_noop() {
         let wal = Wal::new();
-        wal.append_page(1, b"x");
+        wal.append_page(1, b"x").unwrap();
         let records_before = wal.stats().records;
-        wal.end_batch();
+        wal.end_batch().unwrap();
         assert_eq!(wal.stats().records, records_before, "no marker appended");
-        assert!(wal.committed_pages().is_empty());
-    }
-
-    /// Hand-encode a page record with an arbitrary LSN (valid CRC), for the
-    /// LSN-sequence tests below.
-    fn raw_page_record(lsn: Lsn, page: PageId, data: &[u8]) -> Vec<u8> {
-        let mut record = Vec::new();
-        record.push(REC_PAGE);
-        record.extend_from_slice(&lsn.to_le_bytes());
-        record.extend_from_slice(&page.to_le_bytes());
-        record.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        record.extend_from_slice(data);
-        let crc = crc32(&record);
-        record.extend_from_slice(&crc.to_le_bytes());
-        record
-    }
-
-    fn raw_commit_record(lsn: Lsn) -> Vec<u8> {
-        let mut record = Vec::new();
-        record.push(REC_COMMIT);
-        record.extend_from_slice(&lsn.to_le_bytes());
-        let crc = crc32(&record);
-        record.extend_from_slice(&crc.to_le_bytes());
-        record
+        assert!(wal.committed_pages().unwrap().is_empty());
     }
 
     #[test]
@@ -675,15 +734,16 @@ mod tests {
         // record with lsn 9 behind it. Replay keeps the sealed batch and
         // reports the log unclean.
         let mut log = Vec::new();
-        log.extend(raw_page_record(0, 1, b"good"));
-        log.extend(raw_page_record(1, 2, b"good"));
-        log.extend(raw_commit_record(2));
-        log.extend(raw_page_record(9, 3, b"stale"));
-        log.extend(raw_commit_record(10));
-        let (batches, clean) = parse_log(&log);
-        assert!(!clean, "an lsn gap must mark the log unclean");
-        assert_eq!(batches.len(), 1, "only the contiguous prefix replays");
-        assert_eq!(batches[0].len(), 2);
+        log.extend(page_record(0, 1, b"good"));
+        log.extend(page_record(1, 2, b"good"));
+        log.extend(commit_record(2));
+        log.extend(page_record(9, 3, b"stale"));
+        log.extend(commit_record(10));
+        let scan = parse_log(&log);
+        assert!(!scan.clean, "an lsn gap must mark the log unclean");
+        assert_eq!(scan.batches.len(), 1, "only the contiguous prefix replays");
+        assert_eq!(scan.batches[0].len(), 2);
+        assert_eq!((scan.records, scan.next_lsn), (3, Some(3)));
     }
 
     #[test]
@@ -691,14 +751,14 @@ mod tests {
         // A stale segment replaying an already-seen LSN must not replay its
         // (older) page images over the newer committed state.
         let mut log = Vec::new();
-        log.extend(raw_page_record(0, 1, b"new"));
-        log.extend(raw_commit_record(1));
-        log.extend(raw_page_record(1, 1, b"stale"));
-        log.extend(raw_commit_record(2));
-        let (batches, clean) = parse_log(&log);
-        assert!(!clean);
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0][0].1, Bytes::from_static(b"new"));
+        log.extend(page_record(0, 1, b"new"));
+        log.extend(commit_record(1));
+        log.extend(page_record(1, 1, b"stale"));
+        log.extend(commit_record(2));
+        let scan = parse_log(&log);
+        assert!(!scan.clean);
+        assert_eq!(scan.batches.len(), 1);
+        assert_eq!(scan.batches[0][0].1, Bytes::from_static(b"new"));
     }
 
     #[test]
@@ -706,31 +766,36 @@ mod tests {
         // After a checkpoint the log restarts at a nonzero LSN: the first
         // record anchors the sequence, contiguity is all that matters.
         let mut log = Vec::new();
-        log.extend(raw_page_record(7, 1, b"a"));
-        log.extend(raw_page_record(8, 2, b"b"));
-        log.extend(raw_commit_record(9));
-        let (batches, clean) = parse_log(&log);
-        assert!(clean);
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].len(), 2);
+        log.extend(page_record(7, 1, b"a"));
+        log.extend(page_record(8, 2, b"b"));
+        log.extend(commit_record(9));
+        log.extend(page_record(10, 3, b"open"));
+        let scan = parse_log(&log);
+        assert!(scan.clean);
+        assert_eq!(scan.batches.len(), 1);
+        assert_eq!(scan.batches[0].len(), 2);
+        assert_eq!(
+            (scan.records, scan.uncommitted, scan.next_lsn),
+            (4, 1, Some(11))
+        );
     }
 
     #[test]
     fn sync_policy_counts_syncs_and_skips() {
         let wal = Wal::new();
-        wal.append_page(1, b"a");
-        wal.commit();
+        wal.append_page(1, b"a").unwrap();
+        wal.commit().unwrap();
         assert_eq!(wal.stats().syncs, 1, "interval 0 syncs every commit");
         assert_eq!(wal.stats().sync_skips, 0);
         // A long interval with a sync just recorded: commits defer.
         wal.set_sync_interval_ms(60_000);
-        wal.append_page(2, b"b");
-        wal.commit();
+        wal.append_page(2, b"b").unwrap();
+        wal.commit().unwrap();
         assert_eq!(wal.stats().syncs, 1);
         assert_eq!(wal.stats().sync_skips, 1);
         // Back to sync-every-commit.
         wal.set_sync_interval_ms(0);
-        wal.commit();
+        wal.commit().unwrap();
         assert_eq!(wal.stats().syncs, 2);
         assert_eq!(wal.sync_interval_ms(), 0);
     }
@@ -738,7 +803,7 @@ mod tests {
     #[test]
     fn corruption_offset_out_of_bounds_is_a_wal_error() {
         let wal = Wal::new();
-        wal.append_page(1, b"xyz");
+        wal.append_page(1, b"xyz").unwrap();
         let len = wal.stats().bytes as usize;
         assert_eq!(
             wal.simulate_corruption(len + 5),
@@ -749,5 +814,72 @@ mod tests {
         );
         // In-bounds flips still work.
         wal.simulate_corruption(len - 1).unwrap();
+    }
+
+    fn temp_log(name: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("svr-wal-test-{}-{name}.wal", std::process::id()));
+        if path.exists() {
+            std::fs::remove_file(&path).unwrap();
+        }
+        path
+    }
+
+    #[test]
+    fn file_log_reopens_into_its_lsn_sequence() {
+        let path = temp_log("reopen");
+        {
+            let wal = Wal::open_file(&path).unwrap();
+            wal.append_page(1, b"a").unwrap();
+            wal.commit().unwrap();
+            wal.append_page(2, b"open").unwrap();
+        }
+        let file_len = std::fs::metadata(&path).unwrap().len();
+        let wal = Wal::open_file(&path).unwrap();
+        assert_eq!(wal.stats().bytes, file_len, "the file is the log");
+        assert_eq!(wal.committed_pages().unwrap().len(), 1);
+        let stats = wal.stats();
+        assert_eq!((stats.records, stats.uncommitted), (3, 1));
+        // Appends continue the on-disk LSN sequence, so replay reaches them.
+        wal.commit().unwrap();
+        assert_eq!(wal.committed_pages().unwrap().len(), 2);
+        // Failure injection lands in the file: a process restart keeps it.
+        wal.simulate_corruption(0).unwrap();
+        drop(wal);
+        let wal = Wal::open_file(&path).unwrap();
+        assert!(wal.committed_pages().unwrap().is_empty());
+        wal.truncate().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn appending_before_the_first_walk_continues_the_sequence() {
+        let path = temp_log("unscanned");
+        {
+            let wal = Wal::open_file(&path).unwrap();
+            wal.append_page(1, b"a").unwrap();
+            wal.commit().unwrap();
+        }
+        let wal = Wal::open_file(&path).unwrap();
+        wal.append_page(2, b"b").unwrap();
+        wal.commit().unwrap();
+        assert_eq!(wal.committed_pages().unwrap().len(), 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `/dev/full` fails every write with `ENOSPC`: the log must say so.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn full_disk_fails_appends_and_commits() {
+        let wal = Wal::open_file(std::path::Path::new("/dev/full")).unwrap();
+        assert!(matches!(
+            wal.append_page(1, b"lost"),
+            Err(StorageError::Io(_))
+        ));
+        assert!(matches!(wal.commit(), Err(StorageError::Io(_))));
+        wal.begin_batch();
+        assert!(matches!(wal.end_batch(), Err(StorageError::Io(_))));
+        assert_eq!(wal.stats(), WalStats::default(), "no record was taken");
     }
 }

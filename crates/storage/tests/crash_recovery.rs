@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use svr_storage::{BTree, BlobStore, MemDisk, Store, Wal};
+use svr_storage::{BTree, BlobStore, MemDisk, StorageEnv, Store, Wal};
 
 fn logged_store(page_size: usize, cache_pages: usize) -> Arc<Store> {
     Arc::new(Store::new_logged(
@@ -96,7 +96,7 @@ fn torn_log_tail_loses_only_the_last_batch() {
     tree.put(b"stable", b"yes").unwrap();
     tree.put(b"victim", b"maybe").unwrap();
     // The tail of the log (part of the last batch) is torn off mid-write.
-    store.wal().unwrap().simulate_torn_tail(7);
+    store.wal().unwrap().simulate_torn_tail(7).unwrap();
     store.crash();
     store.recover().unwrap();
     let tree = BTree::reopen(store, meta).unwrap();
@@ -106,6 +106,71 @@ fn torn_log_tail_loses_only_the_last_batch() {
         None,
         "torn batch must roll back"
     );
+}
+
+/// A fresh directory for one file-backed environment.
+fn temp_env_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("svr-crash-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn file_backed_torn_tail_survives_a_process_restart() {
+    let dir = temp_env_dir("torn");
+    let meta = {
+        let env = StorageEnv::open_dir(&dir, 512).unwrap();
+        let store = env.create_store("t", 8);
+        let tree = BTree::create_durable(store.clone()).unwrap();
+        tree.put(b"stable", b"yes").unwrap();
+        tree.put(b"victim", b"maybe").unwrap();
+        store.wal().unwrap().simulate_torn_tail(7).unwrap();
+        tree.meta_page().unwrap()
+        // Dropping the environment without a flush ends the "process".
+    };
+    let env = StorageEnv::open_dir(&dir, 512).unwrap();
+    let tree = BTree::reopen(env.create_store("t", 8), meta).unwrap();
+    assert_eq!(tree.get(b"stable").unwrap().as_deref(), Some(&b"yes"[..]));
+    assert_eq!(
+        tree.get(b"victim").unwrap(),
+        None,
+        "the tear is in the file"
+    );
+    drop((tree, env));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn file_backed_unsynced_tail_is_lost_across_a_process_restart() {
+    let dir = temp_env_dir("unsynced");
+    let meta = {
+        let env = StorageEnv::open_dir(&dir, 512).unwrap();
+        env.set_wal_sync_interval_ms(60_000);
+        let tree = BTree::create_durable(env.create_store("t", 8)).unwrap();
+        for i in 0..10u32 {
+            tree.put(&i.to_be_bytes(), b"synced").unwrap();
+        }
+        env.sync_all_wals().unwrap();
+        for i in 10..20u32 {
+            tree.put(&i.to_be_bytes(), b"acknowledged").unwrap();
+        }
+        assert!(
+            env.crash_unsynced() > 0,
+            "commits after the sync were deferred"
+        );
+        tree.meta_page().unwrap()
+    };
+    let env = StorageEnv::open_dir(&dir, 512).unwrap();
+    let tree = BTree::reopen(env.create_store("t", 8), meta).unwrap();
+    assert_eq!(tree.len(), 10, "exactly the synced prefix survives");
+    for i in 0..10u32 {
+        assert_eq!(
+            tree.get(&i.to_be_bytes()).unwrap().as_deref(),
+            Some(&b"synced"[..])
+        );
+    }
+    drop((tree, env));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The acceptance path of the durable lifecycle: a **file-backed** engine
 //! populated entirely through SQL (tables + text indexes + updates) is
-//! dropped — no flush, no checkpoint, only the mirrored write-ahead logs
+//! dropped — no flush, no checkpoint, only the write-ahead log files
 //! survive on disk — reopened with `SvrEngine::open_path`, and must serve
 //! identical top-k rankings and `score_of` values with zero re-indexing
 //! from base rows (the persisted list structures are reattached, verified
@@ -74,7 +74,7 @@ fn file_backed_engine_populated_via_sql_survives_process_style_restart() {
         let session = SqlSession::with_engine(engine.clone());
         populate_via_sql(&session);
         // Engine and session drop here with dirty buffer pools: only the
-        // page files and mirrored logs persist.
+        // page files and log files persist.
         snapshot(&engine)
     };
 

@@ -244,7 +244,7 @@ fn torn_tail_mid_create_text_index_recovers_cleanly() {
     let sys = env.store(svr::engine::SYS_INDEXES_STORE).unwrap();
     let wal_bytes = sys.wal().unwrap().stats().bytes as usize;
     assert!(wal_bytes > 0, "the record should still be log-only");
-    sys.wal().unwrap().simulate_torn_tail(wal_bytes);
+    sys.wal().unwrap().simulate_torn_tail(wal_bytes).unwrap();
 
     let reopened = SvrEngine::open(env).unwrap();
     let mut names = reopened.index_names();

@@ -319,7 +319,7 @@ fn torn_tail_recovers_to_the_batch_boundary() {
     let store = table.store().clone();
     let meta = table.meta_page().expect("table trees are durable");
     let wal = store.wal().expect("table stores are logged").clone();
-    let sealed_after_first = wal.committed_pages().len();
+    let sealed_after_first = wal.committed_pages().unwrap().len();
 
     // Batch 2: apply, then tear into its tail so the closing marker (and
     // with it the whole batch) is lost — the crash model for "the process
@@ -330,12 +330,12 @@ fn torn_tail_recovers_to_the_batch_boundary() {
     }
     engine.apply(second).unwrap();
     assert!(
-        wal.committed_pages().len() > sealed_after_first,
+        wal.committed_pages().unwrap().len() > sealed_after_first,
         "batch 2 sealed before the tear"
     );
-    wal.simulate_torn_tail(3);
+    wal.simulate_torn_tail(3).unwrap();
     assert_eq!(
-        wal.committed_pages().len(),
+        wal.committed_pages().unwrap().len(),
         sealed_after_first,
         "tearing the marker unseals exactly batch 2"
     );
