@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the hot paths underlying the experiments:
 //! B+-tree point operations, posting codecs, merge cursors, and the
-//! per-method single-operation costs — plus the DESIGN.md §5 ablations
-//! (chunk ratio, minimum chunk size, fancy-list size).
+//! per-method single-operation costs, the log, and the offline merge —
+//! plus the DESIGN.md §5 ablations (chunk ratio, minimum chunk size,
+//! fancy-list size).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -310,12 +311,74 @@ fn wal_benches(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The offline merge where it is most expensive: a file-backed environment
+/// that fsyncs every commit. Each iteration parks postings on the short
+/// lists with 200 score updates, merges them back, and checkpoints the
+/// grown logs as `run_maintenance` does.
+fn maintenance_benches(c: &mut Criterion) {
+    use svr_core::{build_index_at, IndexLocation};
+    use svr_storage::StorageEnv;
+
+    let ds = SynthConfig {
+        num_docs: 2_000,
+        vocab_size: 4_000,
+        tokens_per_doc: 80,
+        ..SynthConfig::default()
+    }
+    .generate();
+    let dir = std::env::temp_dir().join(format!("svr-micro-merge-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let env = Arc::new(StorageEnv::open_dir(&dir, 4096).unwrap());
+    // Build under group sync (nothing is acknowledged before the
+    // checkpoint), then measure at fsync-every-commit.
+    env.set_wal_sync_interval_ms(60_000);
+    let config = IndexConfig {
+        min_chunk_docs: 16,
+        ..IndexConfig::default()
+    };
+    let index = build_index_at(
+        &IndexLocation::new(env.clone(), "idx/m/"),
+        MethodKind::Chunk,
+        &ds.docs,
+        &ds.scores,
+        &config,
+    )
+    .unwrap();
+    env.checkpoint_all().unwrap();
+    env.set_wal_sync_interval_ms(0);
+    let mut updates = UpdateWorkload::new(
+        ds.docs_by_score(),
+        ds.scores.clone(),
+        UpdateConfig::default(),
+    );
+
+    let mut group = c.benchmark_group("maintenance");
+    group
+        .measurement_time(Duration::from_secs(5))
+        .warm_up_time(Duration::from_millis(500));
+    group.bench_function("merge_chunk_file", |b| {
+        b.iter(|| {
+            for _ in 0..200 {
+                let (doc, score) = updates.next_update();
+                index.update_score(doc, score).unwrap();
+            }
+            index.merge_short_lists().unwrap();
+            index.maybe_checkpoint(1 << 20).unwrap();
+        })
+    });
+    group.finish();
+    drop(index);
+    drop(env);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     benches,
     btree_benches,
     codec_benches,
     method_op_benches,
     ablation_benches,
-    wal_benches
+    wal_benches,
+    maintenance_benches
 );
 criterion_main!(benches);

@@ -85,15 +85,7 @@ impl ListScoreTable {
 
     /// Remove every row (after an offline merge).
     pub fn clear(&self) -> Result<()> {
-        let mut cursor = self.tree.cursor(&[])?;
-        let mut keys = Vec::new();
-        while let Some((k, _)) = cursor.next_entry()? {
-            keys.push(k);
-        }
-        for k in keys {
-            self.tree.delete(&k)?;
-        }
-        Ok(())
+        Ok(self.tree.clear()?)
     }
 }
 
@@ -167,15 +159,7 @@ impl ListChunkTable {
 
     /// Remove every row (after an offline merge).
     pub fn clear(&self) -> Result<()> {
-        let mut cursor = self.tree.cursor(&[])?;
-        let mut keys = Vec::new();
-        while let Some((k, _)) = cursor.next_entry()? {
-            keys.push(k);
-        }
-        for k in keys {
-            self.tree.delete(&k)?;
-        }
-        Ok(())
+        Ok(self.tree.clear()?)
     }
 }
 

@@ -9,6 +9,22 @@
 //! Chunk methods. Lists are re-encoded with the store's **own** codec
 //! ([`LongListStore::codec`]): a merge never migrates an index between
 //! codecs, so a legacy-format index stays byte-compatible after upgrades.
+//!
+//! A shard's merge runs inside one [`svr_storage::WalBatch`] over its
+//! logged stores (opened by the index body, under the shard's write lock),
+//! so it commits once per store: one commit marker, and at the default
+//! sync interval one fsync. The short-list and ListScore/ListChunk trees
+//! are emptied with [`svr_storage::BTree::clear`], which frees their pages
+//! instead of deleting key by key. A crash before the batch seals recovers
+//! the whole pre-merge shard.
+//!
+//! Where the time goes, on the `score_update` benchmark workload (6 000
+//! documents, fsync on every commit): with a commit per rewritten list
+//! (three: blob, directory row, freed blob) and per cleared key, a merge
+//! took ~830 ms; batched, ~80 ms. What remains is inverting the forward
+//! index, regrouping and re-encoding every list, and logging a page image
+//! per written page — all linear in the corpus, not in the short-list
+//! debt.
 
 use std::collections::{HashMap, HashSet};
 

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex};
 
 use svr_storage::sync::{LockClass, OrderedRwLock};
-use svr_storage::StorageEnv;
+use svr_storage::{StorageEnv, WalBatch};
 
 use crate::config::IndexConfig;
 use crate::cursor::{self, MethodCursor, ShardSlot};
@@ -209,6 +209,18 @@ fn in_parallel<T: Send>(jobs: Vec<T>, f: impl Fn(T) -> Result<()> + Sync) -> Res
 }
 
 impl<M: Method> Shard<M> {
+    /// The offline merge, under the write lock and inside one WAL batch
+    /// over the shard's logged stores: each store commits once (one marker,
+    /// one fsync) instead of once per rewritten list and cleared key, and a
+    /// crash before the seal recovers the whole pre-merge shard.
+    fn merge(&self) -> Result<()> {
+        let _shard_guard = self.lock.write();
+        let base = self.method.base();
+        let batch = WalBatch::begin(M::STORES.iter().filter_map(|name| base.store(name)));
+        self.method.merge_short_lists()?;
+        Ok(batch.finish()?)
+    }
+
     /// Apply one refresh batch; the caller holds the write lock.
     fn apply_refresh(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
         for &doc in docs {
@@ -426,10 +438,7 @@ impl<M: Method> SearchIndex for Index<M> {
     /// Shard `s`'s merge only excludes writers of shard `s`, so maintenance
     /// of a busy collection never stalls every writer at once.
     fn merge_short_lists(&self) -> Result<()> {
-        in_parallel(self.shards.iter().collect(), |shard: &Shard<M>| {
-            let _shard_guard = shard.lock.write();
-            shard.method.merge_short_lists()
-        })
+        in_parallel(self.shards.iter().collect(), Shard::merge)
     }
 
     fn num_shards(&self) -> usize {
@@ -445,8 +454,7 @@ impl<M: Method> SearchIndex for Index<M> {
             .shards
             .get(shard)
             .ok_or(CoreError::Unsupported("shard index out of range"))?;
-        let _shard_guard = shard.lock.write();
-        shard.method.merge_short_lists()
+        shard.merge()
     }
 
     fn shard_stats(&self) -> Vec<ShardStats> {

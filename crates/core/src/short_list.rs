@@ -283,16 +283,7 @@ impl ShortLists {
 
     /// Drop every posting (after an offline merge into the long lists).
     pub fn clear(&self) -> Result<()> {
-        // Collect keys first; the cursor must not observe concurrent deletes.
-        let mut cursor = self.tree.cursor(&[])?;
-        let mut keys = Vec::new();
-        while let Some((k, _)) = cursor.next_entry()? {
-            keys.push(k);
-        }
-        for k in keys {
-            self.tree.delete(&k)?;
-        }
-        Ok(())
+        Ok(self.tree.clear()?)
     }
 }
 

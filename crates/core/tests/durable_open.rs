@@ -125,3 +125,67 @@ fn all_methods_roundtrip_after_merge() {
         roundtrip(kind, 4, true);
     }
 }
+
+/// A merge commits once per store. Tearing that one commit marker off
+/// every shard store rolls the whole merge back — rankings, long-list
+/// sizes and short-list debt reopen exactly as before it; with the markers
+/// intact the merged state reopens.
+fn merge_then_crash(num_shards: usize, tear: bool) {
+    let env = Arc::new(StorageEnv::new_durable(4096));
+    let loc = IndexLocation::new(env.clone(), "idx/t/");
+    let config = IndexConfig {
+        num_shards,
+        min_chunk_docs: 4,
+        ..IndexConfig::default()
+    };
+    let (docs, scores) = corpus(60);
+    let built = build_index_at(&loc, MethodKind::Chunk, &docs, &scores, &config).unwrap();
+    churn(built.as_ref(), 60);
+    let debt: u64 = built.shard_stats().iter().map(|s| s.short_postings).sum();
+    assert!(debt > 0, "the merge must have short-list debt to fold");
+    let unmerged = snapshot(built.as_ref());
+    // The pages the merge frees and rewrites start out on disk, not only
+    // in the log.
+    env.checkpoint_all().unwrap();
+    for shard in 0..num_shards {
+        built.merge_shard(shard).unwrap();
+    }
+    let merged = snapshot(built.as_ref());
+    drop(built);
+    if tear {
+        for name in env.store_names() {
+            let wal = env.store(&name).unwrap().wal().unwrap().clone();
+            // 13 bytes: one commit marker.
+            wal.simulate_torn_tail(13).unwrap();
+        }
+    }
+
+    env.crash();
+    env.recover_all().unwrap();
+    let reopened = open_index_at(&loc, MethodKind::Chunk, &config).unwrap();
+    let expected = if tear { &unmerged } else { &merged };
+    let got = snapshot(reopened.as_ref());
+    assert_eq!(expected.0, got.0, "x{num_shards} torn={tear}: rankings");
+    assert_eq!(expected.3, got.3, "x{num_shards} torn={tear}: shard stats");
+
+    // The rolled-back pages are the index's again: merging once more
+    // reaches the same merged state.
+    reopened.merge_short_lists().unwrap();
+    assert_eq!(
+        merged,
+        snapshot(reopened.as_ref()),
+        "x{num_shards}: re-merge"
+    );
+}
+
+#[test]
+fn torn_merge_rolls_back_every_store() {
+    merge_then_crash(1, true);
+    merge_then_crash(4, true);
+}
+
+#[test]
+fn sealed_merge_reopens_merged() {
+    merge_then_crash(1, false);
+    merge_then_crash(4, false);
+}

@@ -1435,9 +1435,10 @@ impl SvrEngine {
             // Flush coalesced notifications into this thread's capture,
             // then seal the WAL batch (in that order: the capture is
             // in-memory, the marker makes the storage state recoverable).
+            // A seal that fails fails the write: recovery would roll it back.
             drop(bracket);
-            drop(wal_batch);
-            result
+            let sealed = wal_batch.finish();
+            result.and(sealed.map_err(|e| SvrError::Relation(e.into())))
         });
         // Refresh even after a failed transaction: the rollback's view
         // notifications re-point the indexes at the restored scores. The

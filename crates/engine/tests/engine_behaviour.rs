@@ -473,6 +473,87 @@ fn open_query_pagination_matches_one_shot() {
     }
 }
 
+/// An offline merge is one WAL batch per store: at fsync-every-commit, one
+/// `run_maintenance` of a one-shard CHUNK index syncs each of the shard's
+/// six logged stores at most once, however many lists it rewrites and
+/// short-list keys it clears. (Per-key commits cost thousands.)
+#[test]
+fn a_merge_syncs_each_store_at_most_once() {
+    let dir = std::env::temp_dir().join(format!("svr-merge-syncs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Set-up runs under a long group-sync interval; the merge at 0.
+    let engine = SvrEngine::open_path_with(
+        &dir,
+        svr_engine::EngineConfig {
+            wal_sync_interval_ms: 60_000,
+            ..svr_engine::EngineConfig::default()
+        },
+    )
+    .unwrap();
+    engine.create_table(docs_schema()).unwrap();
+    engine.create_table(pop_schema()).unwrap();
+    let docs = (0..300)
+        .map(|id| {
+            let body = format!("common w{} w{} w{}", id % 7, id % 11, id % 13);
+            vec![Value::Int(id), Value::Text(body)]
+        })
+        .collect();
+    engine.insert_rows("docs", docs).unwrap();
+    // Three chunks of 200, 50 and 50 documents.
+    let pops = (0..300)
+        .map(|id| {
+            let hits = match id {
+                0..200 => 1,
+                200..250 => 100,
+                _ => 1_000 + id,
+            };
+            vec![Value::Int(id), Value::Int(hits)]
+        })
+        .collect();
+    engine.insert_rows("pop", pops).unwrap();
+    engine
+        .create_text_index(
+            "idx",
+            "docs",
+            "body",
+            pop_spec(),
+            MethodKind::Chunk,
+            IndexConfig {
+                min_chunk_docs: 4,
+                ..IndexConfig::default()
+            },
+        )
+        .unwrap();
+    // 250 score jumps past the top chunk: each of the 200 from the bottom
+    // chunk parks the document's postings on the short lists.
+    for id in 0..250 {
+        engine
+            .update_row(
+                "pop",
+                Value::Int(id),
+                &[("hits".into(), Value::Int(10_000 + id))],
+            )
+            .unwrap();
+    }
+    let short_postings =
+        |engine: &SvrEngine| -> u64 { engine.index_shard_stats("idx").unwrap()[0].short_postings };
+    let debt = short_postings(&engine);
+    assert!(debt >= 400, "unmerged debt: {debt} short postings");
+
+    engine.set_wal_sync_interval_ms(0);
+    let syncs_before = engine.contention_stats().wal.syncs;
+    engine.run_maintenance("idx").unwrap();
+    let merge_syncs = engine.contention_stats().wal.syncs - syncs_before;
+    assert_eq!(short_postings(&engine), 0, "the merge folded the debt");
+    assert!(merge_syncs <= 6, "{merge_syncs} fsyncs for one merge");
+    let hits = engine
+        .search("idx", "common", 1, QueryMode::Conjunctive)
+        .unwrap();
+    assert_eq!(hits[0].score, 10_249.0);
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The instrumented sync layer's per-class counters surface through
 /// `contention_stats().locks`: mutations acquire the tier-1 table lock and
 /// the tier-2 shard lock, and the counters are monotone so window deltas

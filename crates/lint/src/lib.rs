@@ -1,19 +1,20 @@
 //! # svr-lint
 //!
 //! A workspace-specific static checker for the invariants the engine's
-//! module docs promise but the compiler cannot see: lock ordering, WAL and
-//! undo bracketing, panic-freedom of library code, audited `unsafe`, and
-//! versioned-record completeness. It is a hand-rolled line scanner — no
-//! external parser — which is exactly enough because the rules key off the
-//! workspace's own naming conventions (`_table_guard` / `_shard_guard`
-//! bindings, `begin_batch`/`end_batch` pairs, `*_V<n>` version consts).
+//! module docs promise but the compiler cannot see: lock ordering, undo
+//! bracketing, panic-freedom of library code, audited `unsafe`, and
+//! versioned-record completeness. (WAL bracketing needs no rule: the
+//! storage crate's `WalBatch` guard is the only code that can open a
+//! bracket.) It is a hand-rolled line scanner — no external parser — which
+//! is exactly enough because the rules key off the workspace's own naming
+//! conventions (`_table_guard` / `_shard_guard` bindings,
+//! `begin_view_undo`/`commit_undo` pairs, `*_V<n>` version consts).
 //!
 //! ## Rules
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `lock-order` | no tier-1 table-lock acquisition while a shard refresh guard is live (the `table → shard` rank order, statically) |
-//! | `wal-bracket` | every `begin_batch` call is paired with an `end_batch` in the same function, or the site is an audited guard constructor |
 //! | `undo-bracket` | every `begin_view_undo` paired with `commit_undo`/`rollback_undo`, or an audited guard constructor |
 //! | `no-unwrap` | no `unwrap`/`expect`/`panic!` in non-test library code outside the allowlist |
 //! | `unsafe-audit` | every `unsafe` lives in an allowlisted module and carries a `// SAFETY:` comment |
@@ -32,9 +33,8 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// The named rules, in reporting order.
-pub const RULES: [&str; 6] = [
+pub const RULES: [&str; 5] = [
     "lock-order",
-    "wal-bracket",
     "undo-bracket",
     "no-unwrap",
     "unsafe-audit",
@@ -518,13 +518,6 @@ pub fn scan_root(root: &Path) -> std::io::Result<Vec<Finding>> {
         check_lock_order(file, &mut findings);
         check_bracket(
             file,
-            "wal-bracket",
-            "begin_batch",
-            &["end_batch"],
-            &mut findings,
-        );
-        check_bracket(
-            file,
             "undo-bracket",
             "begin_view_undo",
             &["commit_undo", "rollback_undo"],
@@ -588,9 +581,9 @@ fn binds_guard(code: &str, name: &str) -> bool {
     before.contains("let ") || before.contains("Some(")
 }
 
-/// `wal-bracket` / `undo-bracket`: per function, `begin` calls must not
-/// outnumber the closers. Guard constructors (where the bracket
-/// intentionally spans the guard's lifetime) carry an inline allow.
+/// `undo-bracket`: per function, `begin` calls must not outnumber the
+/// closers. Guard constructors (where the bracket intentionally spans the
+/// guard's lifetime) carry an inline allow.
 fn check_bracket(
     file: &SourceFile,
     rule: &'static str,
@@ -853,10 +846,10 @@ mod tests {
     #[test]
     fn strips_comments_and_strings() {
         let f = parse(
-            "let x = \"begin_batch(\"; // begin_batch(\nlet y = 1; /* fn unsafe */ let z = 2;\n",
+            "let x = \"begin_view_undo(\"; // begin_view_undo(\nlet y = 1; /* fn unsafe */ let z = 2;\n",
         );
-        assert!(!f.lines[0].code.contains("begin_batch"));
-        assert!(f.lines[0].comment.contains("begin_batch"));
+        assert!(!f.lines[0].code.contains("begin_view_undo"));
+        assert!(f.lines[0].comment.contains("begin_view_undo"));
         assert!(f.lines[1].code.contains("let z"));
         assert!(!f.lines[1].code.contains("unsafe"));
     }
@@ -896,15 +889,18 @@ mod tests {
     fn token_matching_has_boundaries() {
         assert!(has_token("unsafe {", "unsafe"));
         assert!(!has_token("unsafe_op_in_unsafe_fn", "unsafe"));
-        assert!(has_call("wal.begin_batch()", "begin_batch"));
-        assert!(!has_call("pub fn begin_batch(&self)", "begin_batch"));
+        assert!(has_call("db.begin_view_undo()", "begin_view_undo"));
+        assert!(!has_call(
+            "pub fn begin_view_undo(&self)",
+            "begin_view_undo"
+        ));
     }
 
     #[test]
     fn allow_comment_covers_own_and_next_line() {
-        let f = parse("// svr-lint: allow(no-unwrap, wal-bracket)\nx.unwrap();\ny.unwrap();\n");
+        let f = parse("// svr-lint: allow(no-unwrap, undo-bracket)\nx.unwrap();\ny.unwrap();\n");
         assert!(f.allowed(1, "no-unwrap"));
-        assert!(f.allowed(1, "wal-bracket"));
+        assert!(f.allowed(1, "undo-bracket"));
         assert!(!f.allowed(2, "no-unwrap"));
     }
 }

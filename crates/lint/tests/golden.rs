@@ -42,11 +42,6 @@ fn lock_order_golden() {
 }
 
 #[test]
-fn wal_bracket_golden() {
-    check_rule("wal-bracket", &[("src/lib.rs", 4)]);
-}
-
-#[test]
 fn undo_bracket_golden() {
     check_rule("undo-bracket", &[("src/lib.rs", 4)]);
 }

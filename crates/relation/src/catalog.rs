@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use svr_storage::{BTree, StorageEnv, Store};
+use svr_storage::{BTree, StorageEnv, Store, WalBatch};
 
 use crate::codec;
 use crate::error::{RelationError, Result};
@@ -523,41 +523,21 @@ impl Database {
             .collect()
     }
 
-    /// Bracket the write-ahead-log commits of `tables`' stores: until the
-    /// returned guard drops, every structure-level `Wal::commit` of those
-    /// stores is suppressed, and the drop seals all of it — mutations *and*
-    /// any undo images a rollback appended — under one commit marker per
-    /// store. A crash anywhere inside the bracket therefore recovers every
-    /// store to its pre-bracket state; after a clean close, to the
-    /// post-batch state. (The markers of different stores are appended one
-    /// after another at close; the cross-store boundary is atomic under
-    /// this repository's whole-process crash model, not against a failure
-    /// between the individual appends.)
+    /// Bracket the write-ahead-log commits of `tables`' stores (see
+    /// [`WalBatch`]): until [`WalBatch::finish`], every structure-level
+    /// commit of those stores is held back, and finishing seals all of it —
+    /// mutations *and* any undo images a rollback appended — under one
+    /// commit marker per store. A crash anywhere inside the bracket
+    /// therefore recovers every table to its pre-bracket state.
     ///
-    /// The guard also checkpoints any store whose log outgrew the
-    /// checkpoint threshold — never mid-bracket, which would split the
-    /// batch.
+    /// Sealing also checkpoints any store whose log outgrew the checkpoint
+    /// threshold — never mid-bracket, which would split the batch.
     pub fn wal_batch(&self, tables: &[String]) -> Result<WalBatch> {
-        let mut stores = Vec::with_capacity(tables.len());
-        for name in tables {
-            let store = self.slot(name)?.table.store().clone();
-            if store.wal().is_some() {
-                stores.push(store);
-            }
-        }
-        for store in &stores {
-            if let Some(wal) = store.wal() {
-                // This is the bracket's guard constructor: the returned
-                // `WalBatch` calls `end_batch` on every store in its Drop,
-                // closing each bracket opened here on all paths.
-                // svr-lint: allow(wal-bracket)
-                wal.begin_batch();
-            }
-        }
-        Ok(WalBatch {
-            stores,
-            checkpoint_bytes: self.wal_checkpoint_bytes(),
-        })
+        let stores = tables
+            .iter()
+            .map(|name| Ok(self.slot(name)?.table.store().clone()))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(WalBatch::begin(stores).checkpoint_over(self.wal_checkpoint_bytes()))
     }
 
     /// Flush + truncate a table store whose log outgrew the configured
@@ -578,31 +558,6 @@ impl Database {
 /// opportunity (per-op boundary or transaction close); override with
 /// [`Database::set_wal_checkpoint_bytes`].
 const WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
-
-/// RAII bracket for one write transaction's WAL commit markers (see
-/// [`Database::wal_batch`]).
-pub struct WalBatch {
-    stores: Vec<Arc<Store>>,
-    /// Threshold captured at bracket open, so the close-time checkpoint
-    /// check honors the database's configured value.
-    checkpoint_bytes: u64,
-}
-
-impl Drop for WalBatch {
-    fn drop(&mut self) {
-        for store in &self.stores {
-            if let Some(wal) = store.wal() {
-                // `Drop` cannot return a failed marker append or fsync: the
-                // batch then stays unsealed (recovery rolls it back, though
-                // the transaction already reported success). ROADMAP
-                // direction 1B replaces these per-store markers with one
-                // commit record appended by a call that returns `Result`.
-                let _ = wal.end_batch();
-                let _ = store.maybe_checkpoint(self.checkpoint_bytes);
-            }
-        }
-    }
-}
 
 /// Undo capture across every view of a database for one thread's write
 /// batch (see [`Database::begin_view_undo`]). Dropping without calling
@@ -1075,20 +1030,19 @@ mod tests {
         let movies = db.table("movies").unwrap();
         let wal = movies.store().wal().expect("table stores are logged");
         let sealed_before = wal.committed_pages().unwrap().len();
-        {
-            let _batch = db.wal_batch(&["movies".to_string()]).unwrap();
-            db.insert_row("movies", vec![Value::Int(1), Value::Text("a".into())])
-                .unwrap();
-            db.insert_row("movies", vec![Value::Int(2), Value::Text("b".into())])
-                .unwrap();
-            assert!(wal.in_batch());
-            assert_eq!(
-                wal.committed_pages().unwrap().len(),
-                sealed_before,
-                "nothing new is sealed mid-bracket"
-            );
-        }
-        assert!(!wal.in_batch());
+        let batch = db.wal_batch(&["movies".to_string()]).unwrap();
+        db.insert_row("movies", vec![Value::Int(1), Value::Text("a".into())])
+            .unwrap();
+        db.insert_row("movies", vec![Value::Int(2), Value::Text("b".into())])
+            .unwrap();
+        assert!(wal.stats().uncommitted > 0, "the inserts' markers are held");
+        assert_eq!(
+            wal.committed_pages().unwrap().len(),
+            sealed_before,
+            "nothing new is sealed mid-bracket"
+        );
+        batch.finish().unwrap();
+        assert_eq!(wal.stats().uncommitted, 0);
         assert!(
             wal.committed_pages().unwrap().len() > sealed_before,
             "closing the bracket seals the batch"

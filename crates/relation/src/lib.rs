@@ -42,7 +42,7 @@ pub mod value;
 pub mod view;
 
 pub use aggexpr::AggExpr;
-pub use catalog::{Database, ViewUndoBracket, WalBatch, SYS_CATALOG_STORE};
+pub use catalog::{Database, ViewUndoBracket, SYS_CATALOG_STORE};
 pub use error::{RelationError, Result};
 pub use functions::ScoreComponent;
 pub use schema::Schema;

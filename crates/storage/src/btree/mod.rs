@@ -396,6 +396,33 @@ impl BTree {
         Ok(removed)
     }
 
+    /// Remove every entry in O(pages): free every page of the tree (only
+    /// internal nodes are read, to find their children), then start over
+    /// from one empty root leaf — persisted, with the metadata page, under
+    /// a single commit. The freed pages keep their bytes, so a clear inside
+    /// a [`WalBatch`](crate::WalBatch) that never seals recovers the whole
+    /// old tree.
+    pub fn clear(&self) -> Result<()> {
+        let mut state = self.state.lock();
+        // Every leaf sits at the same depth, so heights tell leaves apart
+        // without reading them.
+        let mut pages = vec![(state.root, self.height(state.root)?)];
+        while let Some((page, height)) = pages.pop() {
+            if height > 0 {
+                if let Node::Internal { children, .. } = &*self.read_node(page)? {
+                    pages.extend(children.iter().map(|&child| (child, height - 1)));
+                }
+            }
+            self.store.free_page(page);
+        }
+        self.node_cache.lock().clear();
+        let root = self.store.allocate()?;
+        self.write_node(root, &Node::empty_leaf())?;
+        self.write_meta(root)?;
+        *state = TreeState { root, len: 0 };
+        self.store.log_commit()
+    }
+
     fn delete_rec(&self, page: PageId, key: &[u8]) -> Result<Option<Vec<u8>>> {
         match (*self.read_node(page)?).clone() {
             Node::Leaf { mut entries, next } => {
@@ -672,15 +699,20 @@ impl BTree {
 
     /// Depth of the tree (1 = a single leaf). Diagnostic.
     pub fn depth(&self) -> Result<usize> {
-        let mut page = self.state.lock().root;
-        let mut depth = 1;
+        let root = self.state.lock().root;
+        Ok(self.height(root)? + 1)
+    }
+
+    /// Levels below `page`: 0 for a leaf.
+    fn height(&self, mut page: PageId) -> Result<usize> {
+        let mut height = 0;
         loop {
             match &*self.read_node(page)? {
                 Node::Internal { children, .. } => {
-                    depth += 1;
+                    height += 1;
                     page = children[0];
                 }
-                Node::Leaf { .. } => return Ok(depth),
+                Node::Leaf { .. } => return Ok(height),
             }
         }
     }

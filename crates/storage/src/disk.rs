@@ -52,10 +52,20 @@ pub trait DiskBackend: Send + Sync {
     fn read(&self, id: PageId) -> Result<Bytes>;
     /// Write one page. Counts as one page write.
     fn write(&self, id: PageId, data: Bytes) -> Result<()>;
-    /// Allocate a fresh zeroed page and return its id (reuses freed pages).
+    /// Allocate a page and return its id. A fresh page reads as zeroes; a
+    /// reused one (popped off the free list) keeps its old bytes until it
+    /// is rewritten, like a file.
     fn allocate(&self) -> PageId;
-    /// Return a page to the free list.
+    /// Return a page to the free list. Its bytes stay on disk: a logged
+    /// batch that frees a page and never seals must recover to a state
+    /// that still reads it.
     fn free(&self, id: PageId);
+    /// Forget the free list, as a crash does: the list lives only in
+    /// memory, so a restarted process starts without it (its pages stay
+    /// allocated). A crash simulated in-process must forget it too, or a
+    /// page freed by a batch that recovery rolled back would be handed out
+    /// while the recovered state still uses it.
+    fn forget_free_pages(&self);
     /// Number of pages ever allocated (including freed ones).
     fn num_pages(&self) -> u64;
     /// Page size in bytes.
@@ -127,7 +137,6 @@ impl DiskBackend for MemDisk {
     fn allocate(&self) -> PageId {
         let mut state = self.pages.write();
         if let Some(id) = state.free_list.pop() {
-            state.pages[id as usize] = None;
             return id;
         }
         let id = state.pages.len() as PageId;
@@ -138,9 +147,12 @@ impl DiskBackend for MemDisk {
     fn free(&self, id: PageId) {
         let mut state = self.pages.write();
         if (id as usize) < state.pages.len() {
-            state.pages[id as usize] = None;
             state.free_list.push(id);
         }
+    }
+
+    fn forget_free_pages(&self) {
+        self.pages.write().free_list.clear();
     }
 
     fn num_pages(&self) -> u64 {
@@ -291,6 +303,10 @@ impl DiskBackend for FileDisk {
         if id < state.num_pages {
             state.free_list.push(id);
         }
+    }
+
+    fn forget_free_pages(&self) {
+        self.state.write().free_list.clear();
     }
 
     fn num_pages(&self) -> u64 {

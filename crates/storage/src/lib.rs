@@ -24,6 +24,7 @@
 //! assert_eq!(tree.get(b"k1").unwrap().as_deref(), Some(&b"v1"[..]));
 //! ```
 
+pub mod batch;
 pub mod blob;
 pub mod btree;
 pub mod codec;
@@ -34,6 +35,7 @@ pub mod pool;
 pub mod sync;
 pub mod wal;
 
+pub use batch::WalBatch;
 pub use blob::{BlobHandle, BlobReader, BlobStore};
 pub use btree::{BTree, BTreeCursor};
 pub use disk::{DiskBackend, FileDisk, IoStats, MemDisk};

@@ -315,9 +315,10 @@ impl Store {
         Ok(())
     }
 
-    /// True when the log has outgrown `threshold` bytes outside a commit
-    /// bracket — the **lock-free** pre-check of [`Store::maybe_checkpoint`]
-    /// (reads two counters; safe to call from any hot path).
+    /// True when the log has outgrown `threshold` bytes outside a
+    /// [`WalBatch`](crate::WalBatch) — the **lock-free** pre-check of
+    /// [`Store::maybe_checkpoint`] (reads two counters; safe to call from
+    /// any hot path).
     pub fn log_over(&self, threshold: u64) -> bool {
         self.wal
             .as_ref()
@@ -337,9 +338,11 @@ impl Store {
     }
 
     /// Simulate a crash: every page that was only in the buffer pool is
-    /// lost; the disk and the log survive.
+    /// lost, and so is the disk's in-memory free list; the disk's pages
+    /// and the log survive.
     pub fn crash(&self) {
         self.pool.drop_cache();
+        self.disk.forget_free_pages();
     }
 
     /// Replay the committed log batches onto the disk, restoring the state

@@ -12,6 +12,9 @@
 //!   blob `put`/`free`) appends a *commit marker* — recovery replays only
 //!   batches closed by a marker, so a crash mid-split never resurrects a
 //!   half-restructured tree;
+//! * a [`WalBatch`](crate::WalBatch) holds those markers back on a set of
+//!   stores and seals each with one marker, so a multi-op write (a
+//!   transaction, an offline merge) recovers all-or-nothing per store;
 //! * the buffer pool of a logged store runs **no-steal**: dirty pages are
 //!   never evicted to disk between commits, so the disk can only lag the
 //!   log, never run ahead of it with uncommitted data;
@@ -337,11 +340,11 @@ impl Wal {
     /// Append a commit marker, sealing every record since the previous
     /// marker into an atomically recoverable batch.
     ///
-    /// Inside a [`Wal::begin_batch`] bracket the marker is *suppressed*:
+    /// Inside a [`WalBatch`](crate::WalBatch) the marker is *suppressed*:
     /// the structure-level commits of the bracketed mutations coalesce into
-    /// the single marker [`Wal::end_batch`] appends, so a crash anywhere
-    /// inside the bracket recovers to the pre-bracket state. Returns the
-    /// LSN the marker got (or would get, when suppressed).
+    /// the single marker the batch appends when it seals, so a crash
+    /// anywhere inside the bracket recovers to the pre-bracket state.
+    /// Returns the LSN the marker got (or would get, when suppressed).
     pub fn commit(&self) -> Result<Lsn> {
         let mut inner = self.inner.lock();
         if inner.batch_depth > 0 {
@@ -369,17 +372,15 @@ impl Wal {
     /// [`Wal::commit`] calls append nothing, so every page image of the
     /// bracketed mutations belongs to one atomically recoverable batch.
     /// Brackets nest; the single marker is appended when the outermost one
-    /// closes. The engine wraps each multi-op write transaction in one
-    /// bracket per involved store — an aborted transaction appends its undo
-    /// images *before* closing the bracket, so the sealed batch replays to
-    /// the pre-transaction state.
-    pub fn begin_batch(&self) {
+    /// closes. The only caller is [`WalBatch`](crate::WalBatch), whose
+    /// lifetime is the bracket.
+    pub(crate) fn begin_batch(&self) {
         self.inner.lock().batch_depth += 1;
     }
 
     /// Close a [`Wal::begin_batch`] bracket, appending the batch's single
     /// commit marker when the outermost bracket closes.
-    pub fn end_batch(&self) -> Result<Lsn> {
+    pub(crate) fn end_batch(&self) -> Result<Lsn> {
         let mut inner = self.inner.lock();
         match inner.batch_depth {
             0 => Ok(inner.next_lsn), // unmatched end: nothing to seal
@@ -396,7 +397,7 @@ impl Wal {
 
     /// True while a [`Wal::begin_batch`] bracket is open (checkpointing
     /// mid-bracket would break the bracket's atomicity).
-    pub fn in_batch(&self) -> bool {
+    pub(crate) fn in_batch(&self) -> bool {
         self.inner.lock().batch_depth > 0
     }
 

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use svr_storage::{BTree, MemDisk, Store};
+use svr_storage::{BTree, MemDisk, StorageEnv, Store, WalBatch};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -14,6 +14,7 @@ enum Op {
     Delete(Vec<u8>),
     Get(Vec<u8>),
     ScanPrefix(Vec<u8>),
+    Clear,
 }
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -23,12 +24,13 @@ fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (key_strategy(), prop::collection::vec(any::<u8>(), 0..24))
+        30 => (key_strategy(), prop::collection::vec(any::<u8>(), 0..24))
             .prop_map(|(k, v)| Op::Put(k, v)),
-        key_strategy().prop_map(Op::Delete),
-        key_strategy().prop_map(Op::Get),
-        prop::collection::vec(prop::num::u8::ANY.prop_map(|b| b % 8), 0..4)
+        30 => key_strategy().prop_map(Op::Delete),
+        30 => key_strategy().prop_map(Op::Get),
+        30 => prop::collection::vec(prop::num::u8::ANY.prop_map(|b| b % 8), 0..4)
             .prop_map(Op::ScanPrefix),
+        1 => Just(Op::Clear),
     ]
 }
 
@@ -58,6 +60,10 @@ fn run_ops(page_size: usize, ops: &[Op]) {
                     .map(|(k, v)| (k.clone(), v.clone()))
                     .collect();
                 assert_eq!(got, want, "scan_prefix {prefix:?}");
+            }
+            Op::Clear => {
+                tree.clear().unwrap();
+                model.clear();
             }
         }
         assert_eq!(tree.len(), model.len() as u64, "length diverged");
@@ -117,4 +123,105 @@ fn btree_dense_sequential_workload() {
     for (k, v) in &model {
         assert_eq!(tree.get(k).unwrap().as_ref(), Some(v));
     }
+}
+
+/// Fill `tree` with `n` keys spread over the key space (value = key).
+fn fill(tree: &BTree, n: u32) {
+    for i in 0..n {
+        let k = i.wrapping_mul(2_654_435_761).to_be_bytes();
+        tree.put(&k, &k).unwrap();
+    }
+}
+
+fn assert_filled(tree: &BTree, n: u32) {
+    assert_eq!(tree.len(), u64::from(n));
+    for i in 0..n {
+        let k = i.wrapping_mul(2_654_435_761).to_be_bytes();
+        assert_eq!(tree.get(&k).unwrap().as_deref(), Some(&k[..]), "key {i}");
+    }
+}
+
+#[test]
+fn clear_empties_a_deep_tree() {
+    let store = Arc::new(Store::new(Arc::new(MemDisk::new(256)), 64));
+    let tree = BTree::create(store).unwrap();
+    fill(&tree, 3_000);
+    assert!(tree.depth().unwrap() >= 3, "the test needs internal levels");
+    tree.clear().unwrap();
+    assert_eq!(tree.len(), 0);
+    assert_eq!(tree.depth().unwrap(), 1);
+    assert_eq!(tree.get(&7u32.to_be_bytes()).unwrap(), None);
+    assert!(tree.cursor(&[]).unwrap().next_entry().unwrap().is_none());
+    assert!(tree.scan_prefix(&[]).unwrap().is_empty());
+}
+
+#[test]
+fn refill_after_clear_reuses_the_freed_pages() {
+    let store = Arc::new(Store::new(Arc::new(MemDisk::new(256)), 64));
+    let tree = BTree::create(store.clone()).unwrap();
+    fill(&tree, 3_000);
+    let pages = store.disk().num_pages();
+    tree.clear().unwrap();
+    fill(&tree, 3_000);
+    assert_eq!(
+        store.disk().num_pages(),
+        pages,
+        "no page past the old tree's"
+    );
+    assert_filled(&tree, 3_000);
+}
+
+/// A durable tree over a logged store: `3_000` keys checkpointed to disk,
+/// `500` more only in the log.
+fn durable_tree(env: &StorageEnv) -> (Arc<Store>, BTree) {
+    let store = env.create_store("t", 16);
+    let tree = BTree::create_durable(store.clone()).unwrap();
+    fill(&tree, 3_000);
+    env.checkpoint_all().unwrap();
+    for i in 3_000..3_500u32 {
+        let k = i.wrapping_mul(2_654_435_761).to_be_bytes();
+        tree.put(&k, &k).unwrap();
+    }
+    (store, tree)
+}
+
+#[test]
+fn sealed_clear_recovers_empty() {
+    let env = StorageEnv::new_durable(256);
+    let (store, tree) = durable_tree(&env);
+    tree.clear().unwrap();
+    env.crash();
+    env.recover_all().unwrap();
+    let reopened = BTree::reopen(store, 0).unwrap();
+    assert_eq!(reopened.len(), 0);
+    assert!(reopened
+        .cursor(&[])
+        .unwrap()
+        .next_entry()
+        .unwrap()
+        .is_none());
+}
+
+#[test]
+fn unsealed_clear_recovers_the_whole_tree() {
+    let env = StorageEnv::new_durable(256);
+    let (store, tree) = durable_tree(&env);
+    // Clear and partly refill inside one bracket — the refill rewrites
+    // freed pages — then lose the bracket's one commit marker.
+    let batch = WalBatch::begin([store.clone()]);
+    tree.clear().unwrap();
+    fill(&tree, 200);
+    batch.finish().unwrap();
+    store.wal().unwrap().simulate_torn_tail(13).unwrap();
+    env.crash();
+    env.recover_all().unwrap();
+    let reopened = BTree::reopen(store, 0).unwrap();
+    assert_filled(&reopened, 3_500);
+    // The pages the rolled-back clear freed are still the tree's: growing
+    // it must not hand them out again.
+    for i in 3_500..5_000u32 {
+        let k = i.wrapping_mul(2_654_435_761).to_be_bytes();
+        reopened.put(&k, &k).unwrap();
+    }
+    assert_filled(&reopened, 5_000);
 }
