@@ -6,8 +6,10 @@
 //! SVR_SCALE=full cargo run --release -p svr-bench --bin paper_experiments
 //! ```
 //!
-//! Results are printed as text tables and written as JSON to
-//! `bench_results/experiments-<scale>.json` for EXPERIMENTS.md.
+//! Results are printed as text tables. A full-suite run (no ids) also
+//! writes them as JSON to `bench_results/experiments-<scale>.json`; a run
+//! of selected ids leaves that file alone, so it always holds every
+//! experiment.
 
 use std::time::Instant;
 
@@ -19,7 +21,8 @@ fn main() {
     let scale = Scale::from_env();
     let bench = Bench::new(scale, CostModel::default());
 
-    let ids: Vec<&str> = if args.is_empty() {
+    let full_suite = args.is_empty();
+    let ids: Vec<&str> = if full_suite {
         Bench::all_ids().to_vec()
     } else {
         args.iter().map(String::as_str).collect()
@@ -46,7 +49,7 @@ fn main() {
     }
 
     let out_dir = std::path::Path::new("bench_results");
-    if std::fs::create_dir_all(out_dir).is_ok() {
+    if full_suite && std::fs::create_dir_all(out_dir).is_ok() {
         let path = out_dir.join(format!(
             "experiments-{}.json",
             if scale == Scale::Full {

@@ -13,27 +13,17 @@
 //! | fig10    | Figure 10 — disjunctive queries          |
 //! | table3   | Table 3 — varying number of insertions   |
 //! | archive  | §5.3.7 — Internet-Archive-like data set  |
-//! | concurrent | beyond the paper — reader scaling (1/2/4/8 readers under an update storm) and same-table writer scaling (1/2/4/8 writers over the sharded write path) |
-//! | serving  | beyond the paper — network serving over the wire protocol at 1/8/64/256 connections: group-commit WAL sync + refresh draining vs per-commit sync |
-//! | pagination | beyond the paper — deepening-k pagination: one resumable cursor per query vs a re-run one-shot query per page |
-//! | restart  | beyond the paper — cold-open latency after a crash: reattach the durable index vs rebuild it from the documents |
-//! | compression | beyond the paper — block codecs for long lists: on-disk bytes, full-scan and top-k cost, and cold-open time for uncompressed vs legacy vs varint vs bitpacked |
-//! | multiterm | beyond the paper — multi-term top-k: block-max WAND one-shot vs the exhaustive any-k cursor across 2/4/8-term AND/OR queries per codec, with blocks skipped/decoded |
 
 use std::collections::HashMap;
 
 use svr_core::types::{DocId, Document, Query, QueryMode, TermId};
-use svr_core::{
-    build_index, build_index_at, open_index_at, IndexConfig, IndexLocation, MethodKind, SearchIndex,
-};
+use svr_core::{build_index, IndexConfig, MethodKind, SearchIndex};
 use svr_workload::{
     ArchiveConfig, QueryClass, QueryWorkload, SynthConfig, SynthDataset, UpdateConfig,
     UpdateWorkload,
 };
 
-use crate::measure::{
-    measure, measure_cursor_queries, measure_queries, measure_updates, CostModel,
-};
+use crate::measure::{measure, measure_queries, measure_updates, CostModel};
 use crate::report::{ExperimentReport, Scale};
 
 /// Shared context for all experiments.
@@ -130,22 +120,6 @@ impl Bench {
             },
         )
         .take(n)
-    }
-
-    /// One `acq/cont/wait-us` cell per lock class, in rank order — the
-    /// lock-stats columns of the `concurrent` and `serving` artifacts.
-    fn lock_cells(delta: &svr_engine::LockStats) -> Vec<String> {
-        delta
-            .iter()
-            .map(|(_, c)| {
-                format!(
-                    "{}/{}/{}",
-                    c.acquisitions,
-                    c.contended,
-                    c.wait_nanos / 1_000
-                )
-            })
-            .collect()
     }
 
     fn fmt_ms(ms: f64) -> String {
@@ -695,907 +669,6 @@ impl Bench {
         }
     }
 
-    /// Beyond the paper: concurrent serving over one shared
-    /// [`svr_engine::SvrEngine`] with a sharded (8-way) index write path.
-    ///
-    /// Two scaling sweeps share the engine:
-    ///
-    /// * **reader scaling** — 1/2/4/8 reader threads answer top-k keyword
-    ///   queries while one writer storms score updates (the PR-1
-    ///   experiment, unchanged);
-    /// * **writer scaling** — 1/2/4/8 writer threads storm score updates
-    ///   against the *same table* while one reader keeps querying. The
-    ///   two-tier write path (short per-table lock, then per-shard index
-    ///   locks) lets the writers overlap on index maintenance, so
-    ///   aggregate updates/s grows with the writer count.
-    pub fn concurrent(&self) -> ExperimentReport {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use svr_engine::SvrEngine;
-        use svr_relation::schema::{ColumnType, Schema};
-        use svr_relation::{ScoreComponent, SvrSpec, Value};
-
-        let num_docs = self.scale.pick(1_500, 6_000) as i64;
-        let window_ms = self.scale.pick(250, 1_000) as u64;
-
-        let engine = SvrEngine::new();
-        engine
-            .create_table(Schema::new(
-                "movies",
-                &[("mid", ColumnType::Int), ("desc", ColumnType::Text)],
-                0,
-            ))
-            .expect("schema");
-        engine
-            .create_table(Schema::new(
-                "stats",
-                &[("mid", ColumnType::Int), ("nvisit", ColumnType::Int)],
-                0,
-            ))
-            .expect("schema");
-        // A handful of shared terms (every query matches plenty) plus a
-        // per-doc tail, loaded through the batched path.
-        engine
-            .insert_rows(
-                "movies",
-                (0..num_docs)
-                    .map(|i| {
-                        vec![
-                            Value::Int(i),
-                            Value::Text(format!(
-                                "golden gate archive footage reel {} take {}",
-                                i % 97,
-                                i
-                            )),
-                        ]
-                    })
-                    .collect(),
-            )
-            .expect("load movies");
-        engine
-            .create_text_index(
-                "idx",
-                "movies",
-                "desc",
-                SvrSpec::single(ScoreComponent::ColumnOf {
-                    table: "stats".into(),
-                    key_col: "mid".into(),
-                    val_col: "nvisit".into(),
-                }),
-                MethodKind::Chunk,
-                IndexConfig {
-                    min_chunk_docs: self.scale.pick(20, 50),
-                    // The sharded write path under test: 8 per-shard writer
-                    // locks admit parallel same-table writers.
-                    num_shards: 8,
-                    ..IndexConfig::default()
-                },
-            )
-            .expect("index");
-        engine
-            .insert_rows(
-                "stats",
-                (0..num_docs)
-                    .map(|i| vec![Value::Int(i), Value::Int(i)])
-                    .collect(),
-            )
-            .expect("load stats");
-
-        // One measurement point: `readers` query threads racing `writers`
-        // same-table update threads for `window_ms`.
-        let run_point = |readers: usize, writers: usize| -> (f64, f64, svr_engine::LockStats) {
-            // Merge the short lists accumulated by the previous point's
-            // storm so every point starts from a freshly maintained index —
-            // otherwise later points would measure thread scaling *and*
-            // index degradation at once.
-            engine.run_maintenance("idx").expect("maintenance");
-            let locks_before = svr_engine::lock_stats();
-            let stop = AtomicBool::new(false);
-            let served = AtomicUsize::new(0);
-            let updated = AtomicUsize::new(0);
-            let started = std::time::Instant::now();
-            std::thread::scope(|scope| {
-                for seed in 0..readers {
-                    let reader = engine.clone();
-                    let (stop, served) = (&stop, &served);
-                    scope.spawn(move || {
-                        let keywords = ["golden gate", "archive footage", "footage reel"];
-                        let mut i = seed;
-                        while !stop.load(Ordering::Relaxed) {
-                            reader
-                                .search("idx", keywords[i % 3], 10, QueryMode::Conjunctive)
-                                .expect("search");
-                            served.fetch_add(1, Ordering::Relaxed);
-                            i += 1;
-                        }
-                    });
-                }
-                for w in 0..writers {
-                    let writer = engine.clone();
-                    let (stop, updated) = (&stop, &updated);
-                    scope.spawn(move || {
-                        use rand::RngCore;
-                        let mut rng = rand_pcg(0x5EED ^ ((readers * 8 + w) as u64));
-                        while !stop.load(Ordering::Relaxed) {
-                            let mid = (rng.next_u64() % num_docs as u64) as i64;
-                            let visits = (rng.next_u64() % 1_000_000) as i64;
-                            writer
-                                .update_row(
-                                    "stats",
-                                    Value::Int(mid),
-                                    &[("nvisit".into(), Value::Int(visits))],
-                                )
-                                .expect("update");
-                            updated.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-                std::thread::sleep(std::time::Duration::from_millis(window_ms));
-                stop.store(true, Ordering::Relaxed);
-            });
-            let secs = started.elapsed().as_secs_f64();
-            (
-                served.load(Ordering::Relaxed) as f64 / secs,
-                updated.load(Ordering::Relaxed) as f64 / secs,
-                svr_engine::lock_stats().delta_since(&locks_before),
-            )
-        };
-
-        let mut rows = Vec::new();
-        for readers in [1usize, 2, 4, 8] {
-            let (qps, ups, locks) = run_point(readers, 1);
-            let mut row = vec![
-                "storm".into(),
-                readers.to_string(),
-                "1".into(),
-                format!("{qps:.0}"),
-                format!("{:.0}", qps / readers as f64),
-                format!("{ups:.0}"),
-            ];
-            row.extend(Self::lock_cells(&locks));
-            rows.push(row);
-        }
-        // Writer sweep: constant background query load of 3 reader threads
-        // (serving mixes are read-heavy), writers scaled 1→8 against one
-        // table.
-        for writers in [1usize, 2, 4, 8] {
-            let (qps, ups, locks) = run_point(3, writers);
-            let mut row = vec![
-                "storm".into(),
-                "3".into(),
-                writers.to_string(),
-                format!("{qps:.0}"),
-                format!("{:.0}", qps / 3.0),
-                format!("{ups:.0}"),
-            ];
-            row.extend(Self::lock_cells(&locks));
-            rows.push(row);
-        }
-
-        // Transactions point: the all-or-nothing write path's undo-capture
-        // + WAL-bracket overhead on the hot score-update path, per-op
-        // writes vs batched-atomic WriteBatches (no concurrent load, so
-        // the two rows isolate the write path itself).
-        let txn_updates = self.scale.pick(2_000, 8_000) as u64;
-        let txn_point = |batch_size: u64| -> (f64, svr_engine::LockStats) {
-            engine.run_maintenance("idx").expect("maintenance");
-            let locks_before = svr_engine::lock_stats();
-            let mut rng = rand_pcg(0x7A0 ^ batch_size);
-            use rand::RngCore;
-            let started = std::time::Instant::now();
-            let mut applied = 0u64;
-            while applied < txn_updates {
-                let n = batch_size.min(txn_updates - applied);
-                if n == 1 {
-                    let mid = (rng.next_u64() % num_docs as u64) as i64;
-                    engine
-                        .update_row(
-                            "stats",
-                            Value::Int(mid),
-                            &[(
-                                "nvisit".into(),
-                                Value::Int((rng.next_u64() % 1_000_000) as i64),
-                            )],
-                        )
-                        .expect("update");
-                } else {
-                    let mut batch = svr_engine::WriteBatch::new();
-                    for _ in 0..n {
-                        let mid = (rng.next_u64() % num_docs as u64) as i64;
-                        batch.update(
-                            "stats",
-                            Value::Int(mid),
-                            vec![(
-                                "nvisit".into(),
-                                Value::Int((rng.next_u64() % 1_000_000) as i64),
-                            )],
-                        );
-                    }
-                    engine.apply(batch).expect("apply");
-                }
-                applied += n;
-            }
-            (
-                txn_updates as f64 / started.elapsed().as_secs_f64(),
-                svr_engine::lock_stats().delta_since(&locks_before),
-            )
-        };
-        let per_op = txn_point(1);
-        let batched = txn_point(64);
-        for (mode, (ups, locks)) in [("txn-per-op", per_op), ("txn-batch-64", batched)] {
-            let mut row = vec![
-                mode.into(),
-                "0".into(),
-                "1".into(),
-                "-".into(),
-                "-".into(),
-                format!("{ups:.0}"),
-            ];
-            row.extend(Self::lock_cells(&locks));
-            rows.push(row);
-        }
-
-        ExperimentReport {
-            id: "concurrent".into(),
-            title: "shared-engine throughput: reader scaling, same-table writer scaling, and \
-                    atomic-transaction overhead"
-                .into(),
-            columns: vec![
-                "mode".into(),
-                "readers".into(),
-                "writers".into(),
-                "queries/s".into(),
-                "queries/s/thread".into(),
-                "updates/s".into(),
-                "table locks a/c/wait-µs".into(),
-                "shard locks a/c/wait-µs".into(),
-                "ckpt locks a/c/wait-µs".into(),
-                "wal locks a/c/wait-µs".into(),
-            ],
-            rows,
-            notes: "storm rows 1-4: reader scaling under one background writer (PR 1). storm \
-                    rows 5-8: same-table writer scaling under a constant background query \
-                    load of 3 readers — the two-tier write path (short table lock, then \
-                    per-shard index locks over the 8-way sharded index) lets same-table \
-                    writers overlap: per-shard locks keep writer queues short instead of \
-                    piling every writer onto one reader-held lock, and on multi-core hosts \
-                    the shard refreshes of different writers also run in parallel. With a \
-                    single shard the same sweep plateaus near its 1-writer rate. txn rows: \
-                    every write is now an atomic transaction (undo capture + one WAL commit \
-                    marker per batch); txn-per-op pays that machinery per update, \
-                    txn-batch-64 amortizes it over 64-op WriteBatches and coalesces the \
-                    score refreshes — the ratio tracks the undo-capture overhead on the \
-                    update-intensive hot path (run in the CI bench smoke). Lock columns \
-                    are per-class acquisitions/contended/wait-µs over the point's window \
-                    (process-wide counters, delta per point); the shard class staying \
-                    below the table class in contended share is the sharded write path \
-                    doing its job"
-                .into(),
-        }
-    }
-
-    /// Beyond the paper: network serving throughput over the wire protocol
-    /// with and without the group-commit write amortizations.
-    ///
-    /// A **file-backed** engine (real fsyncs — this is what the sync
-    /// policy amortizes) serves real TCP connections through
-    /// [`svr_server::Server`]. Two engine configurations face the same
-    /// closed-loop update-intensive workload (4 score updates per ranked
-    /// query, the paper's update-heavy regime) at 1/8/64/256 concurrent
-    /// connections:
-    ///
-    /// * **per-commit-sync** — `wal_sync_interval_ms = 0`: every commit
-    ///   marker pays its own fsync, and every score refresh takes the
-    ///   index writer lock on its own;
-    /// * **group-commit** — a positive sync interval (one fsync absorbs a
-    ///   window of acknowledged commits) plus `group_refresh` (one writer
-    ///   lock hold drains the refresh batches of every queued peer).
-    ///
-    /// Columns carry the contention counters behind each point (fsyncs
-    /// paid vs skipped, refresh batches drained) next to the throughput
-    /// and latency they buy.
-    pub fn serving(&self) -> ExperimentReport {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use svr_engine::{EngineConfig, SvrEngine};
-        use svr_server::{Client, Server, ServerConfig, ServerError};
-
-        let num_movies = self.scale.pick(300, 1_000) as i64;
-        let window_ms = self.scale.pick(150, 1_000) as u64;
-        let conn_points = [1usize, 8, 64, 256];
-        let phrases = [
-            "golden gate bridge footage",
-            "golden retriever documentary",
-            "bridge engineering at the gate",
-            "city life beyond the golden hills",
-            "gate repair tutorial golden tools",
-        ];
-        const RANKED: &str = "SELECT name FROM movies m \
-             ORDER BY SCORE(m.description, 'golden gate') FETCH TOP 10 RESULTS ONLY";
-
-        let mut rows = Vec::new();
-        for (mode, sync_interval_ms, group_refresh) in
-            [("per-commit-sync", 0u64, false), ("group-commit", 10, true)]
-        {
-            let dir = std::env::temp_dir()
-                .join(format!("svr-bench-serving-{mode}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let engine = SvrEngine::open_path_with(
-                &dir,
-                EngineConfig {
-                    wal_sync_interval_ms: sync_interval_ms,
-                    group_refresh,
-                    ..EngineConfig::default()
-                },
-            )
-            .expect("file-backed engine");
-            let mut handle = Server::start(engine.clone(), ServerConfig::default()).expect("bind");
-
-            // Load the corpus over the wire; one transaction per table so
-            // the per-commit-sync mode does not fsync per seed row.
-            let mut setup = Client::connect(handle.addr()).expect("connect");
-            for stmt in [
-                "CREATE TABLE movies (mid INT PRIMARY KEY, name TEXT, description TEXT)",
-                "CREATE TABLE statistics (mid INT PRIMARY KEY, nvisit INT)",
-                "CREATE FUNCTION S2 (id INTEGER) RETURNS FLOAT \
-                 RETURN SELECT S.nvisit FROM statistics S WHERE S.mid = id",
-            ] {
-                setup.exec(stmt).expect("schema");
-            }
-            setup.begin().expect("begin");
-            for mid in 0..num_movies {
-                setup
-                    .exec(&format!(
-                        "INSERT INTO movies VALUES ({mid}, 'movie {mid}', '{}')",
-                        phrases[mid as usize % phrases.len()]
-                    ))
-                    .expect("insert movie");
-                setup
-                    .exec(&format!("INSERT INTO statistics VALUES ({mid}, {mid})"))
-                    .expect("insert stats");
-            }
-            setup.commit().expect("commit");
-            setup
-                .exec(
-                    "CREATE TEXT INDEX movie_search ON movies(description) \
-                     SCORE WITH (S2) USING METHOD CHUNK OPTIONS (min_chunk_docs = 2)",
-                )
-                .expect("index");
-
-            for &conns in &conn_points {
-                // Start each point from a freshly merged index, as in
-                // `concurrent`: later points must measure concurrency, not
-                // the short-list debt of earlier points.
-                engine.run_maintenance("movie_search").expect("maintenance");
-                let before = engine.contention_stats();
-                let stop = AtomicBool::new(false);
-                let updates = AtomicUsize::new(0);
-                let sheds = AtomicUsize::new(0);
-                let mut latencies_us: Vec<u64> = Vec::new();
-                let started = std::time::Instant::now();
-                std::thread::scope(|scope| {
-                    let mut workers = Vec::new();
-                    for c in 0..conns {
-                        let addr = handle.addr();
-                        let (stop, updates, sheds) = (&stop, &updates, &sheds);
-                        workers.push(scope.spawn(move || {
-                            use rand::RngCore;
-                            let mut client = Client::connect(addr).expect("connect");
-                            let mut rng = rand_pcg(0xC0FF ^ (conns * 521 + c) as u64);
-                            let mut lat = Vec::new();
-                            let mut i = 0usize;
-                            while !stop.load(Ordering::Relaxed) {
-                                let sent = std::time::Instant::now();
-                                // The update-intensive serving mix: 4 score
-                                // updates per ranked query.
-                                let outcome = if i % 5 == 4 {
-                                    client.query(RANKED).map(|_| ())
-                                } else {
-                                    let mid = (rng.next_u64() % num_movies as u64) as i64;
-                                    let visits = (rng.next_u64() % 1_000_000) as i64;
-                                    client
-                                        .exec(&format!(
-                                            "UPDATE statistics SET nvisit = {visits} \
-                                             WHERE mid = {mid}"
-                                        ))
-                                        .map(|_| ())
-                                };
-                                match outcome {
-                                    Ok(()) => {
-                                        lat.push(sent.elapsed().as_micros() as u64);
-                                        if i % 5 != 4 {
-                                            updates.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                    }
-                                    Err(ServerError::Busy { .. }) => {
-                                        sheds.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Err(e) => panic!("serving request: {e}"),
-                                }
-                                i += 1;
-                            }
-                            let _ = client.close();
-                            lat
-                        }));
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(window_ms));
-                    stop.store(true, Ordering::Relaxed);
-                    for worker in workers {
-                        latencies_us.extend(worker.join().expect("client thread"));
-                    }
-                });
-                let secs = started.elapsed().as_secs_f64();
-                let after = engine.contention_stats();
-                latencies_us.sort_unstable();
-                let pct = |p: f64| -> f64 {
-                    if latencies_us.is_empty() {
-                        return 0.0;
-                    }
-                    let i = ((latencies_us.len() - 1) as f64 * p).round() as usize;
-                    latencies_us[i] as f64 / 1e3
-                };
-                let mut row = vec![
-                    mode.into(),
-                    conns.to_string(),
-                    format!("{:.0}", latencies_us.len() as f64 / secs),
-                    format!("{:.0}", updates.load(Ordering::Relaxed) as f64 / secs),
-                    Self::fmt_ms(pct(0.50)),
-                    Self::fmt_ms(pct(0.99)),
-                    sheds.load(Ordering::Relaxed).to_string(),
-                    (after.wal.syncs - before.wal.syncs).to_string(),
-                    (after.wal.sync_skips - before.wal.sync_skips).to_string(),
-                    (after.refresh.applied - before.refresh.applied).to_string(),
-                ];
-                row.extend(Self::lock_cells(&after.locks.delta_since(&before.locks)));
-                rows.push(row);
-            }
-            setup.close().ok();
-            handle.shutdown();
-            drop(engine);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-
-        ExperimentReport {
-            id: "serving".into(),
-            title: "network serving: group-commit write amortization over the wire".into(),
-            columns: vec![
-                "mode".into(),
-                "conns".into(),
-                "req/s".into(),
-                "upd/s".into(),
-                "p50 ms".into(),
-                "p99 ms".into(),
-                "shed".into(),
-                "fsyncs".into(),
-                "skips".into(),
-                "drained".into(),
-                "table locks a/c/wait-µs".into(),
-                "shard locks a/c/wait-µs".into(),
-                "ckpt locks a/c/wait-µs".into(),
-                "wal locks a/c/wait-µs".into(),
-            ],
-            rows,
-            notes: "closed-loop clients over real TCP against one file-backed engine, \
-                    4 score updates per ranked query. per-commit-sync fsyncs every \
-                    commit marker and refreshes scores under per-writer lock holds; \
-                    group-commit pays at most one fsync per 10ms window ('skips' \
-                    counts the markers that rode along) and drains queued refresh \
-                    batches under shared lock holds ('drained'). The gap widens with \
-                    connection count: at the multi-writer points the grouped mode \
-                    sustains multiples of the per-commit update rate, which is the \
-                    point of the serving front end's write amortizations. Lock columns \
-                    are per-class acquisitions/contended/wait-µs over each point's \
-                    window (process-wide counters, delta per point)"
-                .into(),
-        }
-    }
-
-    /// Beyond the paper: the deepening-k pagination workload behind the
-    /// cursor API ([`svr_core::SearchIndex::open_cursor`]).
-    ///
-    /// A client walks a ranked result list page by page (`page` results at
-    /// a time, `pages` pages deep — infinite scroll, result browsing).
-    /// Two plans serve it:
-    ///
-    /// * **re-query** — the one-shot API's only option: page `i` re-runs a
-    ///   top-`(i+1)·page` query and keeps the last `page` rows, re-paying
-    ///   every list traversal for the whole prefix each time;
-    /// * **cursor** — open once, `next_batch(page)` per page: each page
-    ///   costs only the incremental traversal past the previous one.
-    ///
-    /// Short lists are populated by an update storm first, so the
-    /// traversal being saved is the real merged short∪long scan.
-    pub fn pagination(&self) -> ExperimentReport {
-        let page = 10usize;
-        let pages = 8usize;
-        let n_queries = self.scale.pick(30, 120);
-        let kinds = [
-            MethodKind::Id,
-            MethodKind::ScoreThreshold,
-            MethodKind::Chunk,
-            MethodKind::ChunkTermScore,
-        ];
-        let mut rows = Vec::new();
-        for kind in kinds {
-            let index = self.build(kind);
-            for (doc, score) in self.updates(self.scale.pick(1_000, 4_000), 100.0) {
-                index.update_score(doc, score).expect("update");
-            }
-            let queries = self.queries(n_queries, page, QueryMode::Conjunctive, QueryClass::Medium);
-
-            let started = std::time::Instant::now();
-            for query in &queries {
-                let mut cursor = index.open_cursor(query).expect("open");
-                for _ in 0..pages {
-                    index.next_batch(&mut cursor, page).expect("batch");
-                }
-            }
-            let cursor_ms = started.elapsed().as_secs_f64() * 1e3 / n_queries as f64;
-
-            let started = std::time::Instant::now();
-            for query in &queries {
-                for p in 1..=pages {
-                    let deep = Query::new(query.terms.clone(), p * page, query.mode);
-                    index.query(&deep).expect("query");
-                }
-            }
-            let requery_ms = started.elapsed().as_secs_f64() * 1e3 / n_queries as f64;
-
-            rows.push(vec![
-                kind.name().into(),
-                format!("{pages}x{page}"),
-                Self::fmt_ms(cursor_ms),
-                Self::fmt_ms(requery_ms),
-                format!("{:.1}x", requery_ms / cursor_ms.max(1e-9)),
-            ]);
-        }
-        ExperimentReport {
-            id: "pagination".into(),
-            title: "deepening-k pagination: resumable cursor vs repeated one-shot queries".into(),
-            columns: vec![
-                "method".into(),
-                "pages".into(),
-                "cursor ms".into(),
-                "re-query ms".into(),
-                "speedup".into(),
-            ],
-            rows,
-            notes: "walks 8 pages of 10 results per query. 're-query' reruns a deepening \
-                    top-k per page (the one-shot API's only pagination); 'cursor' opens \
-                    one enumeration and resumes it per page, paying only the incremental \
-                    merged short∪long traversal — the early-terminating methods keep \
-                    their suspended list positions, and the full-scan ID method pays its \
-                    single scan once instead of once per page"
-                .into(),
-        }
-    }
-
-    /// Beyond the paper: cold-open latency after a crash, as a function of
-    /// corpus size — the price of the durable engine lifecycle. "open"
-    /// recovers the committed write-ahead logs and **reattaches** the index
-    /// structures (tombstones, df/num_docs and chunk/fancy metadata rebuilt
-    /// from the index's own durable stores, zero re-tokenization); the
-    /// "rebuild" column re-indexes the same corpus from its documents the
-    /// way a non-durable engine must after every restart.
-    pub fn restart(&self) -> ExperimentReport {
-        use std::sync::Arc;
-        let sizes = match self.scale {
-            Scale::Quick => vec![1_500usize, 3_000, 6_000],
-            Scale::Full => vec![3_000usize, 6_000, 12_000],
-        };
-        let kind = MethodKind::Chunk;
-        let mut rows = Vec::new();
-        for n in sizes {
-            let docs = &self.dataset.docs[..n.min(self.dataset.docs.len())];
-            let env = Arc::new(svr_storage::StorageEnv::new_durable(
-                self.config_for(kind).page_size,
-            ));
-            let loc = IndexLocation::new(env.clone(), "idx/bench/");
-            let config = self.config_for(kind);
-            let index = build_index_at(&loc, kind, docs, &self.dataset.scores, &config)
-                .expect("durable build");
-            // Steady-state baseline: the engine's auto-checkpointing keeps
-            // the logs bounded, so a crash replays only the tail since the
-            // last checkpoint — here, the update stretch below.
-            env.checkpoint_all().expect("checkpoint");
-            for (doc, score) in self.updates(self.scale.pick(500, 2_000), 100.0) {
-                if (doc.0 as usize) < n {
-                    index.update_score(doc, score).expect("update");
-                }
-            }
-            drop(index);
-            env.crash();
-
-            let started = std::time::Instant::now();
-            env.recover_all().expect("recover");
-            let reopened = open_index_at(&loc, kind, &config).expect("open");
-            let open_ms = started.elapsed().as_secs_f64() * 1e3;
-            let live = reopened.corpus_num_docs();
-            drop(reopened);
-
-            let started = std::time::Instant::now();
-            let rebuilt = build_index(kind, docs, &self.dataset.scores, &config).expect("rebuild");
-            let rebuild_ms = started.elapsed().as_secs_f64() * 1e3;
-            drop(rebuilt);
-
-            rows.push(vec![
-                kind.name().into(),
-                format!("{live}"),
-                Self::fmt_ms(open_ms),
-                Self::fmt_ms(rebuild_ms),
-                format!("{:.1}x", rebuild_ms / open_ms.max(1e-9)),
-            ]);
-        }
-        ExperimentReport {
-            id: "restart".into(),
-            title: "cold open after a crash: reattach durable index vs rebuild from documents"
-                .into(),
-            columns: vec![
-                "method".into(),
-                "docs".into(),
-                "open ms".into(),
-                "rebuild ms".into(),
-                "speedup".into(),
-            ],
-            rows,
-            notes: "'open' replays the write-ahead-log tail since the last checkpoint \
-                    (the update stretch; the engine's auto-checkpointing bounds it at \
-                    wal_checkpoint_bytes) and reattaches every structure (score table, \
-                    forward index, long/short lists, chunk map, aux tables), rebuilding \
-                    only the in-memory mirrors by scanning the index's own durable \
-                    stores — no document is re-tokenized and no posting is re-sorted. \
-                    'rebuild' is the restart cost without the durable lifecycle: a full \
-                    re-index of the corpus (and at the engine level it would \
-                    additionally re-scan and re-tokenize the base rows)"
-                .into(),
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Beyond the paper — block codecs for long lists
-    // -----------------------------------------------------------------
-    /// Physical long-list size and query/open cost per block codec.
-    ///
-    /// The honest baseline for the ratio column is the block format's own
-    /// `uncompressed` codec (fixed-width postings in block payloads):
-    /// `legacy` ID lists are already delta+varint coded, so comparing
-    /// against them would understate the win on ID-shaped lists.
-    pub fn compression(&self) -> ExperimentReport {
-        use std::sync::Arc;
-        use svr_core::CodecKind;
-        let n_queries = self.scale.pick(15, QUERIES_PER_POINT);
-        let full_scan_k = self.dataset.docs.len();
-        let mut rows = Vec::new();
-        for kind in [MethodKind::Id, MethodKind::Chunk, MethodKind::IdTermScore] {
-            let mut uncompressed_bytes = 0u64;
-            for codec in [
-                CodecKind::Uncompressed,
-                CodecKind::Legacy,
-                CodecKind::Varint,
-                CodecKind::Bitpacked,
-            ] {
-                let config = IndexConfig {
-                    codec,
-                    ..self.config_for(kind)
-                };
-                let env = Arc::new(svr_storage::StorageEnv::new_durable(config.page_size));
-                let loc = IndexLocation::new(env.clone(), "idx/bench/");
-                let index = build_index_at(
-                    &loc,
-                    kind,
-                    &self.dataset.docs,
-                    &self.dataset.scores,
-                    &config,
-                )
-                .expect("durable build");
-                let stats = index.shard_stats();
-                let bytes: u64 = stats.iter().map(|s| s.long_list_bytes).sum();
-                let postings: u64 = stats.iter().map(|s| s.long_postings).sum();
-                if codec == CodecKind::Uncompressed {
-                    uncompressed_bytes = bytes;
-                }
-                // Full scans: disjunctive frequent-term queries with k =
-                // corpus size drain every posting of every query term.
-                let scan = measure_queries(
-                    index.as_ref(),
-                    &self.queries(
-                        n_queries,
-                        full_scan_k,
-                        QueryMode::Disjunctive,
-                        QueryClass::Frequent,
-                    ),
-                )
-                .expect("scan queries");
-                // Top-k: the paper's default workload, where block skip
-                // metadata lets early-terminating scans drop whole blocks.
-                let topk = measure_queries(
-                    index.as_ref(),
-                    &self.queries(
-                        n_queries,
-                        DEFAULT_K,
-                        QueryMode::Conjunctive,
-                        QueryClass::Medium,
-                    ),
-                )
-                .expect("topk queries");
-                env.checkpoint_all().expect("checkpoint");
-                drop(index);
-                env.crash();
-                let started = std::time::Instant::now();
-                env.recover_all().expect("recover");
-                let reopened = open_index_at(&loc, kind, &config).expect("open");
-                let open_ms = started.elapsed().as_secs_f64() * 1e3;
-                drop(reopened);
-                rows.push(vec![
-                    kind.name().into(),
-                    codec.name().into(),
-                    format!("{:.1}", bytes as f64 / 1024.0),
-                    format!("{:.2}", bytes as f64 / postings.max(1) as f64),
-                    format!("{:.2}x", uncompressed_bytes as f64 / bytes.max(1) as f64),
-                    Self::fmt_ms(scan.modeled_ms_per_op(&self.model)),
-                    Self::fmt_ms(topk.modeled_ms_per_op(&self.model)),
-                    Self::fmt_ms(open_ms),
-                ]);
-            }
-        }
-        ExperimentReport {
-            id: "compression".into(),
-            title: "block codecs for long lists: size vs scan/top-k/open cost".into(),
-            columns: vec![
-                "method".into(),
-                "codec".into(),
-                "long lists (KB)".into(),
-                "B/posting".into(),
-                "vs uncompressed".into(),
-                "full-scan ms".into(),
-                "top-k ms".into(),
-                "open ms".into(),
-            ],
-            rows,
-            notes: "long lists only (short lists always stay in the update-optimized \
-                    B-tree). 'uncompressed' is the block format with fixed-width \
-                    payloads; 'legacy' is the pre-block on-disk format (ID lists \
-                    there are already delta+varint coded, which is why its sizes \
-                    can beat 'uncompressed'); 'varint' delta-codes doc ids per \
-                    128-posting block; 'bitpacked' packs each block's deltas at \
-                    the block's own maximum bit width. The *-TermScore methods \
-                    compress less: each posting carries a 16-bit quantized term \
-                    score spanning the full range, which no codec can shrink \
-                    without changing rankings. Every block carries \
-                    (max doc, max tscore, count) skip metadata, so compressed \
-                    scans skip whole blocks without decoding them"
-                .into(),
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Beyond the paper — multi-term block-max WAND
-    // -----------------------------------------------------------------
-    /// Multi-term top-k: the block-max WAND one-shot executor vs the
-    /// exhaustive any-k cursor path on the ranked doc-ordered method,
-    /// sweeping term count and query mode per codec. Both paths return
-    /// bit-identical rankings (proptested in svr_core); the table shows
-    /// what the score-pruned executor saves and how many whole blocks it
-    /// skipped without decoding.
-    pub fn multiterm(&self) -> ExperimentReport {
-        use svr_core::CodecKind;
-        let n_queries = self.scale.pick(10, QUERIES_PER_POINT);
-        let kind = MethodKind::IdTermScore;
-
-        // A corpus shaped like real multi-keyword search rather than the
-        // shared synthetic set: queries conjoin a *driver* keyword that
-        // appears in occasional 64-doc bursts (a product name, an error
-        // code) with broad keywords whose posting lists span hundreds of
-        // 128-posting blocks. Leapfrogging from burst to burst jumps whole
-        // blocks of the broad lists — the case block skip metadata exists
-        // for. Terms 0..8 are the broad terms (doc % 16 < 16 - j, so an
-        // 8-term AND still matches inside every burst), terms 100.. are
-        // the burst drivers (one burst every 8192 docs, staggered).
-        let num_docs = self.scale.pick(20_000, 40_000) as u32;
-        let num_drivers: u32 = 8;
-        let mut docs = Vec::with_capacity(num_docs as usize);
-        let mut scores = svr_core::ScoreMap::new();
-        for id in 0..num_docs {
-            // Anchor max_tf so broad-term scores vary between hot and
-            // cold doc regions (per-block max tscore differs by region).
-            let mut terms: Vec<(TermId, u32)> = vec![(TermId(99), 4)];
-            let hot = (id / 256) % 4 == 0;
-            for j in 0..8u32 {
-                if id % 16 < 16 - j {
-                    terms.push((TermId(j), if hot { 3 } else { 1 }));
-                }
-            }
-            let driver = (id / 64) % 128;
-            if driver % 16 == 0 && driver / 16 < num_drivers {
-                terms.push((TermId(100 + driver / 16), 4));
-            }
-            docs.push(Document::from_term_freqs(DocId(id), terms));
-            scores.insert(DocId(id), 500.0 + (id * 37 % 250) as f64);
-        }
-
-        let mut rows = Vec::new();
-        for codec in [
-            CodecKind::Legacy,
-            CodecKind::Uncompressed,
-            CodecKind::Varint,
-            CodecKind::Bitpacked,
-        ] {
-            let config = IndexConfig {
-                codec,
-                // Term-score-dominated ranking: multi-keyword relevance
-                // outweighs the structured score, which is the regime the
-                // per-block (max doc, max tscore) bounds are built for.
-                term_weight: 50_000.0,
-                ..self.config_for(kind)
-            };
-            let index = build_index(kind, &docs, &scores, &config).expect("multiterm index build");
-            for n_terms in [2usize, 4, 8] {
-                for mode in [QueryMode::Conjunctive, QueryMode::Disjunctive] {
-                    let queries: Vec<Query> = (0..n_queries)
-                        .map(|i| {
-                            let mut terms = vec![TermId(100 + (i as u32) % num_drivers)];
-                            terms.extend((0..n_terms as u32 - 1).map(TermId));
-                            Query::new(terms, DEFAULT_K, mode)
-                        })
-                        .collect();
-                    let seek_before = index.seek_stats();
-                    let wand = measure_queries(index.as_ref(), &queries).expect("wand queries");
-                    let seek = index.seek_stats();
-                    let exhaustive =
-                        measure_cursor_queries(index.as_ref(), &queries).expect("cursor queries");
-                    let per_q = |v: u64| v as f64 / n_queries.max(1) as f64;
-                    rows.push(vec![
-                        codec.name().into(),
-                        n_terms.to_string(),
-                        match mode {
-                            QueryMode::Conjunctive => "AND".into(),
-                            QueryMode::Disjunctive => "OR".into(),
-                        },
-                        Self::fmt_ms(wand.modeled_ms_per_op(&self.model)),
-                        Self::fmt_ms(exhaustive.modeled_ms_per_op(&self.model)),
-                        format!(
-                            "{:.1}",
-                            per_q(seek.blocks_skipped - seek_before.blocks_skipped)
-                        ),
-                        format!(
-                            "{:.1}",
-                            per_q(seek.blocks_decoded - seek_before.blocks_decoded)
-                        ),
-                    ]);
-                }
-            }
-        }
-        ExperimentReport {
-            id: "multiterm".into(),
-            title: "multi-term top-k: block-max WAND vs exhaustive cursor".into(),
-            columns: vec![
-                "codec".into(),
-                "terms".into(),
-                "mode".into(),
-                "WAND ms".into(),
-                "exhaustive ms".into(),
-                "blocks skipped/q".into(),
-                "blocks decoded/q".into(),
-            ],
-            rows,
-            notes: "ID-TERMSCORE method, k = 10, term-weighted ranking over a \
-                    burst-driver corpus: each query conjoins one bursty driver \
-                    keyword with broad keywords whose lists span hundreds of \
-                    blocks. 'WAND' is the one-shot executor: leapfrog AND / \
-                    score-accumulating OR with block-max pruning from the \
-                    per-block (max doc, max tscore) skip metadata plus the \
-                    monotone Score-table bound; 'exhaustive' drains the same \
-                    query through the any-k cursor executor, which cannot \
-                    score-prune (a cursor may be drained past any k). Both \
-                    return identical rankings. 'legacy' lists carry no block \
-                    metadata, so nothing can be skipped there — that row is the \
-                    no-skip baseline. Conjunctive skips come from leapfrog seeks \
-                    between driver bursts; disjunctive queries must touch every \
-                    block whose bound can still beat the threshold, so they \
-                    skip less (the global SVR bound plus in-block term-score \
-                    maxima keep disjunctive bounds loose at this corpus scale)"
-                .into(),
-        }
-    }
-
     /// Run every experiment in paper order.
     pub fn run_all(&self) -> Vec<ExperimentReport> {
         vec![
@@ -1608,12 +681,6 @@ impl Bench {
             self.fig10(),
             self.table3(),
             self.archive(),
-            self.concurrent(),
-            self.serving(),
-            self.pagination(),
-            self.restart(),
-            self.compression(),
-            self.multiterm(),
         ]
     }
 
@@ -1629,34 +696,14 @@ impl Bench {
             "fig10" => Some(self.fig10()),
             "table3" => Some(self.table3()),
             "archive" => Some(self.archive()),
-            "concurrent" => Some(self.concurrent()),
-            "serving" => Some(self.serving()),
-            "pagination" => Some(self.pagination()),
-            "restart" => Some(self.restart()),
-            "compression" => Some(self.compression()),
-            "multiterm" => Some(self.multiterm()),
             _ => None,
         }
     }
 
-    /// All experiment ids in paper order (then the beyond-the-paper ones).
+    /// All experiment ids in paper order.
     pub fn all_ids() -> &'static [&'static str] {
         &[
-            "table1",
-            "table2",
-            "fig7",
-            "fig8",
-            "figstep",
-            "fig9",
-            "fig10",
-            "table3",
-            "archive",
-            "concurrent",
-            "serving",
-            "pagination",
-            "restart",
-            "compression",
-            "multiterm",
+            "table1", "table2", "fig7", "fig8", "figstep", "fig9", "fig10", "table3", "archive",
         ]
     }
 }

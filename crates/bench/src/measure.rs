@@ -115,32 +115,6 @@ pub fn measure_queries(
     Ok(total)
 }
 
-/// Measure cold-cache queries through the any-k cursor executor instead
-/// of the one-shot path. Cursors cannot score-prune (they may be drained
-/// past any k), so on the doc-ordered methods this is the exhaustive
-/// baseline the block-max WAND executor is compared against.
-pub fn measure_cursor_queries(
-    index: &dyn SearchIndex,
-    queries: &[svr_core::Query],
-) -> svr_core::Result<OpCost> {
-    let mut total = OpCost {
-        ops: queries.len() as u64,
-        ..OpCost::default()
-    };
-    for q in queries {
-        index.clear_long_cache()?;
-        let long_before = long_io(index);
-        let t0 = Instant::now();
-        let mut cursor = index.open_cursor(q)?;
-        index.next_batch(&mut cursor, q.k)?;
-        total.wall_ms += t0.elapsed().as_secs_f64() * 1e3;
-        let after = long_io(index);
-        total.pages_read += after.0 - long_before.0;
-        total.pages_written += after.1 - long_before.1;
-    }
-    Ok(total)
-}
-
 fn long_io(index: &dyn SearchIndex) -> (u64, u64) {
     let mut reads = 0;
     let mut writes = 0;

@@ -1,35 +1,34 @@
-//! Block-structured posting-list codecs — the on-disk storage format of
+//! Block-structured posting-list codec — the on-disk storage format of
 //! long inverted lists.
 //!
 //! # Storage format
 //!
-//! A long list is stored in one of two families of layouts, selected
-//! per-index by [`CodecKind`] (`IndexConfig::codec`, SQL
-//! `OPTIONS (codec = ...)`):
+//! A long list is stored in one of two layouts, selected per-index by
+//! [`CodecKind`] (`IndexConfig::codec`, SQL `OPTIONS (codec = ...)`):
 //!
 //! * **`Legacy`** — the flat formats of [`svr_text::postings`], byte for
 //!   byte: one undelimited run of postings with no framing. This is the
-//!   format every index built before the block codecs existed uses, and it
+//!   format every index built before the block codec existed uses, and it
 //!   remains the default; stores are *never* silently re-encoded (offline
 //!   merges rewrite lists with the index's own codec, so a legacy index
 //!   stays legacy until it is dropped and rebuilt).
 //!
-//! * **Block codecs** (`Uncompressed`, `Varint`, `Bitpacked`) — postings
-//!   grouped into fixed-size blocks ([`BLOCK_POSTINGS`] per block), each
-//!   block prefixed with skip metadata. The encoded list is:
+//! * **`Bitpacked`** — postings grouped into fixed-size blocks
+//!   ([`BLOCK_POSTINGS`] per block), each block prefixed with skip
+//!   metadata. The encoded list is:
 //!
 //!   ```text
 //!   list header:  [magic 0xB7] [codec tag] [flags] [varint total postings]
 //!   block*:       [varint count] [varint payload len]
 //!                 [varint max doc] [varint max tscore]
 //!                 [f64 max score]            (Score-format lists only)
-//!                 payload (count postings, codec- and format-specific)
+//!                 payload (count postings, format-specific)
 //!   ```
 //!
 //!   `flags` carries the list format (bits 1–2: 0 = Id, 1 = Chunked,
 //!   2 = Score) and whether postings carry term scores (bit 0), so a
 //!   decoder can verify the store configuration against what is actually
-//!   on disk. An **empty list encodes to zero bytes** in every codec.
+//!   on disk. An **empty list encodes to zero bytes** in both codecs.
 //!
 //!   Each block is self-contained: delta coding restarts at every block
 //!   boundary and chunked lists re-emit a `[cid][count]` group header for
@@ -39,24 +38,23 @@
 //!   a whole block — `payload len` bytes — without decoding it when the
 //!   block's `max doc` / `max tscore` / `max score` metadata proves it
 //!   cannot contain a qualifying posting. The per-block maxima are exactly
-//!   the block-max bounds WAND-style multi-term pruning needs (see
-//!   ROADMAP, "Multi-term query engine with seek-based skipping").
+//!   the block-max bounds WAND-style multi-term pruning needs.
 //!
 //! ## Block payloads
 //!
-//! | format  | `Uncompressed`            | `Varint`                         | `Bitpacked`                            |
-//! |---------|---------------------------|----------------------------------|----------------------------------------|
-//! | Id      | `u32 doc` (+`u16 ts`)     | varint Δdoc (+`u16 ts`)          | first doc + FOR-packed Δdocs (+packed ts) |
-//! | Chunked | `[u32 cid][u32 n]` groups | `[varint cid][varint n]` groups  | varint group header + packed Δdocs     |
-//! | Score   | `f64 + u32` (+`u16 ts`)   | `f64` + varint doc (+varint ts)  | `f64`s, then bit-packed docs (+ts)     |
+//! | format  | payload                                                  |
+//! |---------|----------------------------------------------------------|
+//! | Id      | first doc + FOR-packed Δdocs (+ packed ts)               |
+//! | Chunked | per group: `[varint cid][varint n]` + packed Δdocs (+ ts) |
+//! | Score   | `f64`s, then bit-packed docs (+ packed ts)               |
 //!
 //! Delta coding matches the legacy convention: the first doc id of a block
 //! (or of a chunk group) is stored raw, every later one as
 //! `doc - prev - 1`. Frame-of-reference bit packing stores a per-block
-//! (per-group for chunked lists) bit width followed by the deltas packed
+//! (per-group for chunked lists) bit width followed by the values packed
 //! LSB-first; a run of consecutive doc ids packs to **zero** payload bits.
-//! Scores (`f64`) are kept bit-exact in every codec — rankings must not
-//! change with the codec.
+//! Scores (`f64`) are kept bit-exact — rankings must not change with the
+//! codec.
 //!
 //! ## Codec versioning rules
 //!
@@ -65,8 +63,12 @@
 //!   tag; V1 records decode as `Legacy`), and applies to *every* list in
 //!   the store, fancy lists included. There is no per-list sniffing — a
 //!   legacy list may legitimately begin with the magic byte.
-//! * New codecs get new tags; decoding an unknown tag is a clean
-//!   [`CoreError::Storage`] corruption error, never a misread.
+//! * Tags 1 and 2 belonged to the retired `uncompressed` and `varint`
+//!   block codecs, which `bitpacked` beat on space for every list format.
+//!   They stay reserved and are never reused: reading one is a clean
+//!   [`CoreError::Unsupported`] naming the retired codec. New codecs get
+//!   new tags; any other unknown tag is a [`CoreError::Storage`] corruption
+//!   error, never a misread.
 //! * Hostile input (truncated blocks, garbage headers, overflowing
 //!   varints, absurd counts) must produce clean errors: every decode path
 //!   here bounds its allocations and uses checked arithmetic.
@@ -84,72 +86,77 @@ use crate::types::DocId;
 pub enum CodecKind {
     /// Flat `svr_text::postings` layout, no blocks (pre-upgrade stores).
     Legacy,
-    /// Block-structured, fixed-width postings — the baseline the
-    /// compressed codecs are measured against.
-    Uncompressed,
-    /// Block-structured, delta + varint doc ids.
-    Varint,
     /// Block-structured, frame-of-reference bit-packed deltas.
     Bitpacked,
 }
+
+/// Retired block codecs as `(tag, name, refusal)`. Their tags stay
+/// reserved: never reuse one for a new codec.
+const RETIRED: [(u8, &str, &str); 2] = [
+    (
+        1,
+        "uncompressed",
+        "the uncompressed codec was retired (tag 1 stays reserved)",
+    ),
+    (
+        2,
+        "varint",
+        "the varint codec was retired (tag 2 stays reserved)",
+    ),
+];
 
 impl CodecKind {
     /// Stable on-disk / catalog tag.
     pub fn tag(self) -> u8 {
         match self {
             CodecKind::Legacy => 0,
-            CodecKind::Uncompressed => 1,
-            CodecKind::Varint => 2,
             CodecKind::Bitpacked => 3,
         }
     }
 
-    /// Inverse of [`CodecKind::tag`].
-    pub fn from_tag(tag: u8) -> Option<CodecKind> {
-        Some(match tag {
-            0 => CodecKind::Legacy,
-            1 => CodecKind::Uncompressed,
-            2 => CodecKind::Varint,
-            3 => CodecKind::Bitpacked,
-            _ => return None,
-        })
+    /// Inverse of [`CodecKind::tag`]. A retired codec's tag is
+    /// [`CoreError::Unsupported`] naming it; any other unknown tag is a
+    /// corruption error.
+    pub fn from_tag(tag: u8) -> Result<CodecKind> {
+        match tag {
+            0 => Ok(CodecKind::Legacy),
+            3 => Ok(CodecKind::Bitpacked),
+            _ => Err(RETIRED
+                .iter()
+                .find(|&&(retired, _, _)| retired == tag)
+                .map_or(corrupt("unknown codec tag"), |&(_, _, why)| {
+                    CoreError::Unsupported(why)
+                })),
+        }
     }
 
     /// Lowercase name (SQL `OPTIONS (codec = ...)`, EXPLAIN).
     pub fn name(self) -> &'static str {
         match self {
             CodecKind::Legacy => "legacy",
-            CodecKind::Uncompressed => "uncompressed",
-            CodecKind::Varint => "varint",
             CodecKind::Bitpacked => "bitpacked",
         }
     }
 
-    /// Inverse of [`CodecKind::name`] (case-insensitive).
-    pub fn from_name(name: &str) -> Option<CodecKind> {
-        Some(match name.to_ascii_lowercase().as_str() {
-            "legacy" => CodecKind::Legacy,
-            "uncompressed" => CodecKind::Uncompressed,
-            "varint" => CodecKind::Varint,
-            "bitpacked" => CodecKind::Bitpacked,
-            _ => return None,
-        })
+    /// Inverse of [`CodecKind::name`] (case-insensitive). A retired codec's
+    /// name is [`CoreError::Unsupported`] naming it; any other unknown name
+    /// is [`CoreError::InvalidConfig`].
+    pub fn from_name(name: &str) -> Result<CodecKind> {
+        let name = name.to_ascii_lowercase();
+        match name.as_str() {
+            "legacy" => Ok(CodecKind::Legacy),
+            "bitpacked" => Ok(CodecKind::Bitpacked),
+            _ => Err(RETIRED
+                .iter()
+                .find(|&&(_, retired, _)| retired == name)
+                .map_or(CoreError::InvalidConfig("unknown codec"), |&(_, _, why)| {
+                    CoreError::Unsupported(why)
+                })),
+        }
     }
 
-    /// The block codecs (everything but the flat legacy layout).
-    pub const BLOCK_CODECS: [CodecKind; 3] = [
-        CodecKind::Uncompressed,
-        CodecKind::Varint,
-        CodecKind::Bitpacked,
-    ];
-
     /// Every codec.
-    pub const ALL: [CodecKind; 4] = [
-        CodecKind::Legacy,
-        CodecKind::Uncompressed,
-        CodecKind::Varint,
-        CodecKind::Bitpacked,
-    ];
+    pub const ALL: [CodecKind; 2] = [CodecKind::Legacy, CodecKind::Bitpacked];
 }
 
 /// Postings per block. Small enough that a suspended cursor re-decodes at
@@ -200,13 +207,6 @@ pub fn fixed_posting_width(format: ListFormat) -> u64 {
     }
 }
 
-/// Parsed list header of a block-structured list.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ListHeader {
-    pub codec: CodecKind,
-    pub total_postings: u64,
-}
-
 /// Skip metadata of one block.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockMeta {
@@ -222,18 +222,12 @@ pub struct BlockMeta {
     pub max_score: f64,
 }
 
-/// Validate a parsed list header against the store's configuration.
-pub(crate) fn check_header(
-    codec: CodecKind,
-    format: ListFormat,
-    magic: u8,
-    tag: u8,
-    flags: u8,
-) -> Result<()> {
+/// Validate a parsed block-list header against the store's format.
+pub(crate) fn check_header(format: ListFormat, magic: u8, tag: u8, flags: u8) -> Result<()> {
     if magic != LIST_MAGIC {
         return Err(corrupt("bad long-list magic"));
     }
-    if tag != codec.tag() {
+    if tag != CodecKind::Bitpacked.tag() {
         return Err(corrupt("long-list codec does not match store codec"));
     }
     if flags != flags_for(format) {
@@ -321,13 +315,29 @@ fn unpack_bits(
     Ok(())
 }
 
+/// One frame: `[bit width]` then `values` packed at that width.
+fn write_frame(values: &[u32], out: &mut Vec<u8>) {
+    let bits = values.iter().copied().map(bits_needed).max().unwrap_or(0);
+    out.push(bits);
+    pack_bits(values, bits, out);
+}
+
+/// Read one frame of `count` values written by [`write_frame`].
+fn read_frame(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>> {
+    let bits = *buf.get(*pos).ok_or_else(|| corrupt("truncated posting"))?;
+    *pos += 1;
+    let mut values = Vec::with_capacity(count);
+    unpack_bits(buf, pos, bits, count, &mut values)?;
+    Ok(values)
+}
+
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn write_list_header(codec: CodecKind, format: ListFormat, total: u64, out: &mut Vec<u8>) {
+fn write_list_header(format: ListFormat, total: u64, out: &mut Vec<u8>) {
     out.push(LIST_MAGIC);
-    out.push(codec.tag());
+    out.push(CodecKind::Bitpacked.tag());
     out.push(flags_for(format));
     write_varint(out, total);
 }
@@ -342,15 +352,13 @@ struct Wire {
     score: f64,
 }
 
-fn write_block(codec: CodecKind, format: ListFormat, block: &[Wire], out: &mut Vec<u8>) {
+fn write_block(format: ListFormat, block: &[Wire], out: &mut Vec<u8>) {
     let with_scores = format_with_scores(format);
     let mut payload = Vec::with_capacity(block.len() * 4);
     match format {
-        ListFormat::Id { .. } => encode_id_payload(codec, block, with_scores, &mut payload),
-        ListFormat::Chunked { .. } => {
-            encode_chunked_payload(codec, block, with_scores, &mut payload)
-        }
-        ListFormat::Score { .. } => encode_score_payload(codec, block, with_scores, &mut payload),
+        ListFormat::Id { .. } => encode_doc_run(block, with_scores, &mut payload),
+        ListFormat::Chunked { .. } => encode_chunked_payload(block, with_scores, &mut payload),
+        ListFormat::Score { .. } => encode_score_payload(block, with_scores, &mut payload),
     }
     let max_doc = block.iter().map(|w| w.doc.0).max().unwrap_or(0);
     let max_tscore = block.iter().map(|w| w.tscore).max().unwrap_or(0);
@@ -368,160 +376,51 @@ fn write_block(codec: CodecKind, format: ListFormat, block: &[Wire], out: &mut V
     out.extend_from_slice(&payload);
 }
 
-fn encode_blocks(codec: CodecKind, format: ListFormat, wires: &[Wire], out: &mut Vec<u8>) {
+fn encode_blocks(format: ListFormat, wires: &[Wire], out: &mut Vec<u8>) {
     if wires.is_empty() {
         return;
     }
-    write_list_header(codec, format, wires.len() as u64, out);
+    write_list_header(format, wires.len() as u64, out);
     for block in wires.chunks(BLOCK_POSTINGS) {
-        write_block(codec, format, block, out);
+        write_block(format, block, out);
     }
 }
 
-fn encode_id_payload(codec: CodecKind, block: &[Wire], with_scores: bool, out: &mut Vec<u8>) {
-    match codec {
-        CodecKind::Uncompressed => {
-            for w in block {
-                out.extend_from_slice(&w.doc.0.to_le_bytes());
-                if with_scores {
-                    out.extend_from_slice(&w.tscore.to_le_bytes());
-                }
-            }
-        }
-        CodecKind::Varint => {
-            let mut prev: Option<u32> = None;
-            for w in block {
-                let delta = match prev {
-                    None => w.doc.0,
-                    Some(p) => w.doc.0 - p - 1,
-                };
-                write_varint(out, u64::from(delta));
-                if with_scores {
-                    // Fixed u16: quantized term scores use the full 16-bit
-                    // range, so a varint would usually cost 3 bytes.
-                    out.extend_from_slice(&w.tscore.to_le_bytes());
-                }
-                prev = Some(w.doc.0);
-            }
-        }
-        CodecKind::Bitpacked => {
-            let deltas: Vec<u32> = block
-                .windows(2)
-                .map(|w| w[1].doc.0 - w[0].doc.0 - 1)
-                .collect();
-            let bits = deltas.iter().copied().map(bits_needed).max().unwrap_or(0);
-            write_varint(out, u64::from(block[0].doc.0));
-            out.push(bits);
-            pack_bits(&deltas, bits, out);
-            if with_scores {
-                let ts: Vec<u32> = block.iter().map(|w| u32::from(w.tscore)).collect();
-                let tbits = ts.iter().map(|&v| bits_needed(v)).max().unwrap_or(0);
-                out.push(tbits);
-                pack_bits(&ts, tbits, out);
-            }
-        }
-        CodecKind::Legacy => unreachable!("legacy lists are not block-encoded"),
+/// A run of ascending docs (a whole Id block, or one chunk group): the
+/// first doc raw, one frame of `doc - prev - 1` deltas, then (with term
+/// scores) one frame of term scores.
+fn encode_doc_run(run: &[Wire], with_scores: bool, out: &mut Vec<u8>) {
+    let deltas: Vec<u32> = run
+        .windows(2)
+        .map(|w| w[1].doc.0 - w[0].doc.0 - 1)
+        .collect();
+    write_varint(out, u64::from(run[0].doc.0));
+    write_frame(&deltas, out);
+    if with_scores {
+        let ts: Vec<u32> = run.iter().map(|w| u32::from(w.tscore)).collect();
+        write_frame(&ts, out);
     }
 }
 
-fn encode_chunked_payload(codec: CodecKind, block: &[Wire], with_scores: bool, out: &mut Vec<u8>) {
+fn encode_chunked_payload(block: &[Wire], with_scores: bool, out: &mut Vec<u8>) {
     // Split the block into runs of equal cid; every run re-emits a group
     // header, so groups continuing from the previous block decode cleanly.
-    let mut start = 0;
-    while start < block.len() {
-        let cid = block[start].cid;
-        let mut end = start + 1;
-        while end < block.len() && block[end].cid == cid {
-            end += 1;
-        }
-        let group = &block[start..end];
-        match codec {
-            CodecKind::Uncompressed => {
-                out.extend_from_slice(&cid.to_le_bytes());
-                out.extend_from_slice(&(group.len() as u32).to_le_bytes());
-                for w in group {
-                    out.extend_from_slice(&w.doc.0.to_le_bytes());
-                    if with_scores {
-                        out.extend_from_slice(&w.tscore.to_le_bytes());
-                    }
-                }
-            }
-            CodecKind::Varint => {
-                write_varint(out, u64::from(cid));
-                write_varint(out, group.len() as u64);
-                let mut prev: Option<u32> = None;
-                for w in group {
-                    let delta = match prev {
-                        None => w.doc.0,
-                        Some(p) => w.doc.0 - p - 1,
-                    };
-                    write_varint(out, u64::from(delta));
-                    if with_scores {
-                        out.extend_from_slice(&w.tscore.to_le_bytes());
-                    }
-                    prev = Some(w.doc.0);
-                }
-            }
-            CodecKind::Bitpacked => {
-                write_varint(out, u64::from(cid));
-                write_varint(out, group.len() as u64);
-                let deltas: Vec<u32> = group
-                    .windows(2)
-                    .map(|w| w[1].doc.0 - w[0].doc.0 - 1)
-                    .collect();
-                let bits = deltas.iter().copied().map(bits_needed).max().unwrap_or(0);
-                write_varint(out, u64::from(group[0].doc.0));
-                out.push(bits);
-                pack_bits(&deltas, bits, out);
-                if with_scores {
-                    let ts: Vec<u32> = group.iter().map(|w| u32::from(w.tscore)).collect();
-                    let tbits = ts.iter().map(|&v| bits_needed(v)).max().unwrap_or(0);
-                    out.push(tbits);
-                    pack_bits(&ts, tbits, out);
-                }
-            }
-            CodecKind::Legacy => unreachable!("legacy lists are not block-encoded"),
-        }
-        start = end;
+    for group in block.chunk_by(|a, b| a.cid == b.cid) {
+        write_varint(out, u64::from(group[0].cid));
+        write_varint(out, group.len() as u64);
+        encode_doc_run(group, with_scores, out);
     }
 }
 
-fn encode_score_payload(codec: CodecKind, block: &[Wire], with_scores: bool, out: &mut Vec<u8>) {
-    match codec {
-        CodecKind::Uncompressed => {
-            for w in block {
-                out.extend_from_slice(&w.score.to_le_bytes());
-                out.extend_from_slice(&w.doc.0.to_le_bytes());
-                if with_scores {
-                    out.extend_from_slice(&w.tscore.to_le_bytes());
-                }
-            }
-        }
-        CodecKind::Varint => {
-            for w in block {
-                out.extend_from_slice(&w.score.to_le_bytes());
-                write_varint(out, u64::from(w.doc.0));
-                if with_scores {
-                    write_varint(out, u64::from(w.tscore));
-                }
-            }
-        }
-        CodecKind::Bitpacked => {
-            for w in block {
-                out.extend_from_slice(&w.score.to_le_bytes());
-            }
-            let docs: Vec<u32> = block.iter().map(|w| w.doc.0).collect();
-            let dbits = docs.iter().copied().map(bits_needed).max().unwrap_or(0);
-            out.push(dbits);
-            pack_bits(&docs, dbits, out);
-            if with_scores {
-                let ts: Vec<u32> = block.iter().map(|w| u32::from(w.tscore)).collect();
-                let tbits = ts.iter().map(|&v| bits_needed(v)).max().unwrap_or(0);
-                out.push(tbits);
-                pack_bits(&ts, tbits, out);
-            }
-        }
-        CodecKind::Legacy => unreachable!("legacy lists are not block-encoded"),
+fn encode_score_payload(block: &[Wire], with_scores: bool, out: &mut Vec<u8>) {
+    for w in block {
+        out.extend_from_slice(&w.score.to_le_bytes());
+    }
+    let docs: Vec<u32> = block.iter().map(|w| w.doc.0).collect();
+    write_frame(&docs, out);
+    if with_scores {
+        let ts: Vec<u32> = block.iter().map(|w| u32::from(w.tscore)).collect();
+        write_frame(&ts, out);
     }
 }
 
@@ -552,7 +451,7 @@ pub fn encode_id_list(
             score: 0.0,
         })
         .collect();
-    encode_blocks(codec, ListFormat::Id { with_scores }, &wires, out);
+    encode_blocks(ListFormat::Id { with_scores }, &wires, out);
 }
 
 /// Encode a chunked list (groups descending by cid, docs ascending within).
@@ -577,7 +476,7 @@ pub fn encode_chunked_list(
             })
         })
         .collect();
-    encode_blocks(codec, ListFormat::Chunked { with_scores }, &wires, out);
+    encode_blocks(ListFormat::Chunked { with_scores }, &wires, out);
 }
 
 /// Encode a score-ordered list (score descending, doc ascending on ties).
@@ -600,7 +499,7 @@ pub fn encode_score_list(
             score,
         })
         .collect();
-    encode_blocks(codec, ListFormat::Score { with_scores }, &wires, out);
+    encode_blocks(ListFormat::Score { with_scores }, &wires, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -611,13 +510,8 @@ fn read_varint_or(buf: &[u8], pos: &mut usize, msg: &'static str) -> Result<u64>
     read_varint(buf, pos).ok_or_else(|| corrupt(msg))
 }
 
-/// Parse a list header from a slice.
-pub(crate) fn read_list_header_slice(
-    codec: CodecKind,
-    format: ListFormat,
-    buf: &[u8],
-    pos: &mut usize,
-) -> Result<ListHeader> {
+/// Parse a block-list header from a slice; returns the posting total.
+fn read_list_header_slice(format: ListFormat, buf: &[u8], pos: &mut usize) -> Result<u64> {
     let need = |b: &[u8], p: &mut usize| -> Result<u8> {
         let v = *b.get(*p).ok_or_else(|| corrupt("truncated list header"))?;
         *p += 1;
@@ -626,20 +520,12 @@ pub(crate) fn read_list_header_slice(
     let magic = need(buf, pos)?;
     let tag = need(buf, pos)?;
     let flags = need(buf, pos)?;
-    check_header(codec, format, magic, tag, flags)?;
-    let total_postings = read_varint_or(buf, pos, "truncated list header")?;
-    Ok(ListHeader {
-        codec,
-        total_postings,
-    })
+    check_header(format, magic, tag, flags)?;
+    read_varint_or(buf, pos, "truncated list header")
 }
 
 /// Parse one block's skip metadata from a slice.
-pub(crate) fn read_block_meta_slice(
-    format: ListFormat,
-    buf: &[u8],
-    pos: &mut usize,
-) -> Result<BlockMeta> {
+fn read_block_meta_slice(format: ListFormat, buf: &[u8], pos: &mut usize) -> Result<BlockMeta> {
     let count = read_varint_or(buf, pos, "truncated block header")?;
     let payload_len = read_varint_or(buf, pos, "truncated block header")?;
     let max_doc = read_varint_or(buf, pos, "truncated block header")?;
@@ -672,7 +558,6 @@ pub(crate) fn read_block_meta_slice(
 /// `meta.payload_len` bytes; `meta.count` postings are produced or an error
 /// is returned — never a panic, whatever the bytes.
 pub fn decode_block(
-    codec: CodecKind,
     format: ListFormat,
     meta: &BlockMeta,
     payload: &[u8],
@@ -683,41 +568,19 @@ pub fn decode_block(
     let mut pos = 0usize;
     match format {
         ListFormat::Id { .. } => {
-            decode_id_payload(codec, payload, &mut pos, count, with_scores, out)?
+            decode_doc_run(payload, &mut pos, count, with_scores, PostingPos::Id, out)?
         }
         ListFormat::Chunked { .. } => {
-            decode_chunked_payload(codec, payload, &mut pos, count, with_scores, out)?
+            decode_chunked_payload(payload, &mut pos, count, with_scores, out)?
         }
         ListFormat::Score { .. } => {
-            decode_score_payload(codec, payload, &mut pos, count, with_scores, out)?
+            decode_score_payload(payload, &mut pos, count, with_scores, out)?
         }
     }
     if pos != payload.len() {
         return Err(corrupt("trailing bytes in block payload"));
     }
     Ok(())
-}
-
-fn read_u16_at(buf: &[u8], pos: &mut usize) -> Result<u16> {
-    let end = pos
-        .checked_add(2)
-        .ok_or_else(|| corrupt("truncated posting"))?;
-    let b = buf
-        .get(*pos..end)
-        .ok_or_else(|| corrupt("truncated posting"))?;
-    *pos = end;
-    Ok(u16::from_le_bytes(b.try_into().expect("2 bytes")))
-}
-
-fn read_u32_at(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    let end = pos
-        .checked_add(4)
-        .ok_or_else(|| corrupt("truncated posting"))?;
-    let b = buf
-        .get(*pos..end)
-        .ok_or_else(|| corrupt("truncated posting"))?;
-    *pos = end;
-    Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
 }
 
 fn read_f64_at(buf: &[u8], pos: &mut usize) -> Result<f64> {
@@ -731,97 +594,53 @@ fn read_f64_at(buf: &[u8], pos: &mut usize) -> Result<f64> {
     Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
 }
 
-fn undelta(prev: Option<u32>, delta: u64) -> Result<u32> {
-    let delta = u32::try_from(delta).map_err(|_| corrupt("doc delta out of range"))?;
-    match prev {
-        None => Ok(delta),
-        Some(p) => p
-            .checked_add(delta)
-            .and_then(|v| v.checked_add(1))
-            .ok_or_else(|| corrupt("doc id overflow")),
+/// Read the optional term-score frame of `count` postings (zeros without).
+fn read_tscores(buf: &[u8], pos: &mut usize, count: usize, with_scores: bool) -> Result<Vec<u32>> {
+    if with_scores {
+        read_frame(buf, pos, count)
+    } else {
+        Ok(vec![0; count])
     }
 }
 
-fn decode_id_payload(
-    codec: CodecKind,
+fn tscore_of(ts: u32) -> Result<u16> {
+    u16::try_from(ts).map_err(|_| corrupt("term score out of range"))
+}
+
+/// Inverse of [`encode_doc_run`]: `count` (≥ 1) postings at `at`.
+fn decode_doc_run(
     buf: &[u8],
     pos: &mut usize,
     count: usize,
     with_scores: bool,
+    at: PostingPos,
     out: &mut Vec<LongPosting>,
 ) -> Result<()> {
-    match codec {
-        CodecKind::Uncompressed => {
-            for _ in 0..count {
-                let doc = read_u32_at(buf, pos)?;
-                let tscore = if with_scores {
-                    read_u16_at(buf, pos)?
-                } else {
-                    0
-                };
-                out.push(LongPosting {
-                    pos: PostingPos::Id,
-                    doc: DocId(doc),
-                    tscore,
-                });
-            }
-        }
-        CodecKind::Varint => {
-            let mut prev: Option<u32> = None;
-            for _ in 0..count {
-                let delta = read_varint_or(buf, pos, "truncated posting")?;
-                let doc = undelta(prev, delta)?;
-                prev = Some(doc);
-                let tscore = if with_scores {
-                    read_u16_at(buf, pos)?
-                } else {
-                    0
-                };
-                out.push(LongPosting {
-                    pos: PostingPos::Id,
-                    doc: DocId(doc),
-                    tscore,
-                });
-            }
-        }
-        CodecKind::Bitpacked => {
-            let first = read_varint_or(buf, pos, "truncated posting")?;
-            let first = u32::try_from(first).map_err(|_| corrupt("doc id out of range"))?;
-            let bits = *buf.get(*pos).ok_or_else(|| corrupt("truncated posting"))?;
-            *pos += 1;
-            let mut deltas = Vec::with_capacity(count.saturating_sub(1));
-            unpack_bits(buf, pos, bits, count - 1, &mut deltas)?;
-            let mut docs = Vec::with_capacity(count);
-            docs.push(first);
-            let mut prev = first;
-            for d in deltas {
-                prev = undelta(Some(prev), u64::from(d))?;
-                docs.push(prev);
-            }
-            let tscores = if with_scores {
-                let tbits = *buf.get(*pos).ok_or_else(|| corrupt("truncated posting"))?;
-                *pos += 1;
-                let mut ts = Vec::with_capacity(count);
-                unpack_bits(buf, pos, tbits, count, &mut ts)?;
-                ts
-            } else {
-                vec![0; count]
-            };
-            for (doc, ts) in docs.into_iter().zip(tscores) {
-                out.push(LongPosting {
-                    pos: PostingPos::Id,
-                    doc: DocId(doc),
-                    tscore: u16::try_from(ts).map_err(|_| corrupt("term score out of range"))?,
-                });
-            }
-        }
-        CodecKind::Legacy => return Err(corrupt("legacy lists have no blocks")),
+    let first = read_varint_or(buf, pos, "truncated posting")?;
+    let first = u32::try_from(first).map_err(|_| corrupt("doc id out of range"))?;
+    let deltas = read_frame(buf, pos, count - 1)?;
+    let mut docs = Vec::with_capacity(count);
+    docs.push(first);
+    let mut prev = first;
+    for d in deltas {
+        prev = prev
+            .checked_add(d)
+            .and_then(|v| v.checked_add(1))
+            .ok_or_else(|| corrupt("doc id overflow"))?;
+        docs.push(prev);
+    }
+    let tscores = read_tscores(buf, pos, count, with_scores)?;
+    for (doc, ts) in docs.into_iter().zip(tscores) {
+        out.push(LongPosting {
+            pos: at,
+            doc: DocId(doc),
+            tscore: tscore_of(ts)?,
+        });
     }
     Ok(())
 }
 
 fn decode_chunked_payload(
-    codec: CodecKind,
     buf: &[u8],
     pos: &mut usize,
     count: usize,
@@ -830,173 +649,45 @@ fn decode_chunked_payload(
 ) -> Result<()> {
     let mut decoded = 0usize;
     while decoded < count {
-        let (cid, n) = match codec {
-            CodecKind::Uncompressed => {
-                let cid = read_u32_at(buf, pos)?;
-                let n = read_u32_at(buf, pos)? as u64;
-                (cid, n)
-            }
-            _ => {
-                let cid = read_varint_or(buf, pos, "truncated group header")?;
-                let cid = u32::try_from(cid).map_err(|_| corrupt("chunk id out of range"))?;
-                let n = read_varint_or(buf, pos, "truncated group header")?;
-                (cid, n)
-            }
-        };
+        let cid = read_varint_or(buf, pos, "truncated group header")?;
+        let cid = u32::try_from(cid).map_err(|_| corrupt("chunk id out of range"))?;
+        let n = read_varint_or(buf, pos, "truncated group header")?;
         let n = usize::try_from(n).map_err(|_| corrupt("group count out of range"))?;
         if n == 0 || n > count - decoded {
             return Err(corrupt("group count exceeds block count"));
         }
-        match codec {
-            CodecKind::Uncompressed => {
-                for _ in 0..n {
-                    let doc = read_u32_at(buf, pos)?;
-                    let tscore = if with_scores {
-                        read_u16_at(buf, pos)?
-                    } else {
-                        0
-                    };
-                    out.push(LongPosting {
-                        pos: PostingPos::ByChunk(cid),
-                        doc: DocId(doc),
-                        tscore,
-                    });
-                }
-            }
-            CodecKind::Varint => {
-                let mut prev: Option<u32> = None;
-                for _ in 0..n {
-                    let delta = read_varint_or(buf, pos, "truncated posting")?;
-                    let doc = undelta(prev, delta)?;
-                    prev = Some(doc);
-                    let tscore = if with_scores {
-                        read_u16_at(buf, pos)?
-                    } else {
-                        0
-                    };
-                    out.push(LongPosting {
-                        pos: PostingPos::ByChunk(cid),
-                        doc: DocId(doc),
-                        tscore,
-                    });
-                }
-            }
-            CodecKind::Bitpacked => {
-                let first = read_varint_or(buf, pos, "truncated posting")?;
-                let first = u32::try_from(first).map_err(|_| corrupt("doc id out of range"))?;
-                let bits = *buf.get(*pos).ok_or_else(|| corrupt("truncated posting"))?;
-                *pos += 1;
-                let mut deltas = Vec::with_capacity(n.saturating_sub(1));
-                unpack_bits(buf, pos, bits, n - 1, &mut deltas)?;
-                let mut docs = Vec::with_capacity(n);
-                docs.push(first);
-                let mut prev = first;
-                for d in deltas {
-                    prev = undelta(Some(prev), u64::from(d))?;
-                    docs.push(prev);
-                }
-                let tscores = if with_scores {
-                    let tbits = *buf.get(*pos).ok_or_else(|| corrupt("truncated posting"))?;
-                    *pos += 1;
-                    let mut ts = Vec::with_capacity(n);
-                    unpack_bits(buf, pos, tbits, n, &mut ts)?;
-                    ts
-                } else {
-                    vec![0; n]
-                };
-                for (doc, ts) in docs.into_iter().zip(tscores) {
-                    out.push(LongPosting {
-                        pos: PostingPos::ByChunk(cid),
-                        doc: DocId(doc),
-                        tscore: u16::try_from(ts)
-                            .map_err(|_| corrupt("term score out of range"))?,
-                    });
-                }
-            }
-            CodecKind::Legacy => return Err(corrupt("legacy lists have no blocks")),
-        }
+        decode_doc_run(buf, pos, n, with_scores, PostingPos::ByChunk(cid), out)?;
         decoded += n;
     }
     Ok(())
 }
 
 fn decode_score_payload(
-    codec: CodecKind,
     buf: &[u8],
     pos: &mut usize,
     count: usize,
     with_scores: bool,
     out: &mut Vec<LongPosting>,
 ) -> Result<()> {
-    match codec {
-        CodecKind::Uncompressed => {
-            for _ in 0..count {
-                let score = read_f64_at(buf, pos)?;
-                let doc = read_u32_at(buf, pos)?;
-                let tscore = if with_scores {
-                    read_u16_at(buf, pos)?
-                } else {
-                    0
-                };
-                out.push(LongPosting {
-                    pos: PostingPos::ByScore(score),
-                    doc: DocId(doc),
-                    tscore,
-                });
-            }
-        }
-        CodecKind::Varint => {
-            for _ in 0..count {
-                let score = read_f64_at(buf, pos)?;
-                let doc = read_varint_or(buf, pos, "truncated posting")?;
-                let doc = u32::try_from(doc).map_err(|_| corrupt("doc id out of range"))?;
-                let tscore = if with_scores {
-                    let ts = read_varint_or(buf, pos, "truncated posting")?;
-                    u16::try_from(ts).map_err(|_| corrupt("term score out of range"))?
-                } else {
-                    0
-                };
-                out.push(LongPosting {
-                    pos: PostingPos::ByScore(score),
-                    doc: DocId(doc),
-                    tscore,
-                });
-            }
-        }
-        CodecKind::Bitpacked => {
-            let mut scores = Vec::with_capacity(count);
-            for _ in 0..count {
-                scores.push(read_f64_at(buf, pos)?);
-            }
-            let dbits = *buf.get(*pos).ok_or_else(|| corrupt("truncated posting"))?;
-            *pos += 1;
-            let mut docs = Vec::with_capacity(count);
-            unpack_bits(buf, pos, dbits, count, &mut docs)?;
-            let tscores = if with_scores {
-                let tbits = *buf.get(*pos).ok_or_else(|| corrupt("truncated posting"))?;
-                *pos += 1;
-                let mut ts = Vec::with_capacity(count);
-                unpack_bits(buf, pos, tbits, count, &mut ts)?;
-                ts
-            } else {
-                vec![0; count]
-            };
-            for ((score, doc), ts) in scores.into_iter().zip(docs).zip(tscores) {
-                out.push(LongPosting {
-                    pos: PostingPos::ByScore(score),
-                    doc: DocId(doc),
-                    tscore: u16::try_from(ts).map_err(|_| corrupt("term score out of range"))?,
-                });
-            }
-        }
-        CodecKind::Legacy => return Err(corrupt("legacy lists have no blocks")),
+    let mut scores = Vec::with_capacity(count);
+    for _ in 0..count {
+        scores.push(read_f64_at(buf, pos)?);
+    }
+    let docs = read_frame(buf, pos, count)?;
+    let tscores = read_tscores(buf, pos, count, with_scores)?;
+    for ((score, doc), ts) in scores.into_iter().zip(docs).zip(tscores) {
+        out.push(LongPosting {
+            pos: PostingPos::ByScore(score),
+            doc: DocId(doc),
+            tscore: tscore_of(ts)?,
+        });
     }
     Ok(())
 }
 
 /// Decode a whole encoded list from a slice (tests, diagnostics, hostile
 /// input validation). For `Legacy` this runs the flat `svr_text` decoders;
-/// for block codecs it validates the list header, every block header, every
+/// for `Bitpacked` it validates the list header, every block header, every
 /// payload, and that the posting count matches the header total.
 pub fn decode_list(codec: CodecKind, format: ListFormat, buf: &[u8]) -> Result<Vec<LongPosting>> {
     let with_scores = format_with_scores(format);
@@ -1033,7 +724,7 @@ pub fn decode_list(codec: CodecKind, format: ListFormat, buf: &[u8]) -> Result<V
         return Ok(Vec::new());
     }
     let mut pos = 0usize;
-    let header = read_list_header_slice(codec, format, buf, &mut pos)?;
+    let total_postings = read_list_header_slice(format, buf, &mut pos)?;
     let mut out = Vec::new();
     while pos < buf.len() {
         let meta = read_block_meta_slice(format, buf, &mut pos)?;
@@ -1046,9 +737,9 @@ pub fn decode_list(codec: CodecKind, format: ListFormat, buf: &[u8]) -> Result<V
             .get(pos..end)
             .ok_or_else(|| corrupt("truncated block"))?;
         pos = end;
-        decode_block(codec, format, &meta, payload, &mut out)?;
+        decode_block(format, &meta, payload, &mut out)?;
     }
-    if out.len() as u64 != header.total_postings {
+    if out.len() as u64 != total_postings {
         return Err(corrupt("list posting count does not match header"));
     }
     Ok(out)
@@ -1178,25 +869,17 @@ mod tests {
     }
 
     #[test]
-    fn varint_blocks_compress_dense_ids_at_least_2x_vs_fixed_width() {
+    fn bitpacked_beats_legacy_on_consecutive_ids() {
         let postings: Vec<TermScoredPosting> = (0..10_000u32).map(|i| tsp(i, 0)).collect();
-        let mut fixed = Vec::new();
-        encode_id_list(CodecKind::Uncompressed, &postings, false, &mut fixed);
-        let mut varint = Vec::new();
-        encode_id_list(CodecKind::Varint, &postings, false, &mut varint);
+        let mut legacy = Vec::new();
+        encode_id_list(CodecKind::Legacy, &postings, false, &mut legacy);
         let mut packed = Vec::new();
         encode_id_list(CodecKind::Bitpacked, &postings, false, &mut packed);
         assert!(
-            fixed.len() >= 2 * varint.len(),
-            "varint must halve dense fixed-width lists: {} vs {}",
-            fixed.len(),
-            varint.len()
-        );
-        assert!(
-            varint.len() > packed.len(),
-            "bitpacking must beat varint on consecutive ids: {} vs {}",
-            varint.len(),
-            packed.len()
+            packed.len() < legacy.len(),
+            "bitpacking must beat legacy delta-varint on consecutive ids: {} vs {}",
+            packed.len(),
+            legacy.len()
         );
     }
 
@@ -1217,39 +900,57 @@ mod tests {
     #[test]
     fn truncations_and_garbage_decode_to_clean_errors() {
         let postings: Vec<TermScoredPosting> = (0..500u32).map(|i| tsp(i * 5, i as u16)).collect();
-        for codec in CodecKind::BLOCK_CODECS {
-            let mut buf = Vec::new();
-            encode_id_list(codec, &postings, true, &mut buf);
-            let format = ListFormat::Id { with_scores: true };
-            // Every proper prefix must fail cleanly (truncation is either a
-            // header/payload error or a count-mismatch error), never panic.
-            for cut in 1..buf.len() {
-                assert!(
-                    decode_list(codec, format, &buf[..cut]).is_err(),
-                    "{codec:?} cut={cut}"
-                );
-            }
-            // Flipped header bytes must be rejected.
-            let mut bad = buf.clone();
-            bad[0] ^= 0xff;
-            assert!(decode_list(codec, format, &bad).is_err());
-            let mut bad = buf.clone();
-            bad[1] ^= 0x01;
-            assert!(decode_list(codec, format, &bad).is_err());
-            // Pure garbage with a valid-looking header prefix.
-            let mut garbage = vec![LIST_MAGIC, codec.tag(), 0b0000_0001];
-            garbage.extend_from_slice(&[0xfe; 64]);
-            assert!(decode_list(codec, format, &garbage).is_err());
+        let codec = CodecKind::Bitpacked;
+        let mut buf = Vec::new();
+        encode_id_list(codec, &postings, true, &mut buf);
+        let format = ListFormat::Id { with_scores: true };
+        // Every proper prefix must fail cleanly (truncation is either a
+        // header/payload error or a count-mismatch error), never panic.
+        for cut in 1..buf.len() {
+            assert!(
+                decode_list(codec, format, &buf[..cut]).is_err(),
+                "cut={cut}"
+            );
         }
+        // Flipped header bytes must be rejected.
+        let mut bad = buf.clone();
+        bad[0] ^= 0xff;
+        assert!(decode_list(codec, format, &bad).is_err());
+        let mut bad = buf.clone();
+        bad[1] ^= 0x01;
+        assert!(decode_list(codec, format, &bad).is_err());
+        // Pure garbage with a valid-looking header prefix.
+        let mut garbage = vec![LIST_MAGIC, codec.tag(), 0b0000_0001];
+        garbage.extend_from_slice(&[0xfe; 64]);
+        assert!(decode_list(codec, format, &garbage).is_err());
     }
 
     #[test]
     fn codec_tags_and_names_roundtrip() {
         for codec in CodecKind::ALL {
-            assert_eq!(CodecKind::from_tag(codec.tag()), Some(codec));
-            assert_eq!(CodecKind::from_name(codec.name()), Some(codec));
+            assert_eq!(CodecKind::from_tag(codec.tag()), Ok(codec));
+            assert_eq!(CodecKind::from_name(codec.name()), Ok(codec));
         }
-        assert_eq!(CodecKind::from_tag(99), None);
-        assert_eq!(CodecKind::from_name("zstd"), None);
+        // Retired codecs are refused by tag and by name, naming the codec;
+        // their tags are never reinterpreted.
+        for (tag, name) in [(1, "uncompressed"), (2, "VarInt")] {
+            for err in [CodecKind::from_tag(tag), CodecKind::from_name(name)] {
+                match err {
+                    Err(CoreError::Unsupported(what)) => assert!(
+                        what.contains(&name.to_ascii_lowercase()) && what.contains("retired"),
+                        "{what}"
+                    ),
+                    other => panic!("{name}: {other:?}"),
+                }
+            }
+        }
+        assert!(matches!(
+            CodecKind::from_tag(99),
+            Err(CoreError::Storage(_))
+        ));
+        assert!(matches!(
+            CodecKind::from_name("zstd"),
+            Err(CoreError::InvalidConfig(_))
+        ));
     }
 }

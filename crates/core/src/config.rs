@@ -58,11 +58,9 @@ pub struct IndexConfig {
     pub num_shards: usize,
     /// On-disk codec of the long posting lists (SQL `OPTIONS (codec =
     /// ...)`). `Legacy` — the flat pre-block formats — is the default and
-    /// keeps the paper's Table 1 byte counts; the block codecs
-    /// (`uncompressed` / `varint` / `bitpacked`) add per-block skip
-    /// metadata and, for the compressed two, shrink the lists. Fixed at
-    /// build time and persisted in the index catalog. See
-    /// [`crate::codec`].
+    /// keeps the paper's Table 1 byte counts; the `bitpacked` block codec
+    /// adds per-block skip metadata and shrinks the lists. Fixed at build
+    /// time and persisted in the index catalog. See [`crate::codec`].
     pub codec: CodecKind,
 }
 

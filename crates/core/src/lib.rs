@@ -48,12 +48,12 @@
 //!
 //! ## Storage format
 //!
-//! Long inverted lists are stored per-index in one of four codecs
+//! Long inverted lists are stored per-index in one of two codecs
 //! ([`CodecKind`], selected via `IndexConfig::codec` / SQL
 //! `OPTIONS (codec = ...)`): the flat `legacy` layout, or the
-//! block-structured `uncompressed` / `varint` / `bitpacked` codecs, which
-//! group postings into fixed-size blocks carrying skip metadata (max doc
-//! id, max term score, max SVR score, posting count). See the [`codec`]
+//! block-structured `bitpacked` codec, which groups postings into
+//! fixed-size blocks carrying skip metadata (max doc id, max term score,
+//! max SVR score, posting count). See the [`codec`]
 //! module docs for the byte-level layout, the skip-metadata contract, and
 //! the codec-versioning rules.
 

@@ -2,7 +2,7 @@
 //! cursors and corpus inversion helpers.
 //!
 //! Lists are stored in the codec configured per store ([`CodecKind`]): the
-//! flat legacy `svr_text::postings` layouts, or the block-structured codecs
+//! flat legacy `svr_text::postings` layouts, or the block-structured codec
 //! of [`crate::codec`] whose per-block skip metadata lets cursors skip
 //! whole blocks without decoding them. Either way they are decoded
 //! *incrementally*, page by page, so early-terminating queries only pay for
@@ -321,7 +321,6 @@ impl LongListStore {
                 inner: CursorInner::Block(Box::new(BlockCursorState {
                     stream,
                     format: self.format,
-                    codec: self.codec,
                     header_read,
                     block_start,
                     decoded: Vec::new(),
@@ -382,7 +381,7 @@ impl LongListStore {
     /// matches the one captured at suspension, this resumes exactly where
     /// the cursor stopped — the incremental cost is at most re-fetching one
     /// (usually cached) page, plus re-decoding the current block for the
-    /// block codecs. If the lists were rebuilt in between (offline merge),
+    /// block codec. If the lists were rebuilt in between (offline merge),
     /// the saved page chain is gone; the cursor then degrades gracefully by
     /// re-opening the term's current list and skipping every posting at or
     /// before the last consumed merge position. Positions in the rebuilt
@@ -561,7 +560,6 @@ pub struct ScoreCursorState<'a> {
 struct BlockCursorState<'a> {
     stream: ByteStream<'a>,
     format: ListFormat,
-    codec: CodecKind,
     /// Whether the list header has been consumed from the stream.
     header_read: bool,
     /// Stream position of the current block's header (suspension anchor).
@@ -585,15 +583,11 @@ struct BlockCursorState<'a> {
     blocks_decoded: u64,
 }
 
-fn read_list_header_stream(
-    stream: &mut ByteStream<'_>,
-    codec: CodecKind,
-    format: ListFormat,
-) -> Result<u64> {
+fn read_list_header_stream(stream: &mut ByteStream<'_>, format: ListFormat) -> Result<u64> {
     let magic = stream.read_u8()?;
     let tag = stream.read_u8()?;
     let flags = stream.read_u8()?;
-    codec::check_header(codec, format, magic, tag, flags)?;
+    codec::check_header(format, magic, tag, flags)?;
     stream.read_varint()
 }
 
@@ -627,7 +621,7 @@ impl BlockCursorState<'_> {
             if self.stream.is_eof()? {
                 return Ok(false); // empty list: zero bytes
             }
-            let total = read_list_header_stream(&mut self.stream, self.codec, self.format)?;
+            let total = read_list_header_stream(&mut self.stream, self.format)?;
             self.expect_remaining = Some(total);
             self.header_read = true;
         }
@@ -647,13 +641,7 @@ impl BlockCursorState<'_> {
             usize::try_from(meta.payload_len).map_err(|_| corrupt("block payload length"))?;
         self.stream.read_into(payload_len, &mut self.block_buf)?;
         self.decoded.clear();
-        codec::decode_block(
-            self.codec,
-            self.format,
-            &meta,
-            &self.block_buf,
-            &mut self.decoded,
-        )?;
+        codec::decode_block(self.format, &meta, &self.block_buf, &mut self.decoded)?;
         if let Some(rem) = &mut self.expect_remaining {
             *rem = rem
                 .checked_sub(meta.count)
@@ -750,7 +738,7 @@ impl LongCursor<'_> {
     }
 
     /// Skip metadata of the block the cursor is currently positioned in
-    /// (block codecs, after the first posting). This is the block-max hook
+    /// (block codec, after the first posting). This is the block-max hook
     /// for WAND-style multi-term pruning.
     pub fn block_meta(&self) -> Option<BlockMeta> {
         match &self.inner {
@@ -767,7 +755,7 @@ impl LongCursor<'_> {
         }
     }
 
-    /// Blocks this cursor decoded (diagnostics; 0 for non-block codecs).
+    /// Blocks this cursor decoded (diagnostics; 0 for legacy lists).
     pub fn blocks_decoded(&self) -> u64 {
         match &self.inner {
             CursorInner::Block(s) => s.blocks_decoded,
@@ -1091,19 +1079,18 @@ mod tests {
                 tscore: (i % 400) as u16,
             })
             .collect();
-        for codec in CodecKind::BLOCK_CODECS {
-            for with_scores in [false, true] {
-                let lls = LongListStore::new(store(), ListFormat::Id { with_scores }, codec);
-                lls.put_id_list(TermId(1), &postings).unwrap();
-                let mut cursor = lls.cursor(TermId(1));
-                for p in &postings {
-                    let got = cursor.next_posting().unwrap().unwrap();
-                    assert_eq!(got.doc, p.doc, "{codec:?}");
-                    assert_eq!(got.tscore, if with_scores { p.tscore } else { 0 });
-                }
-                assert!(cursor.next_posting().unwrap().is_none());
-                assert_eq!(lls.total_postings(), postings.len() as u64);
+        let codec = CodecKind::Bitpacked;
+        for with_scores in [false, true] {
+            let lls = LongListStore::new(store(), ListFormat::Id { with_scores }, codec);
+            lls.put_id_list(TermId(1), &postings).unwrap();
+            let mut cursor = lls.cursor(TermId(1));
+            for p in &postings {
+                let got = cursor.next_posting().unwrap().unwrap();
+                assert_eq!(got.doc, p.doc);
+                assert_eq!(got.tscore, if with_scores { p.tscore } else { 0 });
             }
+            assert!(cursor.next_posting().unwrap().is_none());
+            assert_eq!(lls.total_postings(), postings.len() as u64);
         }
     }
 
@@ -1115,22 +1102,21 @@ mod tests {
                 tscore: i as u16,
             })
             .collect();
-        for codec in CodecKind::BLOCK_CODECS {
-            let lls = LongListStore::new(store(), ListFormat::Id { with_scores: true }, codec);
-            lls.put_id_list(TermId(1), &postings).unwrap();
-            let epoch = lls.epoch();
-            // Suspend after every single posting and resume.
-            let mut resume = LongResume::fresh();
-            for p in &postings {
-                let mut cursor = lls.resume_cursor(TermId(1), &resume).unwrap();
-                let got = cursor.next_posting().unwrap().unwrap();
-                assert_eq!(got.doc, p.doc, "{codec:?}");
-                assert_eq!(got.tscore, p.tscore, "{codec:?}");
-                resume = cursor.suspend(epoch, Some((got.pos.rank(), got.doc.0)));
-            }
+        let codec = CodecKind::Bitpacked;
+        let lls = LongListStore::new(store(), ListFormat::Id { with_scores: true }, codec);
+        lls.put_id_list(TermId(1), &postings).unwrap();
+        let epoch = lls.epoch();
+        // Suspend after every single posting and resume.
+        let mut resume = LongResume::fresh();
+        for p in &postings {
             let mut cursor = lls.resume_cursor(TermId(1), &resume).unwrap();
-            assert!(cursor.next_posting().unwrap().is_none(), "{codec:?}");
+            let got = cursor.next_posting().unwrap().unwrap();
+            assert_eq!(got.doc, p.doc);
+            assert_eq!(got.tscore, p.tscore);
+            resume = cursor.suspend(epoch, Some((got.pos.rank(), got.doc.0)));
         }
+        let mut cursor = lls.resume_cursor(TermId(1), &resume).unwrap();
+        assert!(cursor.next_posting().unwrap().is_none());
     }
 
     #[test]
@@ -1141,25 +1127,24 @@ mod tests {
                 tscore: 0,
             })
             .collect();
-        for codec in CodecKind::BLOCK_CODECS {
-            let lls = LongListStore::new(store(), ListFormat::Id { with_scores: false }, codec);
-            lls.put_id_list(TermId(1), &postings).unwrap();
-            let mut cursor = lls.cursor(TermId(1));
-            cursor.skip_to_doc(DocId(6000)).unwrap();
-            assert!(
-                cursor.blocks_skipped() >= 20,
-                "{codec:?}: skipped only {} blocks",
-                cursor.blocks_skipped()
-            );
-            let p = cursor.next_posting().unwrap().unwrap();
-            assert_eq!(p.doc, DocId(6000), "{codec:?}");
-            // Block metadata is exposed for block-max pruning.
-            let meta = cursor.block_meta().unwrap();
-            assert!(meta.max_doc >= 6000);
-            // Seeking past the end drains cleanly.
-            cursor.skip_to_doc(DocId(u32::MAX)).unwrap();
-            assert!(cursor.next_posting().unwrap().is_none());
-        }
+        let codec = CodecKind::Bitpacked;
+        let lls = LongListStore::new(store(), ListFormat::Id { with_scores: false }, codec);
+        lls.put_id_list(TermId(1), &postings).unwrap();
+        let mut cursor = lls.cursor(TermId(1));
+        cursor.skip_to_doc(DocId(6000)).unwrap();
+        assert!(
+            cursor.blocks_skipped() >= 20,
+            "skipped only {} blocks",
+            cursor.blocks_skipped()
+        );
+        let p = cursor.next_posting().unwrap().unwrap();
+        assert_eq!(p.doc, DocId(6000));
+        // Block metadata is exposed for block-max pruning.
+        let meta = cursor.block_meta().unwrap();
+        assert!(meta.max_doc >= 6000);
+        // Seeking past the end drains cleanly.
+        cursor.skip_to_doc(DocId(u32::MAX)).unwrap();
+        assert!(cursor.next_posting().unwrap().is_none());
         // Legacy cursors answer the same question by linear scan.
         let lls = LongListStore::new(
             store(),
@@ -1181,27 +1166,26 @@ mod tests {
                 tscore: 0,
             })
             .collect();
-        for codec in CodecKind::BLOCK_CODECS {
-            let mut buf = Vec::new();
-            codec::encode_id_list(codec, &postings, false, &mut buf);
-            // Cut at a block boundary: the stream ends cleanly but the list
-            // header promises more postings.
-            let lls = LongListStore::new(store(), ListFormat::Id { with_scores: false }, codec);
-            lls.set_list(TermId(1), &buf[..buf.len() / 2], 0).unwrap();
-            let mut cursor = lls.cursor(TermId(1));
-            let mut result = Ok(());
-            loop {
-                match cursor.next_posting() {
-                    Ok(Some(_)) => continue,
-                    Ok(None) => break,
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
+        let codec = CodecKind::Bitpacked;
+        let mut buf = Vec::new();
+        codec::encode_id_list(codec, &postings, false, &mut buf);
+        // Cut at a block boundary: the stream ends cleanly but the list
+        // header promises more postings.
+        let lls = LongListStore::new(store(), ListFormat::Id { with_scores: false }, codec);
+        lls.set_list(TermId(1), &buf[..buf.len() / 2], 0).unwrap();
+        let mut cursor = lls.cursor(TermId(1));
+        let mut result = Ok(());
+        loop {
+            match cursor.next_posting() {
+                Ok(Some(_)) => continue,
+                Ok(None) => break,
+                Err(e) => {
+                    result = Err(e);
+                    break;
                 }
             }
-            assert!(result.is_err(), "{codec:?}: truncation must surface");
         }
+        assert!(result.is_err(), "truncation must surface");
     }
 
     #[test]

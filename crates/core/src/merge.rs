@@ -172,7 +172,7 @@ impl<'a> UnionCursor<'a> {
         self.long_head
     }
 
-    /// Skip metadata of the long cursor's current block (block codecs only)
+    /// Skip metadata of the long cursor's current block (block codec only)
     /// — the per-term upper-bound hook for block-max WAND pruning.
     pub fn long_block_meta(&self) -> Option<BlockMeta> {
         self.long.block_meta()

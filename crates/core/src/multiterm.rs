@@ -11,7 +11,7 @@
 //!
 //! * **Seeking** ([`SeekingIterator`]): `next_seek(doc)` positions a stream
 //!   at its first posting with `doc >= target` without delivering (for
-//!   block codecs: without even *decoding*) what lies in between.
+//!   the block codec: without even *decoding*) what lies in between.
 //!   [`LongCursor`] seeks via the per-block `max_doc` skip metadata
 //!   ([`crate::codec::BlockMeta`]); [`ShortCursor`] advances linearly
 //!   (short lists are bounded small between merges by design); and

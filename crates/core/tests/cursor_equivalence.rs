@@ -183,7 +183,7 @@ fn resume_equals_deeper_one_shot() {
 
 /// A cursor that outlives an offline merge keeps enumerating without
 /// panicking or duplicating documents (graceful degradation: the long-list
-/// epoch fallback re-scans and the seen-set dedupes) — with block codecs,
+/// epoch fallback re-scans and the seen-set dedupes) — with the block codec,
 /// the merge also re-encodes every list, so the resumed cursor crosses a
 /// full physical rewrite.
 #[test]
@@ -221,7 +221,7 @@ fn cursor_survives_offline_merge() {
     }
 }
 
-/// The codec matrix: every method × every shard count × every block codec
+/// The codec matrix: every method × every shard count × the block codec
 /// must reproduce the Legacy ranking exactly — compression may never change
 /// a result, only its size on disk.
 #[test]
@@ -331,7 +331,6 @@ proptest! {
         shards in prop_oneof![Just(1usize), Just(4)],
         codec in prop_oneof![
             Just(CodecKind::Legacy),
-            Just(CodecKind::Varint),
             Just(CodecKind::Bitpacked),
         ],
         batches in prop::collection::vec(1usize..9, 1..12),

@@ -22,7 +22,7 @@ fn wrong_format_puts_error_instead_of_panicking() {
     let id_store = LongListStore::new(
         store(),
         ListFormat::Id { with_scores: false },
-        CodecKind::Varint,
+        CodecKind::Bitpacked,
     );
     assert!(matches!(
         id_store.put_chunked_list(TermId(1), &[]),
@@ -36,7 +36,7 @@ fn wrong_format_puts_error_instead_of_panicking() {
     let chunk_store = LongListStore::new(
         store(),
         ListFormat::Chunked { with_scores: false },
-        CodecKind::Varint,
+        CodecKind::Bitpacked,
     );
     assert!(matches!(
         chunk_store.put_id_list(TermId(1), &[]),

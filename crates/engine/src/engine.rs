@@ -1947,7 +1947,7 @@ fn decode_index_record(raw: &[u8]) -> Result<IndexRecord> {
     let num_shards = read_varint(raw, &mut pos).ok_or_else(corrupt)? as usize;
     let cursor_pool_cap = read_varint(raw, &mut pos).ok_or_else(corrupt)? as usize;
     let codec = if version >= INDEX_RECORD_V2 {
-        CodecKind::from_tag(*raw.get(pos).ok_or_else(corrupt)?).ok_or_else(corrupt)?
+        CodecKind::from_tag(*raw.get(pos).ok_or_else(corrupt)?)?
     } else {
         CodecKind::Legacy
     };
@@ -2034,7 +2034,9 @@ mod tests {
         assert_eq!(record.config.codec, CodecKind::Legacy);
     }
 
-    /// The current encoder round-trips every codec through the V2 record.
+    /// The current encoder round-trips every codec through the V2 record;
+    /// a record carrying a retired codec's tag is refused by name, and an
+    /// unknown tag is corruption.
     #[test]
     fn v2_index_record_roundtrips_codec() {
         for codec in CodecKind::ALL {
@@ -2047,8 +2049,20 @@ mod tests {
                     ..IndexConfig::default()
                 },
             };
-            let decoded = decode_index_record(&encode_index_record(&record)).unwrap();
+            let mut raw = encode_index_record(&record);
+            let decoded = decode_index_record(&raw).unwrap();
             assert_eq!(decoded.config.codec, codec);
+            *raw.last_mut().unwrap() = 2;
+            let Err(err) = decode_index_record(&raw) else {
+                panic!("retired codec tag 2 must be refused")
+            };
+            let err = err.to_string();
+            assert!(err.contains("varint") && err.contains("retired"), "{err}");
+            *raw.last_mut().unwrap() = 9;
+            let Err(err) = decode_index_record(&raw) else {
+                panic!("unknown codec tag 9 must be refused")
+            };
+            assert!(err.to_string().contains("corrupt"), "{err}");
         }
     }
 }

@@ -83,8 +83,8 @@
 //!
 //! [`SvrEngine::contention_stats`] exposes the counters behind both
 //! (fsyncs paid vs skipped, refresh batches drained); the server's
-//! `Info` command forwards them over the wire, and the bench suite's
-//! `serving` experiment reports the throughput they buy.
+//! `Info` command forwards them over the wire, and the wall-clock
+//! benchmark's `serving_mixed` workload reports the throughput they buy.
 
 mod engine;
 mod error;

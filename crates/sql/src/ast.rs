@@ -147,7 +147,7 @@ pub enum ScoreListEntry {
 }
 
 /// One `OPTIONS (...)` value: numeric knobs (`chunk_ratio = 6.12`) or named
-/// settings (`codec = varint`).
+/// settings (`codec = bitpacked`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OptionValue {
     Number(f64),
@@ -166,7 +166,7 @@ pub struct CreateTextIndex {
     pub aggregate_with: Option<String>,
     /// Index method name (`CHUNK`, `SCORE_THRESHOLD`, ... ) if given.
     pub method: Option<String>,
-    /// `OPTIONS (chunk_ratio = 6.12, codec = varint, ...)` knob overrides.
+    /// `OPTIONS (chunk_ratio = 6.12, codec = bitpacked, ...)` knob overrides.
     pub options: Vec<(String, OptionValue)>,
 }
 

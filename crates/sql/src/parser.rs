@@ -950,7 +950,7 @@ mod tests {
              SCORE WITH (S1, S2, S3, TFIDF())
              AGGREGATE WITH Agg
              USING METHOD CHUNK_TERMSCORE
-             OPTIONS (chunk_ratio = 6.12, fancy_size = 64, codec = varint)",
+             OPTIONS (chunk_ratio = 6.12, fancy_size = 64, codec = bitpacked)",
         )
         .unwrap() else {
             panic!()
@@ -965,7 +965,7 @@ mod tests {
         );
         assert_eq!(
             ix.options[2],
-            ("codec".into(), OptionValue::Name("varint".into()))
+            ("codec".into(), OptionValue::Name("bitpacked".into()))
         );
     }
 

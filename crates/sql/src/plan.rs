@@ -276,13 +276,11 @@ pub fn apply_options(config: &mut IndexConfig, options: &[(String, OptionValue)]
         if key == "codec" {
             let OptionValue::Name(name) = value else {
                 return Err(SqlError::Plan(
-                    "codec takes a name: legacy, uncompressed, varint or bitpacked".into(),
+                    "codec takes a name: legacy or bitpacked".into(),
                 ));
             };
-            config.codec = CodecKind::from_name(name).ok_or_else(|| {
-                SqlError::Plan(format!(
-                    "unknown codec '{name}'; expected legacy, uncompressed, varint or bitpacked"
-                ))
+            config.codec = CodecKind::from_name(name).map_err(|e| {
+                SqlError::Plan(format!("codec '{name}': {e}; expected legacy or bitpacked"))
             })?;
             continue;
         }
@@ -514,19 +512,19 @@ mod tests {
             &[
                 ("chunk_ratio".into(), OptionValue::Number(3.0)),
                 ("fancy_size".into(), OptionValue::Number(16.0)),
-                ("codec".into(), OptionValue::Name("varint".into())),
+                ("codec".into(), OptionValue::Name("bitpacked".into())),
             ],
         )
         .unwrap();
         assert_eq!(config.chunk_ratio, 3.0);
         assert_eq!(config.fancy_size, 16);
-        assert_eq!(config.codec, CodecKind::Varint);
+        assert_eq!(config.codec, CodecKind::Bitpacked);
         assert!(apply_options(&mut config, &[("bogus".into(), OptionValue::Number(1.0))]).is_err());
         // Kind mismatches fail cleanly in both directions.
         assert!(apply_options(&mut config, &[("codec".into(), OptionValue::Number(2.0))]).is_err());
         assert!(apply_options(
             &mut config,
-            &[("chunk_ratio".into(), OptionValue::Name("varint".into()))]
+            &[("chunk_ratio".into(), OptionValue::Name("bitpacked".into()))]
         )
         .is_err());
         assert!(apply_options(

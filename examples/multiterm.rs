@@ -54,13 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // TFIDF() adds per-term scores, which is what gives the WAND executor a
-    // term-score upper bound to prune with; varint picks a block codec so
-    // the long lists carry per-block skip metadata.
+    // term-score upper bound to prune with; the bitpacked block codec gives
+    // the long lists per-block skip metadata.
     session.execute(
         "CREATE TEXT INDEX trail_search ON trails(description)
              SCORE WITH (popularity, TFIDF())
              USING METHOD ID_TERMSCORE
-             OPTIONS (codec = varint)",
+             OPTIONS (codec = bitpacked)",
     )?;
 
     // ---- Multi-keyword ranking ---------------------------------------
