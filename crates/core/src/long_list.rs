@@ -1,5 +1,5 @@
 //! Long (immutable) inverted lists in the blob store, plus streaming
-//! cursors and corpus inversion helpers.
+//! cursors.
 //!
 //! Lists are stored in the codec configured per store ([`CodecKind`]): the
 //! flat legacy `svr_text::postings` layouts, or the block-structured codec
@@ -22,7 +22,7 @@ use crate::codec::{self, BlockMeta, CodecKind};
 use crate::error::{CoreError, Result};
 use crate::merge::MergeKey;
 use crate::short_list::PostingPos;
-use crate::types::{DocId, Document, TermId};
+use crate::types::{DocId, TermId};
 
 fn corrupt(msg: &'static str) -> CoreError {
     CoreError::Storage(svr_storage::StorageError::Corrupt(msg))
@@ -902,32 +902,10 @@ impl LongCursor<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Corpus inversion
-// ---------------------------------------------------------------------------
-
 /// Quantized term score for a `(tf, max_tf)` pair.
 #[inline]
 pub fn posting_term_score(tf: u32, max_tf: u32) -> u16 {
     quantize_term_score(normalized_tf(tf, max_tf))
-}
-
-/// Invert a corpus into per-term postings sorted by doc id. Term scores are
-/// the quantized normalized TF of each (doc, term) pair.
-pub fn invert_corpus(docs: &[Document]) -> HashMap<TermId, Vec<TermScoredPosting>> {
-    let mut inverted: HashMap<TermId, Vec<TermScoredPosting>> = HashMap::new();
-    let mut sorted: Vec<&Document> = docs.iter().collect();
-    sorted.sort_by_key(|d| d.id);
-    for doc in sorted {
-        let max_tf = doc.max_tf();
-        for &(term, tf) in &doc.terms {
-            inverted.entry(term).or_default().push(TermScoredPosting {
-                doc: doc.id,
-                tscore: posting_term_score(tf, max_tf),
-            });
-        }
-    }
-    inverted
 }
 
 #[cfg(test)]
@@ -1186,20 +1164,5 @@ mod tests {
             }
         }
         assert!(result.is_err(), "truncation must surface");
-    }
-
-    #[test]
-    fn invert_corpus_sorted_by_doc() {
-        let docs = vec![
-            Document::from_term_freqs(DocId(5), [(TermId(1), 2), (TermId(2), 1)]),
-            Document::from_term_freqs(DocId(1), [(TermId(1), 4)]),
-        ];
-        let inverted = invert_corpus(&docs);
-        let t1 = &inverted[&TermId(1)];
-        assert_eq!(t1.len(), 2);
-        assert_eq!(t1[0].doc, DocId(1));
-        assert_eq!(t1[1].doc, DocId(5));
-        // Doc 1's term 1 is its max-tf term: normalized score is 1.0.
-        assert_eq!(t1[0].tscore, u16::MAX);
     }
 }

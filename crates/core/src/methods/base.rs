@@ -17,14 +17,38 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use svr_storage::{StorageEnv, Store};
-use svr_text::idf;
+use svr_text::{idf, unquantize_term_score};
 
 use crate::config::IndexConfig;
 use crate::doc_store::DocStore;
 use crate::error::{check_score, CoreError, Result};
+use crate::long_list::posting_term_score;
+use crate::merge::Candidate;
 use crate::methods::{store_names, IndexLocation};
 use crate::score_table::ScoreTable;
+use crate::short_list::{Op, PostingPos, ShortLists};
 use crate::types::{DocId, Document, Score, TermId};
+
+/// `(term, tscore)` of a document's `(term, tf)` rows: the quantized
+/// normalized TF for term-scored lists, `0` without term scores (and then
+/// no max-TF pass).
+pub(crate) fn term_scores<const TERM_SCORES: bool>(
+    terms: &[(TermId, u32)],
+) -> impl Iterator<Item = (TermId, u16)> + '_ {
+    let max_tf = if TERM_SCORES {
+        terms.iter().map(|&(_, tf)| tf).max().unwrap_or(0)
+    } else {
+        0
+    };
+    terms.iter().map(move |&(term, tf)| {
+        let ts = if TERM_SCORES {
+            posting_term_score(tf, max_tf)
+        } else {
+            0
+        };
+        (term, ts)
+    })
+}
 
 /// Collection-wide statistics shared by every shard of one index: live
 /// document frequencies and the live document count, from which the
@@ -279,10 +303,27 @@ impl MethodBase {
         idf(self.stats.num_docs.load(Ordering::Relaxed), df_count)
     }
 
+    /// IDF weights of a query's terms.
+    pub fn idfs(&self, terms: &[TermId]) -> Vec<f64> {
+        terms.iter().map(|&t| self.idf(t)).collect()
+    }
+
     /// The combined scoring function `f(svr, Σ term scores)` of §4.3.3.
     #[inline]
     pub fn combine(&self, svr: Score, ts_sum: f64) -> Score {
         svr + self.term_weight * ts_sum
+    }
+
+    /// `f(svr, Σ idf·ts)` over a candidate's matched postings: the ranking
+    /// score of a term-scored method.
+    pub fn combine_matches(&self, svr: Score, candidate: &Candidate, idfs: &[f64]) -> Score {
+        let mut ts_sum = 0.0;
+        for (i, matched) in candidate.matches.iter().enumerate() {
+            if let Some(mt) = matched {
+                ts_sum += idfs[i] * unquantize_term_score(mt.tscore);
+            }
+        }
+        self.combine(svr, ts_sum)
     }
 
     /// Validate and register a brand-new document; returns an error if the
@@ -440,6 +481,40 @@ impl MethodBase {
             }
         }
         Ok((old, doc.terms.clone()))
+    }
+
+    /// Appendix A.1 for the short-list methods: replace `doc`'s content and
+    /// post the difference to `short` at the document's live list position
+    /// `pos`. New terms get ADD postings — term-scored lists re-add *every*
+    /// term, since its term score may have changed; `on_add` sees each
+    /// `(term, tscore)` added. A removed term's live short posting is
+    /// deleted when `in_short_list`, otherwise a REM posting tombstones the
+    /// long one.
+    pub fn replace_content<const TERM_SCORES: bool>(
+        &self,
+        short: &ShortLists,
+        doc: &Document,
+        pos: PostingPos,
+        in_short_list: bool,
+        mut on_add: impl FnMut(TermId, u16),
+    ) -> Result<()> {
+        let (old, new) = self.register_content(doc)?;
+        let old_terms: HashSet<TermId> = old.iter().map(|&(t, _)| t).collect();
+        let new_terms: HashSet<TermId> = new.iter().map(|&(t, _)| t).collect();
+        for (term, ts) in term_scores::<TERM_SCORES>(&new) {
+            if TERM_SCORES || !old_terms.contains(&term) {
+                short.put(term, pos, doc.id, Op::Add, ts)?;
+                on_add(term, ts);
+            }
+        }
+        for &(term, _) in old.iter().filter(|(t, _)| !new_terms.contains(t)) {
+            if in_short_list {
+                short.delete(term, pos, doc.id)?;
+            } else {
+                short.put(term, pos, doc.id, Op::Rem, 0)?;
+            }
+        }
+        Ok(())
     }
 
     /// Current (live) score of a doc.

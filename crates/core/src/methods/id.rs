@@ -1,32 +1,48 @@
-//! The ID method (§4.2.1): postings in doc-id order, scores in the Score
-//! table.
+//! The ID method (§4.2.1) and its term-scored form, ID-TermScore (§5.2):
+//! postings in doc-id order, scores in the Score table.
 //!
 //! Score updates touch only the Score table (the fastest possible update),
 //! but every query must scan the *entire* inverted list of each query term
 //! and probe the Score table per candidate — "the main disadvantage of this
 //! method is that we need to scan all the postings ... even if the user only
 //! wants the top-k results".
+//!
+//! ID-TermScore is the ID method "extended to additionally store term-based
+//! scores" in the postings — the baseline of the combined-score experiments
+//! (Fig. 9 / Fig. 10). It ranks by `f(svr, Σ ts) = svr + w·Σ idf(t)·ts(d,t)`.
+//! Like the ID method, a cursor must scan every posting: with an unbounded,
+//! frequently changing SVR component, no term-score-only early termination
+//! is sound.
+
+use svr_text::unquantize_term_score;
 
 use crate::config::IndexConfig;
-use crate::cursor::CursorBackend;
+use crate::cursor::{CursorBackend, MergeState};
 use crate::error::Result;
-use crate::long_list::{invert_corpus, ListFormat, LongListStore};
+use crate::long_list::{ListFormat, LongListStore};
+use crate::maintenance::{write_id_lists, Inversion};
 use crate::merge::{Candidate, UnionCursor, UnionResume};
-use crate::methods::base::{MethodBase, ShardContext};
+use crate::methods::base::{term_scores, MethodBase, ShardContext};
 use crate::methods::{store_names, Method, MethodKind, ScoreMap};
 use crate::multiterm::{wand_topk, SeekCounters, SeekStats};
 use crate::short_list::{Op, PostingPos, ShortLists, ShortOrder};
 use crate::types::{DocId, Document, Query, Score, SearchHit, TermId};
 
-/// The ID method.
-pub(crate) struct IdMethod {
+/// The ID method (`TERM_SCORES = false`) and ID-TermScore (`true`).
+pub(crate) struct IdMethod<const TERM_SCORES: bool> {
     base: MethodBase,
     long: LongListStore,
     short: ShortLists,
     counters: SeekCounters,
 }
 
-impl CursorBackend for IdMethod {
+impl<const TERM_SCORES: bool> IdMethod<TERM_SCORES> {
+    const FORMAT: ListFormat = ListFormat::Id {
+        with_scores: TERM_SCORES,
+    };
+}
+
+impl<const TERM_SCORES: bool> CursorBackend for IdMethod<TERM_SCORES> {
     fn base(&self) -> &MethodBase {
         &self.base
     }
@@ -43,7 +59,7 @@ impl CursorBackend for IdMethod {
         ))
     }
 
-    fn resolve(&self, candidate: &Candidate, _idfs: &[f64]) -> Result<Option<Score>> {
+    fn resolve(&self, candidate: &Candidate, idfs: &[f64]) -> Result<Option<Score>> {
         // Score table probe for every candidate — the ID method's cost.
         let Some(entry) = self.base.score_table.get(candidate.doc)? else {
             return Ok(None);
@@ -51,7 +67,11 @@ impl CursorBackend for IdMethod {
         if entry.deleted {
             return Ok(None);
         }
-        Ok(Some(entry.score))
+        Ok(Some(if TERM_SCORES {
+            self.base.combine_matches(entry.score, candidate, idfs)
+        } else {
+            entry.score
+        }))
     }
 
     fn svr_bound(&self, pos: Option<PostingPos>) -> Score {
@@ -60,6 +80,14 @@ impl CursorBackend for IdMethod {
         match pos {
             Some(_) => f64::INFINITY,
             None => f64::NEG_INFINITY,
+        }
+    }
+
+    fn combine(&self, svr: Score, ts_sum: f64) -> Score {
+        if TERM_SCORES {
+            self.base.combine(svr, ts_sum)
+        } else {
+            svr
         }
     }
 
@@ -76,8 +104,12 @@ impl CursorBackend for IdMethod {
     }
 }
 
-impl Method for IdMethod {
-    const KIND: MethodKind = MethodKind::Id;
+impl<const TERM_SCORES: bool> Method for IdMethod<TERM_SCORES> {
+    const KIND: MethodKind = if TERM_SCORES {
+        MethodKind::IdTermScore
+    } else {
+        MethodKind::Id
+    };
     const STORES: &'static [&'static str] = &[
         store_names::SCORE,
         store_names::DOCS,
@@ -90,21 +122,14 @@ impl Method for IdMethod {
         docs: &[Document],
         scores: &ScoreMap,
         config: &IndexConfig,
-    ) -> Result<IdMethod> {
+    ) -> Result<Self> {
         let base = MethodBase::with_context(ctx, config)?;
         base.bulk_load(docs, scores)?;
         let long_store = base.create_store(store_names::LONG, config.long_cache_pages);
         let short_store = base.create_store(store_names::SHORT, config.small_cache_pages);
-        let long = LongListStore::create_in(
-            long_store,
-            ListFormat::Id { with_scores: false },
-            config.codec,
-            base.durable,
-        )?;
+        let long = LongListStore::create_in(long_store, Self::FORMAT, config.codec, base.durable)?;
         let short = ShortLists::create_in(short_store, ShortOrder::ById, base.durable)?;
-        for (term, postings) in invert_corpus(docs) {
-            long.put_id_list(term, &postings)?;
-        }
+        write_id_lists(&long, &Inversion::of_corpus(docs, scores)?)?;
         Ok(IdMethod {
             base,
             long,
@@ -113,11 +138,11 @@ impl Method for IdMethod {
         })
     }
 
-    fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<IdMethod> {
+    fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<Self> {
         let base = MethodBase::open_with_context(ctx, config)?;
         let long = LongListStore::open(
             base.create_store(store_names::LONG, config.long_cache_pages),
-            ListFormat::Id { with_scores: false },
+            Self::FORMAT,
             config.codec,
         )?;
         let short = ShortLists::open(
@@ -147,30 +172,53 @@ impl Method for IdMethod {
         Ok(())
     }
 
+    fn open_cursor(&self, query: &Query) -> Result<MergeState> {
+        // Term-scored candidates resolve with the query's IDF weights.
+        let idfs = if TERM_SCORES {
+            self.base.idfs(&query.terms)
+        } else {
+            Vec::new()
+        };
+        Ok(MergeState::new(query.terms.len(), idfs))
+    }
+
     fn query(&self, query: &Query) -> Result<Vec<SearchHit>> {
         // One-shot queries know `k` up front, so they run the block-max
-        // WAND executor instead of a cursor drain. The ID method carries no
-        // term scores (IDF weights are zero), so score-based skipping never
-        // fires — but conjunctive leapfrogging still skips whole blocks via
-        // the max-doc skip metadata.
+        // WAND executor instead of a cursor drain: per-block `(max doc, max
+        // tscore)` metadata bounds the term-score part, the Score table's
+        // monotone maximum bounds the SVR part, and windows that cannot beat
+        // the k-th score are skipped undecoded. Without term scores the IDF
+        // weights are zero, so score-based skipping never fires — but
+        // conjunctive leapfrogging still skips whole blocks via the max-doc
+        // skip metadata.
         if query.terms.is_empty() {
             return Ok(Vec::new());
         }
+        let (idfs, short_bounds) = if TERM_SCORES {
+            let short_bounds: Vec<f64> = query
+                .terms
+                .iter()
+                .map(|&t| self.short.max_add_tscore(t).map(unquantize_term_score))
+                .collect::<Result<_>>()?;
+            (self.base.idfs(&query.terms), short_bounds)
+        } else {
+            let zeros = vec![0.0; query.terms.len()];
+            (zeros.clone(), zeros)
+        };
         let streams = query
             .terms
             .iter()
             .map(|&t| self.stream(t, &UnionResume::fresh()))
             .collect::<Result<Vec<_>>>()?;
-        let zeros = vec![0.0; query.terms.len()];
         let svr_ub = self.base.score_table.max_score_bound();
-        let (hits, _) = wand_topk(self, streams, query, &zeros, &zeros, svr_ub)?;
+        let (hits, _) = wand_topk(self, streams, query, &idfs, &short_bounds, svr_ub)?;
         Ok(hits)
     }
 
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
         self.base.register_insert(doc, score)?;
-        for term in doc.term_ids() {
-            self.short.put(term, PostingPos::Id, doc.id, Op::Add, 0)?;
+        for (term, ts) in term_scores::<TERM_SCORES>(&doc.terms) {
+            self.short.put(term, PostingPos::Id, doc.id, Op::Add, ts)?;
         }
         Ok(())
     }
@@ -184,21 +232,15 @@ impl Method for IdMethod {
         Ok(())
     }
 
+    /// ADD postings override the long posting at the same (term, doc)
+    /// position; REM postings tombstone removed terms.
     fn update_content(&self, doc: &Document) -> Result<()> {
-        let (old, new) = self.base.register_content(doc)?;
-        let old_terms: std::collections::HashSet<TermId> = old.iter().map(|&(t, _)| t).collect();
-        let new_terms: std::collections::HashSet<TermId> = new.iter().map(|&(t, _)| t).collect();
-        for &term in new_terms.difference(&old_terms) {
-            self.short.put(term, PostingPos::Id, doc.id, Op::Add, 0)?;
-        }
-        for &term in old_terms.difference(&new_terms) {
-            self.short.put(term, PostingPos::Id, doc.id, Op::Rem, 0)?;
-        }
-        Ok(())
+        self.base
+            .replace_content::<TERM_SCORES>(&self.short, doc, PostingPos::Id, false, |_, _| {})
     }
 
     fn merge_short_lists(&self) -> Result<()> {
-        crate::maintenance::rebuild_id_lists(&self.base, &self.long)?;
+        write_id_lists(&self.long, &Inversion::of_live(&self.base)?)?;
         self.short.clear()
     }
 }

@@ -15,24 +15,49 @@
 //!
 //! ## Layout
 //!
-//! The methods differ in three things — the long-list order and payload,
-//! the bound on an unseen document's score, and what a score update
-//! touches. Each method file holds exactly that: a struct of list stores
-//! implementing `CursorBackend` (stream, resolve, bound) and the
+//! The methods differ in three things — the long-list layout, the bound on
+//! an unseen document's score, and what a score update touches — and,
+//! independently, in whether postings carry term scores. One file per
+//! layout:
+//!
+//! * `id.rs` — doc-id order, full scans (ID);
+//! * `score_threshold.rs` — score order plus thresholded short lists
+//!   (Score-Threshold);
+//! * `chunk.rs` — chunk order plus short lists moved on a two-chunk climb
+//!   (Chunk);
+//! * `score.rs` — the Score method's clustered B+-tree, updated in place.
+//!
+//! The three blob-list structs take a `const TERM_SCORES: bool`. `false`
+//! is the base method; `true` is its term-scored form (ID-TermScore,
+//! Score-Threshold-TermScore, Chunk-TermScore) — the same body with a term
+//! score in every posting and the combined ranking `f(svr, ts)`. The two
+//! threshold layouts add the fancy lists of `fancy.rs` (`FancyLists`: phase 1
+//! of Algorithm 3, its term-score bounds and their durable metadata). The
+//! flag is a type parameter, so the SVR-only instantiations carry no
+//! term-score work.
+//!
+//! Each struct implements `CursorBackend` (stream, resolve, bound) and the
 //! crate-private `Method` trait (build, open, and the Algorithm 1/2/3
-//! bodies). Everything a method does *not* decide is written once in
-//! `index.rs`: `Index<M>` is a vector of `N >= 1` shards — a method instance,
-//! its reader/writer lock and its group-commit refresh queue — and is the
-//! crate's only [`SearchIndex`] implementation. Locking, shard routing, the
-//! k-way cursor merge, statistics, checkpoint gating and the cold-cache
-//! protocol live there; the paper's single-partition deployment is simply
-//! `N = 1`. [`build_index`], [`build_index_at`] and [`open_index_at`] map a
+//! bodies). Build and offline merge write lists through the same
+//! per-layout writers in [`crate::maintenance`]. Everything a method does
+//! *not* decide is written once in `index.rs`: `Index<M>` is a vector of
+//! `N >= 1` shards — a method instance, its reader/writer lock and its
+//! group-commit refresh queue — and is the crate's only [`SearchIndex`]
+//! implementation. Locking, shard routing, the k-way cursor merge,
+//! statistics, checkpoint gating and the cold-cache protocol live there;
+//! the paper's single-partition deployment is simply `N = 1`.
+//! [`build_index`], [`build_index_at`] and [`open_index_at`] map a
 //! [`MethodKind`] to its method type at one dispatch site.
 //!
 //! ## Adding an eighth method
 //!
-//! Implement `Method` (and its supertrait `CursorBackend`) for the new
-//! struct and add one arm to the dispatch in this module. Required items:
+//! A term-scored form of an existing layout is a `TERM_SCORES` branch, not
+//! a new file. A new layout is a new struct — generic over `TERM_SCORES`
+//! if it supports term scores, reusing `FancyLists` if it stops early on
+//! them — with a list writer in [`crate::maintenance`] shared by its build
+//! and merge. Implement `Method` (and its supertrait `CursorBackend`) for
+//! it and add one dispatch arm per [`MethodKind`] it serves. Required
+//! items:
 //!
 //! * `KIND` — the new [`MethodKind`] variant (also add it to `ALL_EXTENDED`
 //!   and `name`);
@@ -52,14 +77,12 @@
 //! blob-long-list method.
 
 pub(crate) mod base;
-pub(crate) mod chunk;
-mod chunk_term;
+mod chunk;
+pub(crate) mod fancy;
 mod id;
-mod id_term;
 pub(crate) mod index;
 mod score;
 mod score_threshold;
-mod score_threshold_term;
 
 pub use index::shard_of_doc;
 
@@ -89,7 +112,7 @@ pub mod store_names {
     pub const DOCS: &str = "docs";
     /// ListScore / ListChunk table.
     pub const AUX: &str = "aux";
-    /// Fancy lists (Chunk-TermScore).
+    /// Fancy lists (Chunk-TermScore, Score-Threshold-TermScore).
     pub const FANCY: &str = "fancy";
     /// Per-shard durable metadata (chunk boundaries, fancy-list metadata,
     /// content-dirty markers) — what a reopen reads instead of rebuilding.
@@ -552,17 +575,18 @@ fn attach(
             &fresh
         }
     };
+    use chunk::ChunkMethod;
+    use id::IdMethod;
+    use score_threshold::ScoreThresholdMethod;
     match kind {
-        MethodKind::Id => boxed::<id::IdMethod>(loc, corpus, config),
+        MethodKind::Id => boxed::<IdMethod<false>>(loc, corpus, config),
         MethodKind::Score => boxed::<score::ScoreMethod>(loc, corpus, config),
-        MethodKind::ScoreThreshold => {
-            boxed::<score_threshold::ScoreThresholdMethod>(loc, corpus, config)
-        }
-        MethodKind::Chunk => boxed::<chunk::ChunkMethod>(loc, corpus, config),
-        MethodKind::IdTermScore => boxed::<id_term::IdTermMethod>(loc, corpus, config),
-        MethodKind::ChunkTermScore => boxed::<chunk_term::ChunkTermMethod>(loc, corpus, config),
+        MethodKind::ScoreThreshold => boxed::<ScoreThresholdMethod<false>>(loc, corpus, config),
+        MethodKind::Chunk => boxed::<ChunkMethod<false>>(loc, corpus, config),
+        MethodKind::IdTermScore => boxed::<IdMethod<true>>(loc, corpus, config),
+        MethodKind::ChunkTermScore => boxed::<ChunkMethod<true>>(loc, corpus, config),
         MethodKind::ScoreThresholdTermScore => {
-            boxed::<score_threshold_term::ScoreThresholdTermMethod>(loc, corpus, config)
+            boxed::<ScoreThresholdMethod<true>>(loc, corpus, config)
         }
     }
 }

@@ -12,7 +12,8 @@
 use crate::config::IndexConfig;
 use crate::cursor::CursorBackend;
 use crate::error::Result;
-use crate::long_list::{invert_corpus, LongCursor};
+use crate::long_list::LongCursor;
+use crate::maintenance::Inversion;
 use crate::merge::{Candidate, UnionCursor, UnionResume};
 use crate::methods::base::{MethodBase, ShardContext};
 use crate::methods::{store_names, Method, MethodKind, ScoreMap};
@@ -80,7 +81,7 @@ impl Method for ScoreMethod {
         base.bulk_load(docs, scores)?;
         let long_store = base.create_store(store_names::LONG, config.long_cache_pages);
         let list = ShortLists::create_in(long_store, ShortOrder::ByScoreDesc, base.durable)?;
-        for (term, postings) in invert_corpus(docs) {
+        for (term, postings) in Inversion::of_corpus(docs, scores)?.lists {
             for p in postings {
                 let score = MethodBase::initial_score(scores, p.doc);
                 list.put(term, PostingPos::ByScore(score), p.doc, Op::Add, p.tscore)?;

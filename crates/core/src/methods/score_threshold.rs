@@ -1,4 +1,5 @@
-//! The Score-Threshold method (§4.3.1).
+//! The Score-Threshold method (§4.3.1) and its term-scored form,
+//! Score-Threshold-TermScore.
 //!
 //! An immutable, score-ordered long list plus a score-ordered short list per
 //! term. A score update touches the inverted lists only when the new score
@@ -6,44 +7,69 @@
 //! query algorithm (Algorithm 2) keeps scanning past the first k results
 //! until the bounded staleness of list scores can no longer change the
 //! answer, and always reports scores from the Score table.
-
-use std::collections::HashSet;
+//!
+//! Score-Threshold-TermScore realizes the §4.3.3 remark that "the
+//! generalization for the Score-Threshold method is similar" (the paper
+//! never builds it). It is to Score-Threshold what Chunk-TermScore is to
+//! Chunk: `ScoreThresholdMethod<true>` stores a quantized term score in
+//! every posting and keeps the per-term [`FancyLists`], so queries rank by
+//! `f(svr, ts) = svr + w·Σ idf(t)·ts(d,t)`. Query processing is
+//! Algorithm 3 with the chunk-boundary SVR upper bound replaced by this
+//! method's: at merge position `listScore` no unseen document's current SVR
+//! score can exceed `thresholdValueOf(listScore)` (Lemma 1.2), so the
+//! stopping rule becomes
+//! `f(thresholdValueOf(listScore), termScoreBound) ≤ resultHeap.minScore(k)`.
 
 use crate::aux_table::{ListScoreEntry, ListScoreTable};
 use crate::config::IndexConfig;
-use crate::cursor::CursorBackend;
+use crate::cursor::{CursorBackend, MergeState};
+use crate::durable::MetaTable;
 use crate::error::Result;
-use crate::long_list::{invert_corpus, ListFormat, LongListStore};
+use crate::long_list::{ListFormat, LongListStore};
+use crate::maintenance::{write_score_lists, Inversion};
 use crate::merge::{Candidate, UnionCursor, UnionResume};
-use crate::methods::base::{MethodBase, ShardContext};
+use crate::methods::base::{term_scores, MethodBase, ShardContext};
+use crate::methods::fancy::FancyLists;
 use crate::methods::{store_names, Method, MethodKind, ScoreMap};
 use crate::short_list::{Op, PostingPos, ShortLists, ShortOrder};
-use crate::types::{DocId, Document, Score, TermId};
+use crate::types::{DocId, Document, Query, Score, TermId};
 
-/// The Score-Threshold method.
-pub(crate) struct ScoreThresholdMethod {
+/// The Score-Threshold method (`TERM_SCORES = false`) and
+/// Score-Threshold-TermScore (`true`).
+pub(crate) struct ScoreThresholdMethod<const TERM_SCORES: bool> {
     base: MethodBase,
     config: IndexConfig,
     long: LongListStore,
     short: ShortLists,
     list_score: ListScoreTable,
+    /// The term-scored form's fancy lists and the durable shard metadata
+    /// persisting their bounds and content-dirty markers; `None` without
+    /// term scores.
+    fancy: Option<(FancyLists, MetaTable)>,
 }
 
-impl ScoreThresholdMethod {
-    /// The document's list score and whether its postings are in the short
-    /// lists (Algorithm 1 lines 9-17).
-    fn list_state(&self, doc: DocId, fallback_score: Score) -> Result<ListScoreEntry> {
-        match self.list_score.get(doc)? {
-            Some(entry) => Ok(entry),
-            None => Ok(ListScoreEntry {
-                l_score: fallback_score,
-                in_short_list: false,
-            }),
+impl<const TERM_SCORES: bool> ScoreThresholdMethod<TERM_SCORES> {
+    const FORMAT: ListFormat = ListFormat::Score {
+        with_scores: TERM_SCORES,
+    };
+
+    /// The list state of a never-updated document (no ListScore entry): its
+    /// long posting sits at its current (= build) score.
+    fn long_entry(current_score: Score) -> ListScoreEntry {
+        ListScoreEntry {
+            l_score: current_score,
+            in_short_list: false,
+        }
+    }
+
+    fn widen(&self, term: TermId, ts: u16) {
+        if let Some((fancy, _)) = &self.fancy {
+            fancy.widen(term, ts);
         }
     }
 }
 
-impl CursorBackend for ScoreThresholdMethod {
+impl<const TERM_SCORES: bool> CursorBackend for ScoreThresholdMethod<TERM_SCORES> {
     fn base(&self) -> &MethodBase {
         &self.base
     }
@@ -60,27 +86,34 @@ impl CursorBackend for ScoreThresholdMethod {
         ))
     }
 
-    /// Algorithm 2 lines 12-21: score resolution per occurrence.
-    fn resolve(&self, candidate: &Candidate, _idfs: &[f64]) -> Result<Option<Score>> {
+    /// Algorithm 2 lines 12-21: score resolution per occurrence (plus,
+    /// term-scored, the matched term-score contributions).
+    fn resolve(&self, candidate: &Candidate, idfs: &[f64]) -> Result<Option<Score>> {
         let PostingPos::ByScore(list_score) = candidate.pos else {
             unreachable!("score-threshold candidates are score-ordered");
         };
-        if candidate.all_short() {
+        let svr = if candidate.all_short() {
             // Short-list result; scores in the short list may lag the
             // Score table.
-            return Ok(Some(self.base.score_table.score_of(candidate.doc)?));
-        }
-        // Long-list (or mixed) result.
-        match self.list_score.get(candidate.doc)? {
-            // Never updated: the list score is current.
-            None => Ok(Some(list_score)),
-            Some(entry) if !entry.in_short_list => {
-                Ok(Some(self.base.score_table.score_of(candidate.doc)?))
+            self.base.score_table.score_of(candidate.doc)?
+        } else {
+            // Long-list (or mixed) result.
+            match self.list_score.get(candidate.doc)? {
+                // Never updated: the list score is current.
+                None => list_score,
+                Some(entry) if !entry.in_short_list => {
+                    self.base.score_table.score_of(candidate.doc)?
+                }
+                // In the short list: this (stale) long posting is superseded
+                // by the short occurrence.
+                Some(_) => return Ok(None),
             }
-            // In the short list: this (stale) long posting is superseded by
-            // the short occurrence.
-            Some(_) => Ok(None),
-        }
+        };
+        Ok(Some(if TERM_SCORES {
+            self.base.combine_matches(svr, candidate, idfs)
+        } else {
+            svr
+        }))
     }
 
     /// Lemma 1.2: no document at or past list position `s` can currently
@@ -92,46 +125,74 @@ impl CursorBackend for ScoreThresholdMethod {
             None => f64::NEG_INFINITY,
         }
     }
+
+    fn term_fancy_bound(&self, term: TermId) -> f64 {
+        self.fancy
+            .as_ref()
+            .map_or(0.0, |(fancy, _)| fancy.bound(term))
+    }
+
+    fn combine(&self, svr: Score, ts_sum: f64) -> Score {
+        if TERM_SCORES {
+            self.base.combine(svr, ts_sum)
+        } else {
+            svr
+        }
+    }
 }
 
-impl Method for ScoreThresholdMethod {
-    const KIND: MethodKind = MethodKind::ScoreThreshold;
-    const STORES: &'static [&'static str] = &[
-        store_names::SCORE,
-        store_names::DOCS,
-        store_names::LONG,
-        store_names::SHORT,
-        store_names::AUX,
-    ];
+impl<const TERM_SCORES: bool> Method for ScoreThresholdMethod<TERM_SCORES> {
+    const KIND: MethodKind = if TERM_SCORES {
+        MethodKind::ScoreThresholdTermScore
+    } else {
+        MethodKind::ScoreThreshold
+    };
+    const STORES: &'static [&'static str] = if TERM_SCORES {
+        &[
+            store_names::SCORE,
+            store_names::DOCS,
+            store_names::LONG,
+            store_names::SHORT,
+            store_names::AUX,
+            store_names::FANCY,
+            store_names::META,
+        ]
+    } else {
+        &[
+            store_names::SCORE,
+            store_names::DOCS,
+            store_names::LONG,
+            store_names::SHORT,
+            store_names::AUX,
+        ]
+    };
 
     fn build_in(
         ctx: ShardContext,
         docs: &[Document],
         scores: &ScoreMap,
         config: &IndexConfig,
-    ) -> Result<ScoreThresholdMethod> {
+    ) -> Result<Self> {
         let base = MethodBase::with_context(ctx, config)?;
         base.bulk_load(docs, scores)?;
         let long_store = base.create_store(store_names::LONG, config.long_cache_pages);
         let short_store = base.create_store(store_names::SHORT, config.small_cache_pages);
         let aux_store = base.create_store(store_names::AUX, config.small_cache_pages);
-        let long = LongListStore::create_in(
-            long_store,
-            ListFormat::Score { with_scores: false },
-            config.codec,
-            base.durable,
-        )?;
+        let long = LongListStore::create_in(long_store, Self::FORMAT, config.codec, base.durable)?;
         let short = ShortLists::create_in(short_store, ShortOrder::ByScoreDesc, base.durable)?;
         let list_score = ListScoreTable::create_in(aux_store, base.durable)?;
+        let fancy = if TERM_SCORES {
+            let lists = FancyLists::create(&base, config)?;
+            let meta_store = base.create_store(store_names::META, config.small_cache_pages);
+            Some((lists, MetaTable::create(meta_store, base.durable)?))
+        } else {
+            None
+        };
 
-        for (term, mut postings) in invert_corpus(docs) {
-            // (score desc, doc asc) order.
-            let mut rows: Vec<(f64, DocId, u16)> = postings
-                .drain(..)
-                .map(|p| (MethodBase::initial_score(scores, p.doc), p.doc, p.tscore))
-                .collect();
-            rows.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-            long.put_score_list(term, &rows)?;
+        let inv = Inversion::of_corpus(docs, scores)?;
+        write_score_lists(&long, &inv)?;
+        if let Some((fancy, meta)) = &fancy {
+            fancy.write(&inv, config.fancy_size, meta)?;
         }
         Ok(ScoreThresholdMethod {
             base,
@@ -139,14 +200,18 @@ impl Method for ScoreThresholdMethod {
             long,
             short,
             list_score,
+            fancy,
         })
     }
 
-    fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<ScoreThresholdMethod> {
+    /// Reattach a durable shard from its recovered stores (see
+    /// [`crate::open_index_at`]); the term-scored form reloads its fancy-list
+    /// state from the shard metadata.
+    fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<Self> {
         let base = MethodBase::open_with_context(ctx, config)?;
         let long = LongListStore::open(
             base.create_store(store_names::LONG, config.long_cache_pages),
-            ListFormat::Score { with_scores: false },
+            Self::FORMAT,
             config.codec,
         )?;
         let short = ShortLists::open(
@@ -155,12 +220,20 @@ impl Method for ScoreThresholdMethod {
         )?;
         let list_score =
             ListScoreTable::open(base.create_store(store_names::AUX, config.small_cache_pages))?;
+        let fancy = if TERM_SCORES {
+            let meta =
+                MetaTable::open(base.create_store(store_names::META, config.small_cache_pages))?;
+            Some((FancyLists::open(&base, config, &meta, &short)?, meta))
+        } else {
+            None
+        };
         Ok(ScoreThresholdMethod {
             base,
             config: config.clone(),
             long,
             short,
             list_score,
+            fancy,
         })
     }
 
@@ -172,31 +245,22 @@ impl Method for ScoreThresholdMethod {
         )
     }
 
-    /// Algorithm 1.
+    /// Algorithm 1. One ListScore read, at most one write.
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
         let old_score = self.base.current_score(doc)?;
         self.base.score_table.set(doc, new_score)?;
-        let entry = self.list_state(doc, old_score)?;
-        if self.list_score.get(doc)?.is_none() {
-            // First-ever update: remember the (long) list score.
-            self.list_score.put(
-                doc,
-                ListScoreEntry {
-                    l_score: old_score,
-                    in_short_list: false,
-                },
-            )?;
-        }
+        let row = self.list_score.get(doc)?;
+        let entry = row.unwrap_or(Self::long_entry(old_score));
         if new_score > self.config.threshold_value_of(entry.l_score) {
             let terms = self.base.doc_store.get(doc)?.unwrap_or_default();
-            for (term, _) in terms {
+            for (term, ts) in term_scores::<TERM_SCORES>(&terms) {
                 if entry.in_short_list {
                     // Relocate the existing short posting.
                     self.short
                         .delete(term, PostingPos::ByScore(entry.l_score), doc)?;
                 }
                 self.short
-                    .put(term, PostingPos::ByScore(new_score), doc, Op::Add, 0)?;
+                    .put(term, PostingPos::ByScore(new_score), doc, Op::Add, ts)?;
             }
             self.list_score.put(
                 doc,
@@ -205,15 +269,26 @@ impl Method for ScoreThresholdMethod {
                     in_short_list: true,
                 },
             )?;
+        } else if row.is_none() {
+            // First-ever update: remember the (long) list score.
+            self.list_score.put(doc, entry)?;
         }
         Ok(())
     }
 
+    fn open_cursor(&self, query: &Query) -> Result<MergeState> {
+        match &self.fancy {
+            Some((fancy, _)) => fancy.open_cursor(&self.base, query),
+            None => Ok(MergeState::new(query.terms.len(), Vec::new())),
+        }
+    }
+
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
         self.base.register_insert(doc, score)?;
-        for term in doc.term_ids() {
+        for (term, ts) in term_scores::<TERM_SCORES>(&doc.terms) {
             self.short
-                .put(term, PostingPos::ByScore(score), doc.id, Op::Add, 0)?;
+                .put(term, PostingPos::ByScore(score), doc.id, Op::Add, ts)?;
+            self.widen(term, ts);
         }
         self.list_score.put(
             doc.id,
@@ -228,7 +303,9 @@ impl Method for ScoreThresholdMethod {
     fn uninsert_document(&self, doc: DocId) -> Result<()> {
         // No ListScore entry means the offline merge already folded the
         // insert's postings into the long lists (merges clear ListScore) —
-        // the helper's merged-document fallback covers it.
+        // the helper's merged-document fallback covers it. Fancy bounds
+        // widened by the insertion stay widened: they are upper bounds,
+        // looser but never wrong.
         let (pos, in_short_list) = match self.list_score.get(doc)? {
             Some(entry) => (PostingPos::ByScore(entry.l_score), entry.in_short_list),
             None => (PostingPos::ByScore(0.0), false),
@@ -244,28 +321,29 @@ impl Method for ScoreThresholdMethod {
 
     fn update_content(&self, doc: &Document) -> Result<()> {
         let current = self.base.current_score(doc.id)?;
-        let entry = self.list_state(doc.id, current)?;
-        let (old, new) = self.base.register_content(doc)?;
-        let old_terms: HashSet<TermId> = old.iter().map(|&(t, _)| t).collect();
-        let new_terms: HashSet<TermId> = new.iter().map(|&(t, _)| t).collect();
-        let pos = PostingPos::ByScore(entry.l_score);
-        for &term in new_terms.difference(&old_terms) {
-            self.short.put(term, pos, doc.id, Op::Add, 0)?;
+        let entry = self
+            .list_score
+            .get(doc.id)?
+            .unwrap_or(Self::long_entry(current));
+        self.base.replace_content::<TERM_SCORES>(
+            &self.short,
+            doc,
+            PostingPos::ByScore(entry.l_score),
+            entry.in_short_list,
+            |term, ts| self.widen(term, ts),
+        )?;
+        match &self.fancy {
+            Some((fancy, meta)) => fancy.mark_dirty(meta, doc.id),
+            None => Ok(()),
         }
-        for &term in old_terms.difference(&new_terms) {
-            if entry.in_short_list {
-                // The live posting is a short one: drop it directly.
-                self.short.delete(term, pos, doc.id)?;
-            } else {
-                // Tombstone the long posting at its list position.
-                self.short.put(term, pos, doc.id, Op::Rem, 0)?;
-            }
-        }
-        Ok(())
     }
 
     fn merge_short_lists(&self) -> Result<()> {
-        crate::maintenance::rebuild_score_lists(&self.base, &self.long)?;
+        let inv = Inversion::of_live(&self.base)?;
+        write_score_lists(&self.long, &inv)?;
+        if let Some((fancy, meta)) = &self.fancy {
+            fancy.rebuild(&inv, self.config.fancy_size, meta)?;
+        }
         self.short.clear()?;
         self.list_score.clear()
     }

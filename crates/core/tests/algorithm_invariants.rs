@@ -262,3 +262,63 @@ fn boxed_index_is_send_sync() {
     assert_eq!(hits.len(), 3);
     let _ = HashMap::from([(1, 2)]);
 }
+
+/// The build writes lists in ascending term order, so the Score method's
+/// clustered tree — whose page count depends on insertion order — has the
+/// same footprint every time it is built from the same corpus (Table 1).
+#[test]
+fn score_build_footprint_is_deterministic() {
+    let docs: Vec<Document> = (0..1500u32)
+        .map(|i| {
+            let terms = (0..12u32).map(|j| (TermId((i * 7 + j * j * 13 + j) % 400), 1 + j % 3));
+            Document::from_term_freqs(DocId(i), terms)
+        })
+        .collect();
+    let scores: ScoreMap = (0..1500u32)
+        .map(|i| (DocId(i), f64::from((i * 7919) % 1000) + 0.25))
+        .collect();
+    let bytes = || {
+        build_index(MethodKind::Score, &docs, &scores, &cfg())
+            .unwrap()
+            .long_list_bytes()
+    };
+    let first = bytes();
+    for _ in 0..3 {
+        assert_eq!(bytes(), first);
+    }
+}
+
+/// Algorithm 1 bookkeeping costs one ListScore/ListChunk row write: a
+/// never-updated document's first update that moves its postings to the
+/// short lists commits the `aux` store exactly once.
+#[test]
+fn first_moving_update_commits_aux_once() {
+    use svr_core::{build_index_at, IndexLocation};
+    use svr_storage::StorageEnv;
+
+    let (docs, scores) = linear_corpus(64);
+    for kind in [
+        MethodKind::ScoreThreshold,
+        MethodKind::Chunk,
+        MethodKind::ScoreThresholdTermScore,
+        MethodKind::ChunkTermScore,
+    ] {
+        let env = Arc::new(StorageEnv::new_durable(512));
+        let loc = IndexLocation::new(env.clone(), "");
+        let index = build_index_at(&loc, kind, &docs, &scores, &cfg()).unwrap();
+        let aux = env.store(store_names::AUX).unwrap();
+        let commits = || {
+            let s = aux.wal().unwrap().stats();
+            s.syncs + s.sync_skips
+        };
+        let before = commits();
+        // Doc 3 (score 400) jumps far past every threshold and chunk.
+        index.update_score(DocId(3), 1.0e6).unwrap();
+        assert!(short_list_len(&*index) > 0, "{kind}: the update moved");
+        assert_eq!(commits() - before, 1, "{kind}");
+        // A non-moving first update writes the `{old, false}` row once too.
+        let before = commits();
+        index.update_score(DocId(5), 601.0).unwrap();
+        assert_eq!(commits() - before, 1, "{kind}");
+    }
+}
