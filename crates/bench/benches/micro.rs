@@ -286,24 +286,39 @@ fn wal_benches(c: &mut Criterion) {
         })
     });
 
-    // The log's per-byte costs: the record checksum alone, and a page-image
-    // append to a file log (checksum + positional write).
+    // The log's per-byte costs: the record checksum alone, and sealing a
+    // page image into a file log (checksum + positional write; the long
+    // group-sync interval keeps fsync out of the loop).
     group.throughput(Throughput::Bytes(4096));
-    let page = vec![0xA5u8; 4096];
+    let page = bytes::Bytes::from(vec![0xA5u8; 4096]);
     group.bench_function("crc32_4k", |b| {
         b.iter(|| svr_storage::wal::crc32(criterion::black_box(&page)))
     });
     let dir = std::env::temp_dir().join(format!("svr-micro-wal-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let file_wal = Wal::open_file(&dir.join("append.wal")).unwrap();
+    file_wal.set_sync_interval_ms(60_000);
+    // One commit, keeping the file bounded as a checkpoint would.
+    let seal = || {
+        let lsn = file_wal.commit().unwrap();
+        if file_wal.stats().bytes > 8 << 20 {
+            file_wal.truncate().unwrap();
+        }
+        lsn
+    };
     group.bench_function("append_file_4k", |b| {
         b.iter(|| {
-            let lsn = file_wal.append_page(7, &page).unwrap();
-            // Keep the file bounded, as a checkpoint would.
-            if file_wal.stats().bytes > 8 << 20 {
-                file_wal.truncate().unwrap();
+            file_wal.append_page(7, page.clone());
+            seal()
+        })
+    });
+    // Sixty-four writes of one page between two commits log one image.
+    group.bench_function("rewrite_page_x64_commit", |b| {
+        b.iter(|| {
+            for _ in 0..64 {
+                file_wal.append_page(7, page.clone());
             }
-            lsn
+            seal()
         })
     });
     group.finish();

@@ -21,10 +21,11 @@
 //! ([`LongListStore::codec`]): a merge never migrates an index between
 //! codecs, so a legacy-format index stays byte-compatible after upgrades.
 //!
-//! A shard's merge runs inside one [`svr_storage::WalBatch`] over its
-//! logged stores (opened by the index body, under the shard's write lock),
-//! so it commits once per store: one commit marker, and at the default
-//! sync interval one fsync. The short-list and ListScore/ListChunk trees
+//! A shard's merge is one index write: it runs inside one
+//! [`svr_storage::WalBatch`] over its logged stores (opened by the index
+//! body, under the shard's write lock, like every other index write), so
+//! it commits once per store: the last image of each page it wrote, one
+//! commit marker, and at the default sync interval one fsync. The short-list and ListScore/ListChunk trees
 //! are emptied with [`svr_storage::BTree::clear`], which frees their pages
 //! instead of deleting key by key. A crash before the batch seals recovers
 //! the whole pre-merge shard.

@@ -227,30 +227,6 @@ impl MethodBase {
         })
     }
 
-    /// Lock-free check: does any named store's log exceed `threshold`?
-    /// The cheap gate in front of [`MethodBase::maybe_checkpoint`], safe
-    /// on the hot path without the shard's writer lock.
-    pub fn logs_over(&self, names: &[&str], threshold: u64) -> bool {
-        names
-            .iter()
-            .any(|name| self.store(name).is_some_and(|s| s.log_over(threshold)))
-    }
-
-    /// Checkpoint (flush + truncate log) every named store of this shard
-    /// whose write-ahead log outgrew `threshold` bytes. Call while holding
-    /// the shard's writer lock — a checkpoint racing a mutation could
-    /// truncate records whose pages were not yet flushed.
-    pub fn maybe_checkpoint(&self, names: &[&str], threshold: u64) -> Result<()> {
-        for name in names {
-            if let Some(store) = self.store(name) {
-                store
-                    .maybe_checkpoint(threshold)
-                    .map_err(crate::error::CoreError::Storage)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Create (or fetch) a store in this shard's region of the environment.
     pub fn create_store(&self, name: &str, cache_pages: usize) -> Arc<Store> {
         self.env

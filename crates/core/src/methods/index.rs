@@ -33,6 +33,18 @@
 //! All shards live in one [`StorageEnv`] — a single shard directly under
 //! the index's prefix, several under per-shard `shard-<s>/` prefixes — so
 //! I/O accounting and the cold-cache query protocol work at any `N`.
+//!
+//! Every mutating entry point — score updates and refreshes, inserts,
+//! deletes and their undo forms, content updates, the offline merge — runs
+//! through one helper, `Shard::write`: the shard's write lock, then one
+//! [`WalBatch`] over the shard's logged stores, sealed before the lock is
+//! released. However many structure-level mutations a write makes (a Chunk
+//! move rewrites the Score row, up to 2T short-list postings and the
+//! ListChunk row), each store it changed seals once — one image per page it
+//! touched, one commit marker, and at the default sync interval one fsync —
+//! and a store it left alone appends nothing. A crash before a store's seal
+//! recovers that store to its state before the write; the stores seal one
+//! after another, so a write is atomic per store, not across stores.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -40,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex};
 
 use svr_storage::sync::{LockClass, OrderedRwLock};
-use svr_storage::{StorageEnv, WalBatch};
+use svr_storage::{StorageEnv, Store, WalBatch};
 
 use crate::config::IndexConfig;
 use crate::cursor::{self, MethodCursor, ShardSlot};
@@ -76,11 +88,14 @@ pub(crate) struct Index<M> {
     group_refresh: AtomicBool,
 }
 
-/// One write shard: a method instance, the lock that serializes its
-/// mutations against each other and against its readers, and the refresh
-/// batches queued on that lock.
+/// One write shard: a method instance, its logged stores, the lock that
+/// serializes its mutations against each other and against its readers,
+/// and the refresh batches queued on that lock.
 struct Shard<M> {
     method: M,
+    /// The logged stores among `M::STORES`, resolved once: what every
+    /// write's WAL batch brackets and what checkpoint gating polls.
+    stores: Vec<Arc<Store>>,
     lock: OrderedRwLock<()>,
     group: GroupQueue,
 }
@@ -107,7 +122,7 @@ struct GroupQueue {
 /// Cap on batches one lock hold may drain, so a single writer cannot be
 /// conscripted into applying the whole fleet's refreshes indefinitely
 /// under sustained load.
-const MAX_DRAIN_PER_HOLD: u64 = 128;
+const MAX_DRAIN_PER_HOLD: usize = 128;
 
 /// Unwrap a refresh-queue lock result.
 fn unpoisoned<T>(result: LockResult<T>) -> T {
@@ -171,6 +186,11 @@ impl<M: Method> Index<M> {
             shards: methods
                 .into_iter()
                 .map(|method| Shard {
+                    stores: M::STORES
+                        .iter()
+                        .filter_map(|name| method.base().store(name))
+                        .filter(|store| store.wal().is_some())
+                        .collect(),
                     method,
                     lock: OrderedRwLock::new(LockClass::Shard, ()),
                     group: GroupQueue::default(),
@@ -209,22 +229,48 @@ fn in_parallel<T: Send>(jobs: Vec<T>, f: impl Fn(T) -> Result<()> + Sync) -> Res
 }
 
 impl<M: Method> Shard<M> {
-    /// The offline merge, under the write lock and inside one WAL batch
-    /// over the shard's logged stores: each store commits once (one marker,
-    /// one fsync) instead of once per rewritten list and cleared key, and a
-    /// crash before the seal recovers the whole pre-merge shard.
-    fn merge(&self) -> Result<()> {
+    /// One write of this shard: `f` under the write lock, inside one WAL
+    /// batch (see the module docs).
+    fn write<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
         let _shard_guard = self.lock.write();
-        let base = self.method.base();
-        let batch = WalBatch::begin(M::STORES.iter().filter_map(|name| base.store(name)));
-        self.method.merge_short_lists()?;
-        Ok(batch.finish()?)
+        self.batched(f)
     }
 
-    /// Apply one refresh batch; the caller holds the write lock.
+    /// Run `f` inside one WAL batch over the shard's logged stores; the
+    /// caller holds the write lock. The batch seals even when `f` fails,
+    /// and `f`'s error wins. A seal error fails a write that succeeded:
+    /// recovery would roll it back.
+    fn batched<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
+        let batch = WalBatch::begin(self.stores.iter().cloned());
+        let result = f();
+        let sealed = batch.finish();
+        let value = result?;
+        sealed?;
+        Ok(value)
+    }
+
+    /// Lock-free: has one of the shard's logs outgrown `threshold` bytes?
+    fn logs_over(&self, threshold: u64) -> bool {
+        self.stores.iter().any(|store| store.log_over(threshold))
+    }
+
+    /// The offline merge, as one write: each store commits once however
+    /// many lists it rewrites and keys it clears, and a crash before the
+    /// seal recovers the whole pre-merge shard.
+    fn merge(&self) -> Result<()> {
+        self.write(|| self.method.merge_short_lists())
+    }
+
+    /// Apply one refresh batch; the caller holds the write lock and the
+    /// WAL batch.
     fn apply_refresh(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
         for &doc in docs {
             let Some(score) = read(doc)? else { continue };
+            // Already current (an insert's own refresh, a peer's refresh
+            // that landed first): nothing to write.
+            if self.method.base().current_score(doc).ok() == Some(score) {
+                continue;
+            }
             match self.method.update_score(doc, score) {
                 Ok(()) | Err(CoreError::UnknownDocument(_)) => {}
                 Err(e) => return Err(e),
@@ -234,8 +280,10 @@ impl<M: Method> Shard<M> {
     }
 
     /// The group-commit refresh path: queue the batch, then either win the
-    /// writer lock and drain every queued batch under the one hold, or
-    /// wait for a winning peer to deposit this batch's result.
+    /// writer lock and drain the queue under that one hold, or wait for a
+    /// winning peer to deposit this batch's result. One hold is one WAL
+    /// batch: the drained tickets get their results only once it sealed,
+    /// and a seal error goes to every one of them.
     fn refresh_grouped(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
         let ticket = Arc::new(RefreshTicket {
             docs: docs.to_vec(),
@@ -255,18 +303,25 @@ impl<M: Method> Shard<M> {
                 return result;
             }
             if let Some(_shard_guard) = self.lock.try_write() {
-                let mut applied = 0u64;
-                while applied < MAX_DRAIN_PER_HOLD {
-                    let next = unpoisoned(self.group.queue.lock()).pop_front();
-                    let Some(t) = next else { break };
-                    let result = self.apply_refresh(&t.docs, read);
-                    *unpoisoned(t.result.lock()) = Some(result);
-                    t.done.notify_all();
-                    applied += 1;
-                }
-                if applied > 0 {
+                let mut drained = Vec::new();
+                let sealed = self.batched(|| {
+                    while drained.len() < MAX_DRAIN_PER_HOLD {
+                        let next = unpoisoned(self.group.queue.lock()).pop_front();
+                        let Some(t) = next else { break };
+                        let result = self.apply_refresh(&t.docs, read);
+                        drained.push((t, result));
+                    }
+                    Ok(())
+                });
+                if !drained.is_empty() {
                     self.group.drain_holds.fetch_add(1, Ordering::Relaxed);
-                    self.group.applied.fetch_add(applied, Ordering::Relaxed);
+                    self.group
+                        .applied
+                        .fetch_add(drained.len() as u64, Ordering::Relaxed);
+                }
+                for (t, result) in drained {
+                    *unpoisoned(t.result.lock()) = Some(result.and(sealed.clone()));
+                    t.done.notify_all();
                 }
                 // Own ticket was normally among the drained; if a peer beat
                 // us to it (or the per-hold cap left it queued), loop.
@@ -294,8 +349,7 @@ impl<M: Method> SearchIndex for Index<M> {
 
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
         let shard = self.shard(doc);
-        let _shard_guard = shard.lock.write();
-        shard.method.update_score(doc, new_score)
+        shard.write(|| shard.method.update_score(doc, new_score))
     }
 
     fn refresh_scores(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
@@ -315,11 +369,10 @@ impl<M: Method> SearchIndex for Index<M> {
             if grouped {
                 return shard.refresh_grouped(group, read);
             }
-            // One write-lock acquisition for the whole batch; `read` runs
-            // under it, which is what makes deferred propagation
-            // stale-proof (see the trait docs).
-            let _shard_guard = shard.lock.write();
-            shard.apply_refresh(group, read)
+            // One write for the whole batch; `read` runs under its lock,
+            // which is what makes deferred propagation stale-proof (see the
+            // trait docs).
+            shard.write(|| shard.apply_refresh(group, read))
         })
     }
 
@@ -407,32 +460,27 @@ impl<M: Method> SearchIndex for Index<M> {
 
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
         let shard = self.shard(doc.id);
-        let _shard_guard = shard.lock.write();
-        shard.method.insert_document(doc, score)
+        shard.write(|| shard.method.insert_document(doc, score))
     }
 
     fn delete_document(&self, doc: DocId) -> Result<()> {
         let shard = self.shard(doc);
-        let _shard_guard = shard.lock.write();
-        shard.method.delete_document(doc)
+        shard.write(|| shard.method.delete_document(doc))
     }
 
     fn uninsert_document(&self, doc: DocId) -> Result<()> {
         let shard = self.shard(doc);
-        let _shard_guard = shard.lock.write();
-        shard.method.uninsert_document(doc)
+        shard.write(|| shard.method.uninsert_document(doc))
     }
 
     fn undelete_document(&self, doc: DocId) -> Result<()> {
         let shard = self.shard(doc);
-        let _shard_guard = shard.lock.write();
-        shard.method.undelete_document(doc)
+        shard.write(|| shard.method.undelete_document(doc))
     }
 
     fn update_content(&self, doc: &Document) -> Result<()> {
         let shard = self.shard(doc.id);
-        let _shard_guard = shard.lock.write();
-        shard.method.update_content(doc)
+        shard.write(|| shard.method.update_content(doc))
     }
 
     /// Shard `s`'s merge only excludes writers of shard `s`, so maintenance
@@ -498,9 +546,7 @@ impl<M: Method> SearchIndex for Index<M> {
     }
 
     fn logs_over(&self, threshold: u64) -> bool {
-        self.shards
-            .iter()
-            .any(|s| s.method.base().logs_over(M::STORES, threshold))
+        self.shards.iter().any(|s| s.logs_over(threshold))
     }
 
     fn maybe_checkpoint(&self, threshold: u64) -> Result<()> {
@@ -508,13 +554,15 @@ impl<M: Method> SearchIndex for Index<M> {
             // Cheap lock-free gate first: mutation hot paths call this on
             // every refresh, and below threshold it must not touch the
             // writer lock.
-            if !shard.method.base().logs_over(M::STORES, threshold) {
+            if !shard.logs_over(threshold) {
                 continue;
             }
             // Exclusive: a checkpoint must not truncate log records whose
             // pages a concurrent mutation has not flushed.
             let _shard_guard = shard.lock.write();
-            shard.method.base().maybe_checkpoint(M::STORES, threshold)?;
+            for store in &shard.stores {
+                store.maybe_checkpoint(threshold)?;
+            }
         }
         Ok(())
     }

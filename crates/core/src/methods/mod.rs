@@ -413,8 +413,9 @@ pub(crate) trait Method: CursorBackend + Send + Sync + Sized + 'static {
     const KIND: MethodKind;
 
     /// The [`store_names`] this method creates in its shard's region of
-    /// the environment: checkpoint gating walks them, and together with
-    /// the shard prefix they *are* the on-disk layout.
+    /// the environment: every write's WAL batch and checkpoint gating walk
+    /// them, and together with the shard prefix they *are* the on-disk
+    /// layout.
     const STORES: &'static [&'static str];
 
     /// Build one shard over `docs` (the shard's partition of the corpus)

@@ -133,7 +133,10 @@
 //! * **every store is write-ahead logged** — tables (since PR 4) *and* the
 //!   per-shard index stores, system catalogs and vocabulary. A crash loses
 //!   exactly the buffer pools; recovery replays each log's committed
-//!   batches.
+//!   batches. Each index write a transaction triggers (insert, delete,
+//!   content update, score refresh) is one batch per index shard store it
+//!   changes, and a call's vocabulary growth is one batch too: at the
+//!   default sync interval, one fsync per store changed, not per posting.
 //! * **catalog mutations write through**: `create_table` /
 //!   `create_text_index` / the drops persist versioned records into
 //!   `sys/catalog` (schemas, score-view definitions — owned by the
@@ -189,7 +192,7 @@ use svr_storage::codec::{
     begin_record, read_string, read_varint, record_version, write_string, write_varint,
 };
 use svr_storage::sync::{LockClass, OrderedMutex};
-use svr_storage::{BTree, StorageEnv};
+use svr_storage::{BTree, StorageEnv, WalBatch};
 use svr_text::Vocabulary;
 
 use crate::error::{Result, SvrError};
@@ -946,13 +949,17 @@ impl SvrEngine {
         if vocab.len() <= *persisted {
             return Ok(());
         }
+        let persist_error = |e| SvrError::Engine(format!("vocabulary persist: {e}"));
+        // One batch: a call's new terms seal (and fsync) once, not once each.
+        let batch = WalBatch::begin([durable.vocab_tree.store().clone()]);
         for (offset, term) in vocab.terms_since(*persisted).iter().enumerate() {
             let id = (*persisted + offset) as u32;
             durable
                 .vocab_tree
                 .put(&id.to_be_bytes(), term.as_bytes())
-                .map_err(|e| SvrError::Engine(format!("vocabulary persist: {e}")))?;
+                .map_err(persist_error)?;
         }
+        batch.finish().map_err(persist_error)?;
         *persisted = vocab.len();
         let _ = durable
             .vocab_tree

@@ -2,6 +2,8 @@
 //! suite: index discovery, listener plumbing under interleaved mutations,
 //! and identifier/key edge cases.
 
+use std::collections::BTreeMap;
+
 use svr_core::types::QueryMode;
 use svr_core::{IndexConfig, MethodKind};
 use svr_engine::SvrEngine;
@@ -473,17 +475,14 @@ fn open_query_pagination_matches_one_shot() {
     }
 }
 
-/// An offline merge is one WAL batch per store: at fsync-every-commit, one
-/// `run_maintenance` of a one-shard CHUNK index syncs each of the shard's
-/// six logged stores at most once, however many lists it rewrites and
-/// short-list keys it clears. (Per-key commits cost thousands.)
-#[test]
-fn a_merge_syncs_each_store_at_most_once() {
-    let dir = std::env::temp_dir().join(format!("svr-merge-syncs-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    // Set-up runs under a long group-sync interval; the merge at 0.
+/// A CHUNK index over 300 documents on a file-backed engine at `dir`,
+/// loaded under a long group-sync interval. `body(id)` is document `id`'s
+/// text; its `pop` hits put it in one of three chunks of 200, 50 and 50
+/// documents.
+fn chunk_engine_on_file(dir: &std::path::Path, body: impl Fn(i64) -> String) -> SvrEngine {
+    let _ = std::fs::remove_dir_all(dir);
     let engine = SvrEngine::open_path_with(
-        &dir,
+        dir,
         svr_engine::EngineConfig {
             wal_sync_interval_ms: 60_000,
             ..svr_engine::EngineConfig::default()
@@ -493,13 +492,9 @@ fn a_merge_syncs_each_store_at_most_once() {
     engine.create_table(docs_schema()).unwrap();
     engine.create_table(pop_schema()).unwrap();
     let docs = (0..300)
-        .map(|id| {
-            let body = format!("common w{} w{} w{}", id % 7, id % 11, id % 13);
-            vec![Value::Int(id), Value::Text(body)]
-        })
+        .map(|id| vec![Value::Int(id), Value::Text(body(id))])
         .collect();
     engine.insert_rows("docs", docs).unwrap();
-    // Three chunks of 200, 50 and 50 documents.
     let pops = (0..300)
         .map(|id| {
             let hits = match id {
@@ -524,6 +519,48 @@ fn a_merge_syncs_each_store_at_most_once() {
             },
         )
         .unwrap();
+    engine
+}
+
+fn short_postings(engine: &SvrEngine) -> u64 {
+    engine.index_shard_stats("idx").unwrap()[0].short_postings
+}
+
+/// Per logged store, its commit-path fsyncs so far.
+fn syncs_per_store(engine: &SvrEngine) -> BTreeMap<String, u64> {
+    let env = engine.env().expect("a file-backed engine");
+    env.store_names()
+        .into_iter()
+        .filter_map(|name| {
+            let syncs = env.store(&name)?.wal()?.stats().syncs;
+            Some((name, syncs))
+        })
+        .collect()
+}
+
+/// The stores that fsynced since `before`, and how often.
+fn synced_since(engine: &SvrEngine, before: &BTreeMap<String, u64>) -> BTreeMap<String, u64> {
+    syncs_per_store(engine)
+        .into_iter()
+        .map(|(name, syncs)| {
+            let since = syncs - before.get(&name).copied().unwrap_or(0);
+            (name, since)
+        })
+        .filter(|&(_, since)| since > 0)
+        .collect()
+}
+
+/// An offline merge is one WAL batch per store: at fsync-every-commit, one
+/// `run_maintenance` of a one-shard CHUNK index syncs each of the shard's
+/// six logged stores at most once, however many lists it rewrites and
+/// short-list keys it clears. (Per-key commits cost thousands.)
+#[test]
+fn a_merge_syncs_each_store_at_most_once() {
+    let dir = std::env::temp_dir().join(format!("svr-merge-syncs-{}", std::process::id()));
+    // Set-up runs under a long group-sync interval; the merge at 0.
+    let engine = chunk_engine_on_file(&dir, |id| {
+        format!("common w{} w{} w{}", id % 7, id % 11, id % 13)
+    });
     // 250 score jumps past the top chunk: each of the 200 from the bottom
     // chunk parks the document's postings on the short lists.
     for id in 0..250 {
@@ -535,8 +572,6 @@ fn a_merge_syncs_each_store_at_most_once() {
             )
             .unwrap();
     }
-    let short_postings =
-        |engine: &SvrEngine| -> u64 { engine.index_shard_stats("idx").unwrap()[0].short_postings };
     let debt = short_postings(&engine);
     assert!(debt >= 400, "unmerged debt: {debt} short postings");
 
@@ -550,6 +585,54 @@ fn a_merge_syncs_each_store_at_most_once() {
         .search("idx", "common", 1, QueryMode::Conjunctive)
         .unwrap();
     assert_eq!(hits[0].score, 10_249.0);
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An index write is one WAL batch per store: at fsync-every-commit, a
+/// CHUNK score update that moves a six-term document across two chunk
+/// boundaries fsyncs the `pop` table, the Score table, the short lists and
+/// the ListChunk table once each (one fsync per moved posting before), and
+/// an insert fsyncs each store it writes once.
+#[test]
+fn a_score_update_syncs_each_store_at_most_once() {
+    let dir = std::env::temp_dir().join(format!("svr-update-syncs-{}", std::process::id()));
+    let engine = chunk_engine_on_file(&dir, |id| {
+        format!(
+            "common a{} b{} c{} d{} e{}",
+            id % 7,
+            id % 11,
+            id % 13,
+            id % 5,
+            id % 3
+        )
+    });
+    engine.set_wal_sync_interval_ms(0);
+    assert_eq!(short_postings(&engine), 0);
+
+    // Document 0 sits in the bottom chunk; 10 000 hits is past the top one.
+    let before = syncs_per_store(&engine);
+    engine
+        .update_row("pop", Value::Int(0), &[("hits".into(), Value::Int(10_000))])
+        .unwrap();
+    let update = synced_since(&engine, &before);
+    assert_eq!(short_postings(&engine), 6, "all six postings moved");
+    assert!(update.values().all(|&n| n == 1), "{update:?}");
+    assert!(update.len() <= 4, "{update:?}");
+
+    let before = syncs_per_store(&engine);
+    engine
+        .insert_row(
+            "docs",
+            vec![
+                Value::Int(300),
+                Value::Text("common fresh words arrive here".into()),
+            ],
+        )
+        .unwrap();
+    let insert = synced_since(&engine, &before);
+    assert!(insert.len() >= 3, "table, vocabulary and index: {insert:?}");
+    assert!(insert.values().all(|&n| n == 1), "{insert:?}");
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
 }

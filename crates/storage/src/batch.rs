@@ -1,27 +1,30 @@
 //! [`WalBatch`]: the one way to bracket write-ahead-log commits.
 //!
-//! Every structure-level mutation seals its own batch with a commit marker
-//! (one fsync at the default sync interval). A write made of many such
-//! mutations — a transaction, an offline merge — opens a `WalBatch` over
-//! the stores it touches: their markers are held back until
-//! [`WalBatch::finish`] seals each store with a single one. A crash
-//! anywhere inside the bracket therefore recovers every store to its
-//! pre-bracket state; after a clean finish, to the post-batch state. The
-//! markers of different stores are appended one after another, so the
-//! cross-store boundary is atomic under this repository's whole-process
-//! crash model, not against a failure between the individual appends.
+//! Every structure-level mutation seals its own batch: the images of the
+//! pages it wrote, then a commit marker (one fsync at the default sync
+//! interval). A write made of many such mutations — a transaction, an
+//! index write, an offline merge — opens a `WalBatch` over the stores it
+//! may touch: their commits are held back until [`WalBatch::finish`] seals
+//! each store once, logging every page the write touched once, with its
+//! last bytes. A store the write left alone seals nothing: no record, no
+//! fsync. A crash anywhere inside the bracket therefore recovers every
+//! store to its pre-bracket state; after a clean finish, to the post-batch
+//! state. The seals of different stores are appended one after another,
+//! so the cross-store boundary is atomic under this repository's
+//! whole-process crash model, not against a failure between the
+//! individual appends.
 
 use std::sync::Arc;
 
 use crate::error::Result;
 use crate::pool::Store;
 
-/// An open commit-marker bracket over a set of logged stores.
+/// An open commit bracket over a set of logged stores.
 ///
 /// Call [`WalBatch::finish`] on the success path: it reports a failed
-/// marker append or fsync. Dropping an unfinished guard (an early return
-/// or an unwind) still seals every store, so no bracket outlives its
-/// guard, but it has nowhere to report a sealing error.
+/// append or fsync. Dropping an unfinished guard (an early return or an
+/// unwind) still seals every store, so no bracket outlives its guard, but
+/// it has nowhere to report a sealing error.
 pub struct WalBatch {
     stores: Vec<Arc<Store>>,
     /// Checkpoint a store whose log outgrew this many bytes once it seals.
@@ -30,7 +33,7 @@ pub struct WalBatch {
 
 impl WalBatch {
     /// Open a bracket on every logged store of `stores`; unlogged stores
-    /// have no markers to hold back and are left alone.
+    /// have no commits to hold back and are left alone.
     pub fn begin(stores: impl IntoIterator<Item = Arc<Store>>) -> WalBatch {
         let stores: Vec<Arc<Store>> = stores.into_iter().collect();
         for wal in stores.iter().filter_map(|store| store.wal()) {
@@ -51,8 +54,9 @@ impl WalBatch {
         self
     }
 
-    /// Seal every store with its one commit marker. Every store is sealed
-    /// even after one fails; the first error is returned.
+    /// Seal every store: the images of the pages the batch wrote there,
+    /// then one commit marker. Every store is sealed even after one fails;
+    /// the first error is returned.
     pub fn finish(mut self) -> Result<()> {
         self.seal()
     }
@@ -91,6 +95,7 @@ mod tests {
     use crate::disk::MemDisk;
     use crate::wal::Wal;
     use crate::{BTree, StorageError};
+    use bytes::Bytes;
 
     fn logged_store(wal: Wal) -> Arc<Store> {
         Arc::new(Store::new_logged(
@@ -120,14 +125,39 @@ mod tests {
         for store in &stores {
             let wal = store.wal().unwrap();
             assert!(wal.in_batch());
-            assert_eq!(wal.stats().uncommitted, 5, "five leaf images, no marker");
+            assert_eq!(wal.stats().uncommitted, 1, "one leaf, written five times");
         }
         batch.finish().unwrap();
         for (store, before) in stores.iter().zip(records_before) {
             let stats = store.wal().unwrap().stats();
             assert!(!store.wal().unwrap().in_batch());
-            assert_eq!((stats.records - before, stats.uncommitted), (6, 0));
+            // The leaf's last image and one marker.
+            assert_eq!((stats.records - before, stats.uncommitted), (2, 0));
         }
+    }
+
+    #[test]
+    fn a_store_the_batch_left_alone_seals_nothing() {
+        let touched = logged_store(Wal::new());
+        let untouched = logged_store(Wal::new());
+        let tree = BTree::create_durable(touched.clone()).unwrap();
+        BTree::create_durable(untouched.clone()).unwrap();
+        let (touched_before, untouched_before) = (
+            touched.wal().unwrap().stats(),
+            untouched.wal().unwrap().stats(),
+        );
+        let batch = WalBatch::begin([touched.clone(), untouched.clone()]);
+        tree.put(b"k", b"v").unwrap();
+        batch.finish().unwrap();
+        assert_eq!(
+            untouched.wal().unwrap().stats(),
+            untouched_before,
+            "no record and no fsync"
+        );
+        assert_eq!(
+            touched.wal().unwrap().stats().syncs,
+            touched_before.syncs + 1
+        );
     }
 
     #[test]
@@ -150,11 +180,19 @@ mod tests {
     fn finish_reports_a_failed_seal() {
         let full = logged_store(Wal::open_file(std::path::Path::new("/dev/full")).unwrap());
         let fine = logged_store(Wal::new());
-        let batch = WalBatch::begin([full, fine.clone()]);
+        let batch = WalBatch::begin([full.clone(), fine.clone()]);
+        for store in [&full, &fine] {
+            let page = store.allocate().unwrap();
+            store
+                .write_page(page, Bytes::from_static(b"image"))
+                .unwrap();
+        }
         assert!(matches!(batch.finish(), Err(StorageError::Io(_))));
+        let fine = fine.wal().unwrap();
         assert!(
-            !fine.wal().unwrap().in_batch(),
+            !fine.in_batch(),
             "a failed store does not stop the others from sealing"
         );
+        assert_eq!(fine.stats().uncommitted, 0);
     }
 }

@@ -54,8 +54,9 @@ pub trait DiskBackend: Send + Sync {
     fn write(&self, id: PageId, data: Bytes) -> Result<()>;
     /// Allocate a page and return its id. A fresh page reads as zeroes; a
     /// reused one (popped off the free list) keeps its old bytes until it
-    /// is rewritten, like a file.
-    fn allocate(&self) -> PageId;
+    /// is rewritten, like a file. A device that cannot grow fails without
+    /// allocating.
+    fn allocate(&self) -> Result<PageId>;
     /// Return a page to the free list. Its bytes stay on disk: a logged
     /// batch that frees a page and never seals must recover to a state
     /// that still reads it.
@@ -134,14 +135,14 @@ impl DiskBackend for MemDisk {
         Ok(())
     }
 
-    fn allocate(&self) -> PageId {
+    fn allocate(&self) -> Result<PageId> {
         let mut state = self.pages.write();
         if let Some(id) = state.free_list.pop() {
-            return id;
+            return Ok(id);
         }
         let id = state.pages.len() as PageId;
         state.pages.push(None);
-        id
+        Ok(id)
     }
 
     fn free(&self, id: PageId) {
@@ -286,16 +287,19 @@ impl DiskBackend for FileDisk {
         Ok(())
     }
 
-    fn allocate(&self) -> PageId {
+    fn allocate(&self) -> Result<PageId> {
         let mut state = self.state.write();
         if let Some(id) = state.free_list.pop() {
-            return id;
+            return Ok(id);
         }
         let id = state.num_pages;
-        state.num_pages += 1;
-        // Extend the file so reads of the fresh page are in bounds.
-        let _ = self.file.set_len(state.num_pages * self.page_size as u64);
-        id
+        // Extend the file so reads of the fresh page are in bounds; the
+        // page exists only once the file does.
+        self.file
+            .set_len((id + 1) * self.page_size as u64)
+            .map_err(|e| StorageError::Io(e.to_string()))?;
+        state.num_pages = id + 1;
+        Ok(id)
     }
 
     fn free(&self, id: PageId) {
@@ -337,7 +341,7 @@ mod tests {
     #[test]
     fn allocate_read_write_roundtrip() {
         let disk = MemDisk::new(512);
-        let id = disk.allocate();
+        let id = disk.allocate().unwrap();
         assert_eq!(id, 0);
         // Unwritten pages read as zeroes.
         assert!(disk.read(id).unwrap().iter().all(|&b| b == 0));
@@ -359,10 +363,10 @@ mod tests {
     #[test]
     fn freed_pages_are_reused() {
         let disk = MemDisk::new(512);
-        let a = disk.allocate();
-        let b = disk.allocate();
+        let a = disk.allocate().unwrap();
+        let b = disk.allocate().unwrap();
         disk.free(a);
-        let c = disk.allocate();
+        let c = disk.allocate().unwrap();
         assert_eq!(c, a);
         assert_ne!(b, c);
         assert_eq!(disk.num_pages(), 2);
@@ -371,7 +375,7 @@ mod tests {
     #[test]
     fn stats_since_subtracts() {
         let disk = MemDisk::new(512);
-        let id = disk.allocate();
+        let id = disk.allocate().unwrap();
         disk.write(id, Bytes::from(vec![0u8; 512])).unwrap();
         let before = disk.stats();
         disk.read(id).unwrap();

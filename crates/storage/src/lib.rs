@@ -320,8 +320,9 @@ impl StorageEnv {
         removed
     }
 
-    /// Simulate a whole-process crash: drop every buffer pool. Dirty pages
-    /// are lost; the disks and write-ahead logs survive. Pair with
+    /// Simulate a whole-process crash: drop every buffer pool and the page
+    /// images waiting in each log for their commit. Dirty pages are lost;
+    /// the disks and write-ahead logs survive. Pair with
     /// [`StorageEnv::recover_all`] (or reopen the engine, which recovers).
     pub fn crash(&self) {
         for store in self.stores.lock().values() {
@@ -375,13 +376,13 @@ impl StorageEnv {
         Ok(())
     }
 
-    /// Checkpoint every attached store: flush dirty pages, truncate logs,
-    /// and (file backends) sync page files — bounding the replay work of
-    /// the next open.
+    /// Checkpoint every attached store: flush dirty pages, sync the page
+    /// files (file backends), then truncate the logs — bounding the replay
+    /// work of the next open. Each page file is on stable storage before
+    /// the log that could redo it is gone.
     pub fn checkpoint_all(&self) -> Result<()> {
         for store in self.stores.lock().values() {
-            store.checkpoint()?;
-            store.disk().sync()?;
+            store.checkpoint_synced()?;
         }
         Ok(())
     }

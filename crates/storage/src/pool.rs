@@ -223,9 +223,9 @@ impl BufferPool {
 }
 
 /// A (disk, buffer pool) pair: the unit every storage structure is built on.
-/// Stores created with [`Store::new_logged`] additionally write every page
-/// image to a [`Wal`](crate::wal::Wal) ahead of buffering it, giving the
-/// structures on top BerkeleyDB-style crash recovery.
+/// Stores created with [`Store::new_logged`] additionally hand every page
+/// image to a [`Wal`](crate::wal::Wal), which logs it with the commit that
+/// seals it, giving the structures on top BerkeleyDB-style crash recovery.
 pub struct Store {
     disk: Arc<dyn DiskBackend>,
     pool: BufferPool,
@@ -271,7 +271,7 @@ impl Store {
 
     /// Allocate a fresh page.
     pub fn allocate(&self) -> Result<PageId> {
-        Ok(self.disk.allocate())
+        self.disk.allocate()
     }
 
     /// Return a page to the free list (dropping any cached copy is the
@@ -285,13 +285,14 @@ impl Store {
         self.pool.read_page(id)
     }
 
-    /// Write a page through the buffer pool (logged stores append the image
-    /// to the WAL first).
+    /// Write a page through the buffer pool. A logged store also hands the
+    /// image to its log, which appends it with the commit that seals it.
     pub fn write_page(&self, id: PageId, data: Bytes) -> Result<()> {
+        self.pool.write_page(id, data.clone())?;
         if let Some(wal) = &self.wal {
-            wal.append_page(id, &data)?;
+            wal.append_page(id, data);
         }
-        self.pool.write_page(id, data)
+        Ok(())
     }
 
     /// Seal the page writes since the previous commit into an atomically
@@ -305,10 +306,26 @@ impl Store {
     }
 
     /// Flush dirty pages and truncate the log: the disk image becomes the
-    /// recovery baseline.
+    /// recovery baseline. The page file is not synced in between, which
+    /// holds up against a process crash (the OS keeps the written pages)
+    /// but not against power loss; [`Store::checkpoint_synced`] does.
     pub fn checkpoint(&self) -> Result<()> {
+        self.checkpoint_with(false)
+    }
+
+    /// [`Store::checkpoint`] that syncs the page file after the flush and
+    /// before the truncate, so the flushed pages are on stable storage
+    /// before the log records that could redo them are gone.
+    pub fn checkpoint_synced(&self) -> Result<()> {
+        self.checkpoint_with(true)
+    }
+
+    fn checkpoint_with(&self, sync_pages: bool) -> Result<()> {
         let _checkpoint_guard = self.checkpoint_lock.lock();
         self.pool.flush()?;
+        if sync_pages {
+            self.disk.sync()?;
+        }
         if let Some(wal) = &self.wal {
             wal.truncate()?;
         }
@@ -338,11 +355,15 @@ impl Store {
     }
 
     /// Simulate a crash: every page that was only in the buffer pool is
-    /// lost, and so is the disk's in-memory free list; the disk's pages
-    /// and the log survive.
+    /// lost, and so are the disk's in-memory free list and the page images
+    /// waiting in the log for their commit; the disk's pages and the log
+    /// survive.
     pub fn crash(&self) {
         self.pool.drop_cache();
         self.disk.forget_free_pages();
+        if let Some(wal) = &self.wal {
+            wal.forget_pending();
+        }
     }
 
     /// Replay the committed log batches onto the disk, restoring the state
@@ -461,5 +482,67 @@ mod tests {
             assert_eq!(s.read_page(id).unwrap()[0], (i % 251) as u8, "page {id}");
         }
         assert!(s.pool.cached_pages() <= 3);
+    }
+
+    /// A disk that records, at each sync, how many bytes the store's log
+    /// still held to redo its pages.
+    struct SyncProbe {
+        disk: MemDisk,
+        wal: Arc<crate::wal::Wal>,
+        log_at_sync: Mutex<Vec<u64>>,
+    }
+
+    impl DiskBackend for SyncProbe {
+        fn read(&self, id: PageId) -> Result<Bytes> {
+            self.disk.read(id)
+        }
+        fn write(&self, id: PageId, data: Bytes) -> Result<()> {
+            self.disk.write(id, data)
+        }
+        fn allocate(&self) -> Result<PageId> {
+            self.disk.allocate()
+        }
+        fn free(&self, id: PageId) {
+            self.disk.free(id)
+        }
+        fn forget_free_pages(&self) {
+            self.disk.forget_free_pages()
+        }
+        fn num_pages(&self) -> u64 {
+            self.disk.num_pages()
+        }
+        fn page_size(&self) -> usize {
+            self.disk.page_size()
+        }
+        fn stats(&self) -> IoStats {
+            self.disk.stats()
+        }
+        fn sync(&self) -> Result<()> {
+            self.log_at_sync.lock().push(self.wal.stats().bytes);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_synced_checkpoint_syncs_the_pages_before_it_truncates_the_log() {
+        let wal = Arc::new(crate::wal::Wal::new());
+        let probe = Arc::new(SyncProbe {
+            disk: MemDisk::new(256),
+            wal: wal.clone(),
+            log_at_sync: Mutex::new(Vec::new()),
+        });
+        let s = Store::new_logged(probe.clone(), 4, wal.clone());
+        let id = s.allocate().unwrap();
+        s.write_page(id, Bytes::from(vec![1u8; 256])).unwrap();
+        s.log_commit().unwrap();
+        s.checkpoint_synced().unwrap();
+        let log_at_sync = probe.log_at_sync.lock().clone();
+        assert_eq!(log_at_sync.len(), 1, "one page-file sync");
+        assert!(
+            log_at_sync[0] > 0,
+            "the page file synced while the log could still redo it"
+        );
+        assert_eq!(wal.stats().bytes, 0, "then the log was truncated");
+        assert_eq!(s.disk().read(id).unwrap()[0], 1);
     }
 }

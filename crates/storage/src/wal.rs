@@ -6,21 +6,33 @@
 //!
 //! Design (physical redo, logical commit):
 //!
-//! * every buffered page write appends a *page-image record* to the log
-//!   **before** it reaches the buffer pool (write-ahead);
+//! * a buffered page write hands its image to the log, which keeps only
+//!   the **latest** image of each page (the buffer pool's own `Bytes`, not
+//!   a copy) until the commit that seals it;
 //! * each completed structure-level mutation (a B-tree `put`/`delete`, a
-//!   blob `put`/`free`) appends a *commit marker* — recovery replays only
+//!   blob `put`/`free`) commits: one *page-image record* per page it wrote,
+//!   then a *commit marker*, appended together — recovery replays only
 //!   batches closed by a marker, so a crash mid-split never resurrects a
-//!   half-restructured tree;
-//! * a [`WalBatch`](crate::WalBatch) holds those markers back on a set of
-//!   stores and seals each with one marker, so a multi-op write (a
-//!   transaction, an offline merge) recovers all-or-nothing per store;
+//!   half-restructured tree. A page rewritten k times between two commits
+//!   is logged once, with its last bytes; a commit with nothing to seal
+//!   appends nothing and syncs nothing;
+//! * a [`WalBatch`](crate::WalBatch) holds those commits back on a set of
+//!   stores and seals each store once, so a multi-op write (a transaction,
+//!   an index write, an offline merge) recovers all-or-nothing per store
+//!   and logs each page it touched once;
 //! * the buffer pool of a logged store runs **no-steal**: dirty pages are
 //!   never evicted to disk between commits, so the disk can only lag the
-//!   log, never run ahead of it with uncommitted data;
+//!   log, never run ahead of it with uncommitted data. That is also why
+//!   holding the images back until their commit is still write-ahead: a
+//!   dirty page reaches the disk only through a checkpoint's flush, and
+//!   checkpoints run between sealed writes;
 //! * `checkpoint` = flush every dirty page, then truncate the log;
 //! * records carry a CRC-32 and recovery stops at the first torn or
 //!   corrupt record, exactly like a log whose tail write was interrupted.
+//!
+//! The images waiting for their commit are volatile state, like the
+//! buffer pool they mirror: a crash ([`Store::crash`](crate::Store::crash))
+//! and [`Wal::truncate`] drop them.
 //!
 //! Each log has exactly **one medium**. A [`Wal::new`] log is an in-memory
 //! byte buffer (the crash model of this repository keeps "disk" and "log"
@@ -35,6 +47,7 @@
 //! would leave when the process restarts.
 
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::os::unix::fs::FileExt;
 
 use bytes::Bytes;
@@ -49,6 +62,14 @@ pub type Lsn = u64;
 
 const REC_PAGE: u8 = 1;
 const REC_COMMIT: u8 = 2;
+
+/// Bytes of a page-image record besides the image itself.
+const PAGE_RECORD_OVERHEAD: usize = 1 + 8 + 8 + 4 + 4;
+/// Bytes of a commit marker.
+const COMMIT_RECORD_LEN: usize = 1 + 8 + 4;
+/// A seal hands the medium at most this many bytes per write, so sealing a
+/// large batch (a bulk load, a merge) never copies all of it at once.
+const SEAL_WRITE_BYTES: usize = 1 << 18;
 
 /// Lookup table of the reflected IEEE polynomial, one entry per byte value.
 const CRC_TABLE: [u32; 256] = {
@@ -97,17 +118,27 @@ impl Medium {
         }
     }
 
-    /// Append one record. A failed file write leaves `len` where it was,
-    /// so the next append overwrites whatever part of the record landed.
-    fn append(&mut self, record: &[u8]) -> Result<()> {
+    /// Append records. A failed file write leaves `len` where it was, so
+    /// the next append overwrites whatever part of them landed.
+    fn append(&mut self, records: &[u8]) -> Result<()> {
         match self {
-            Medium::Memory(log) => log.extend_from_slice(record),
+            Medium::Memory(log) => log.extend_from_slice(records),
             Medium::File { file, len } => {
-                file.write_all_at(record, *len).map_err(io_error)?;
-                *len += record.len() as u64;
+                file.write_all_at(records, *len).map_err(io_error)?;
+                *len += records.len() as u64;
             }
         }
         Ok(())
+    }
+
+    /// Move the logical end back to `to` (at most the current end) without
+    /// touching the file: the next append overwrites what lies past it, as
+    /// after a failed [`Medium::append`].
+    fn rewind(&mut self, to: u64) {
+        match self {
+            Medium::Memory(log) => log.truncate(to as usize),
+            Medium::File { len, .. } => *len = to,
+        }
     }
 
     /// The whole log (read back from the file for a file medium).
@@ -166,14 +197,16 @@ impl Medium {
 struct WalInner {
     medium: Medium,
     /// The medium holds bytes a previous process left behind that no walk
-    /// has read yet, so `next_lsn`/`records`/`open_batch` describe nothing.
-    /// The first walk ([`Wal::committed_pages`], run by
+    /// has read yet, so `next_lsn`/`records` describe nothing. The first
+    /// walk ([`Wal::committed_pages`], run by
     /// [`Store::recover`](crate::Store::recover)) — or, failing that, the
-    /// first append — rebuilds them.
+    /// first seal — rebuilds them.
     unscanned: bool,
     next_lsn: Lsn,
-    /// Records appended since the last commit marker.
-    open_batch: u64,
+    /// The latest image of every page written since the last seal, in page
+    /// order: what the next seal appends. Volatile — it shares the buffer
+    /// pool's `Bytes` and dies with the pool.
+    pending: BTreeMap<PageId, Bytes>,
     /// Total records in the log since the last truncation.
     records: u64,
     /// Nesting depth of [`Wal::begin_batch`] brackets. While positive,
@@ -203,7 +236,6 @@ impl WalInner {
     fn walk(&mut self) -> Result<Vec<Vec<(PageId, Bytes)>>> {
         let scan = parse_log(&self.medium.contents()?);
         self.records = scan.records;
-        self.open_batch = scan.uncommitted;
         // An empty log keeps counting from where it was: LSNs are never
         // reused across a truncation, so a stale segment spliced behind a
         // fresh one cannot pass the contiguity check.
@@ -214,25 +246,32 @@ impl WalInner {
         Ok(scan.batches)
     }
 
-    /// Append the record `encode` builds for the next LSN. The counters
-    /// move only once the medium took the record, so a failed write leaves
-    /// no gap in the LSN sequence.
-    fn append(&mut self, encode: impl FnOnce(Lsn) -> Vec<u8>) -> Result<Lsn> {
+    /// Append every pending image and one commit marker, then run the sync
+    /// policy; returns the marker's LSN. With nothing pending there is
+    /// nothing to seal: no record, no sync. The counters move and the
+    /// pending set empties only once the medium took the whole group, so a
+    /// failed write leaves no gap in the LSN sequence and its images wait
+    /// for the next seal.
+    fn seal(&mut self) -> Result<Lsn> {
+        if self.pending.is_empty() {
+            return Ok(self.next_lsn);
+        }
         if self.unscanned {
             self.walk()?;
         }
-        let lsn = self.next_lsn;
-        self.medium.append(&encode(lsn))?;
-        self.next_lsn += 1;
-        self.records += 1;
-        Ok(lsn)
-    }
-
-    fn append_commit(&mut self) -> Result<Lsn> {
-        let lsn = self.append(commit_record)?;
-        self.open_batch = 0;
+        let start = self.medium.len();
+        let marker = match append_group(&mut self.medium, &self.pending, self.next_lsn) {
+            Ok(marker) => marker,
+            Err(e) => {
+                self.medium.rewind(start);
+                return Err(e);
+            }
+        };
+        self.records += marker + 1 - self.next_lsn;
+        self.next_lsn = marker + 1;
+        self.pending.clear();
         self.apply_sync_policy()?;
-        Ok(lsn)
+        Ok(marker)
     }
 
     /// Commit-path sync policy (see [`Wal::set_sync_interval_ms`]). The log
@@ -255,6 +294,30 @@ impl WalInner {
     }
 }
 
+/// Append one record per image of `pages`, numbered from `first`, then the
+/// commit marker sealing them, in writes of at most [`SEAL_WRITE_BYTES`]
+/// (or one record). Returns the marker's LSN.
+fn append_group(medium: &mut Medium, pages: &BTreeMap<PageId, Bytes>, first: Lsn) -> Result<Lsn> {
+    let total: usize = pages
+        .values()
+        .map(|data| PAGE_RECORD_OVERHEAD + data.len())
+        .sum::<usize>()
+        + COMMIT_RECORD_LEN;
+    let mut buf = Vec::with_capacity(total.min(SEAL_WRITE_BYTES));
+    let mut lsn = first;
+    for (&page_id, data) in pages {
+        if !buf.is_empty() && buf.len() + PAGE_RECORD_OVERHEAD + data.len() > SEAL_WRITE_BYTES {
+            medium.append(&buf)?;
+            buf.clear();
+        }
+        put_page_record(&mut buf, lsn, page_id, data);
+        lsn += 1;
+    }
+    put_commit_record(&mut buf, lsn);
+    medium.append(&buf)?;
+    Ok(lsn)
+}
+
 /// Counters describing the current log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalStats {
@@ -262,7 +325,8 @@ pub struct WalStats {
     pub bytes: u64,
     /// Records (page images + commit markers) in the log.
     pub records: u64,
-    /// Page-image records not yet covered by a commit marker.
+    /// Pages written since the last seal: their images wait in memory for
+    /// the commit (or the outermost batch seal) that logs them.
     pub uncommitted: u64,
     /// Commit markers whose append ran the sync policy's fsync.
     pub syncs: u64,
@@ -313,7 +377,7 @@ impl Wal {
                     medium,
                     unscanned: len > 0,
                     next_lsn: 0,
-                    open_batch: 0,
+                    pending: BTreeMap::new(),
                     records: 0,
                     batch_depth: 0,
                     sync_interval_ms: 0,
@@ -328,29 +392,31 @@ impl Wal {
         }
     }
 
-    /// Append a page-image record. Must happen before the page write is
-    /// buffered (the caller enforces the write-ahead discipline).
-    pub fn append_page(&self, page_id: PageId, data: &[u8]) -> Result<Lsn> {
-        let mut inner = self.inner.lock();
-        let lsn = inner.append(|lsn| page_record(lsn, page_id, data))?;
-        inner.open_batch += 1;
-        Ok(lsn)
+    /// Hand the log a page image; the commit that seals it appends it. Only
+    /// the latest image of a page is kept — `data` itself, not a copy — so
+    /// a page rewritten k times between two commits is logged once, with
+    /// its last bytes. Nothing reaches the medium here: the no-steal pool
+    /// keeps the page off the disk until then (see the module docs).
+    pub fn append_page(&self, page_id: PageId, data: Bytes) {
+        self.inner.lock().pending.insert(page_id, data);
     }
 
-    /// Append a commit marker, sealing every record since the previous
-    /// marker into an atomically recoverable batch.
+    /// Seal the pages written since the previous seal into an atomically
+    /// recoverable batch: one image record per page, then a commit marker,
+    /// then the sync policy. With nothing to seal it appends and syncs
+    /// nothing.
     ///
-    /// Inside a [`WalBatch`](crate::WalBatch) the marker is *suppressed*:
+    /// Inside a [`WalBatch`](crate::WalBatch) the commit is *suppressed*:
     /// the structure-level commits of the bracketed mutations coalesce into
-    /// the single marker the batch appends when it seals, so a crash
-    /// anywhere inside the bracket recovers to the pre-bracket state.
-    /// Returns the LSN the marker got (or would get, when suppressed).
+    /// the one seal at the end of the batch, so a crash anywhere inside the
+    /// bracket recovers to the pre-bracket state. Returns the LSN of the
+    /// marker, or the next LSN when none was appended.
     pub fn commit(&self) -> Result<Lsn> {
         let mut inner = self.inner.lock();
         if inner.batch_depth > 0 {
             return Ok(inner.next_lsn);
         }
-        inner.append_commit()
+        inner.seal()
     }
 
     /// Set the group-sync interval: `0` (sync-every-commit) fsyncs every
@@ -368,25 +434,25 @@ impl Wal {
         self.inner.lock().sync_interval_ms
     }
 
-    /// Open a commit-marker bracket: until the matching [`Wal::end_batch`],
-    /// [`Wal::commit`] calls append nothing, so every page image of the
+    /// Open a commit bracket: until the matching [`Wal::end_batch`],
+    /// [`Wal::commit`] calls append nothing, so every page of the
     /// bracketed mutations belongs to one atomically recoverable batch.
-    /// Brackets nest; the single marker is appended when the outermost one
-    /// closes. The only caller is [`WalBatch`](crate::WalBatch), whose
-    /// lifetime is the bracket.
+    /// Brackets nest; the one seal runs when the outermost one closes. The
+    /// only caller is [`WalBatch`](crate::WalBatch), whose lifetime is the
+    /// bracket.
     pub(crate) fn begin_batch(&self) {
         self.inner.lock().batch_depth += 1;
     }
 
-    /// Close a [`Wal::begin_batch`] bracket, appending the batch's single
-    /// commit marker when the outermost bracket closes.
+    /// Close a [`Wal::begin_batch`] bracket, sealing the batch when the
+    /// outermost bracket closes.
     pub(crate) fn end_batch(&self) -> Result<Lsn> {
         let mut inner = self.inner.lock();
         match inner.batch_depth {
             0 => Ok(inner.next_lsn), // unmatched end: nothing to seal
             1 => {
                 inner.batch_depth = 0;
-                inner.append_commit()
+                inner.seal()
             }
             _ => {
                 inner.batch_depth -= 1;
@@ -401,13 +467,20 @@ impl Wal {
         self.inner.lock().batch_depth > 0
     }
 
-    /// Drop the whole log (the disk image is the new recovery baseline).
-    /// Only sound right after the owning store flushed its dirty pages.
+    /// Forget the images waiting for their commit, as a crash does: they
+    /// lived in memory, beside the buffer pool that loses the pages.
+    pub(crate) fn forget_pending(&self) {
+        self.inner.lock().pending.clear();
+    }
+
+    /// Drop the whole log (the disk image is the new recovery baseline),
+    /// and with it every image still waiting for its commit. Only sound
+    /// right after the owning store flushed its dirty pages.
     pub fn truncate(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         inner.medium.truncate(0)?;
         inner.unscanned = false;
-        inner.open_batch = 0;
+        inner.pending.clear();
         inner.records = 0;
         inner.synced_len = 0;
         Ok(())
@@ -422,14 +495,14 @@ impl Wal {
     }
 
     /// Current log statistics (O(1): counters, no log parse). Before the
-    /// first walk of a reopened log only `bytes` is known; the other
-    /// counters read zero.
+    /// first walk of a reopened log only `bytes` is known; `records` reads
+    /// zero.
     pub fn stats(&self) -> WalStats {
         let inner = self.inner.lock();
         WalStats {
             bytes: inner.medium.len(),
             records: inner.records,
-            uncommitted: inner.open_batch,
+            uncommitted: inner.pending.len() as u64,
             syncs: inner.syncs,
             sync_skips: inner.sync_skips,
         }
@@ -478,27 +551,25 @@ impl Wal {
     }
 }
 
-/// `[REC_PAGE][lsn 8][page 8][len 4][data][crc 4]`
-fn page_record(lsn: Lsn, page_id: PageId, data: &[u8]) -> Vec<u8> {
-    let mut record = Vec::with_capacity(1 + 8 + 8 + 4 + data.len() + 4);
-    record.push(REC_PAGE);
-    record.extend_from_slice(&lsn.to_le_bytes());
-    record.extend_from_slice(&page_id.to_le_bytes());
-    record.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    record.extend_from_slice(data);
-    let crc = crc32(&record);
-    record.extend_from_slice(&crc.to_le_bytes());
-    record
+/// Append `[REC_PAGE][lsn 8][page 8][len 4][data][crc 4]` to `out`.
+fn put_page_record(out: &mut Vec<u8>, lsn: Lsn, page_id: PageId, data: &[u8]) {
+    let start = out.len();
+    out.push(REC_PAGE);
+    out.extend_from_slice(&lsn.to_le_bytes());
+    out.extend_from_slice(&page_id.to_le_bytes());
+    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    out.extend_from_slice(data);
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// `[REC_COMMIT][lsn 8][crc 4]`
-fn commit_record(lsn: Lsn) -> Vec<u8> {
-    let mut record = Vec::with_capacity(1 + 8 + 4);
-    record.push(REC_COMMIT);
-    record.extend_from_slice(&lsn.to_le_bytes());
-    let crc = crc32(&record);
-    record.extend_from_slice(&crc.to_le_bytes());
-    record
+/// Append `[REC_COMMIT][lsn 8][crc 4]` to `out`.
+fn put_commit_record(out: &mut Vec<u8>, lsn: Lsn) {
+    let start = out.len();
+    out.push(REC_COMMIT);
+    out.extend_from_slice(&lsn.to_le_bytes());
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// What one walk over a log found.
@@ -510,8 +581,6 @@ struct LogScan {
     clean: bool,
     /// Records in the valid prefix.
     records: u64,
-    /// Page-image records of the prefix after its last commit marker.
-    uncommitted: u64,
     /// The LSN following the prefix's last record (`None`: empty prefix).
     next_lsn: Option<Lsn>,
 }
@@ -565,7 +634,6 @@ fn parse_log(log: &[u8]) -> LogScan {
         }
         pos = body_end + 4;
     };
-    scan.uncommitted = current.len() as u64;
     scan
 }
 
@@ -584,6 +652,15 @@ mod tests {
             }
         }
         !crc
+    }
+
+    fn page(data: &'static [u8]) -> Bytes {
+        Bytes::from_static(data)
+    }
+
+    /// The log's bytes, whatever its medium.
+    fn log_bytes(wal: &Wal) -> Vec<u8> {
+        wal.inner.lock().medium.contents().unwrap().into_owned()
     }
 
     #[test]
@@ -615,23 +692,40 @@ mod tests {
     #[test]
     fn committed_batches_replay_in_order() {
         let wal = Wal::new();
-        wal.append_page(3, b"aaa").unwrap();
-        wal.append_page(5, b"bbb").unwrap();
+        wal.append_page(3, page(b"aaa"));
+        wal.append_page(5, page(b"bbb"));
         wal.commit().unwrap();
-        wal.append_page(3, b"ccc").unwrap();
+        wal.append_page(3, page(b"ccc"));
         wal.commit().unwrap();
         let pages = wal.committed_pages().unwrap();
         assert_eq!(pages.len(), 3);
-        assert_eq!(pages[0], (3, Bytes::from_static(b"aaa")));
-        assert_eq!(pages[2], (3, Bytes::from_static(b"ccc")));
+        assert_eq!(pages[0], (3, page(b"aaa")));
+        assert_eq!(pages[2], (3, page(b"ccc")));
+    }
+
+    #[test]
+    fn a_page_rewritten_between_commits_is_logged_once_with_its_last_bytes() {
+        let wal = Wal::new();
+        for data in [b"v1", b"v2", b"v3"] {
+            wal.append_page(4, Bytes::copy_from_slice(data));
+        }
+        wal.append_page(2, page(b"other"));
+        assert_eq!(wal.stats().uncommitted, 2, "two distinct pages wait");
+        wal.commit().unwrap();
+        assert_eq!(
+            wal.committed_pages().unwrap(),
+            vec![(2, page(b"other")), (4, page(b"v3"))]
+        );
+        let stats = wal.stats();
+        assert_eq!((stats.records, stats.uncommitted), (3, 0));
     }
 
     #[test]
     fn unsealed_batch_is_discarded() {
         let wal = Wal::new();
-        wal.append_page(1, b"committed").unwrap();
+        wal.append_page(1, page(b"committed"));
         wal.commit().unwrap();
-        wal.append_page(2, b"in flight").unwrap();
+        wal.append_page(2, page(b"in flight"));
         let pages = wal.committed_pages().unwrap();
         assert_eq!(pages.len(), 1);
         assert_eq!(pages[0].0, 1);
@@ -641,9 +735,9 @@ mod tests {
     #[test]
     fn torn_tail_stops_replay_cleanly() {
         let wal = Wal::new();
-        wal.append_page(1, b"first").unwrap();
+        wal.append_page(1, page(b"first"));
         wal.commit().unwrap();
-        wal.append_page(2, b"second").unwrap();
+        wal.append_page(2, page(b"second"));
         wal.commit().unwrap();
         // Tear into the middle of the second batch's commit record.
         wal.simulate_torn_tail(3).unwrap();
@@ -654,9 +748,9 @@ mod tests {
     #[test]
     fn corruption_is_detected_by_crc() {
         let wal = Wal::new();
-        wal.append_page(1, b"payload-bytes").unwrap();
+        wal.append_page(1, page(b"payload-bytes"));
         wal.commit().unwrap();
-        wal.append_page(2, b"later").unwrap();
+        wal.append_page(2, page(b"later"));
         wal.commit().unwrap();
         // Corrupt a byte inside the first record's payload.
         wal.simulate_corruption(25).unwrap();
@@ -669,10 +763,16 @@ mod tests {
     #[test]
     fn truncate_resets() {
         let wal = Wal::new();
-        wal.append_page(1, b"x").unwrap();
+        wal.append_page(1, page(b"x"));
         wal.commit().unwrap();
+        wal.append_page(2, page(b"pending"));
         wal.truncate().unwrap();
         assert!(wal.committed_pages().unwrap().is_empty());
+        let stats = wal.stats();
+        assert_eq!((stats.bytes, stats.records, stats.uncommitted), (0, 0, 0));
+        // The image that waited went with the log: the next commit has
+        // nothing to seal.
+        wal.commit().unwrap();
         assert_eq!(wal.stats().bytes, 0);
     }
 
@@ -682,15 +782,53 @@ mod tests {
         wal.commit().unwrap();
         wal.commit().unwrap();
         assert!(wal.committed_pages().unwrap().is_empty());
+        // Nothing to seal: no record, no marker, no sync.
+        assert_eq!(wal.stats(), WalStats::default());
+    }
+
+    #[test]
+    fn a_seal_with_nothing_pending_appends_and_syncs_nothing() {
+        let wal = Wal::new();
+        wal.append_page(1, page(b"a"));
+        wal.commit().unwrap();
+        let before = wal.stats();
+        let bytes = log_bytes(&wal);
+        wal.commit().unwrap();
+        wal.begin_batch();
+        wal.commit().unwrap();
+        wal.end_batch().unwrap();
+        assert_eq!(wal.stats(), before, "no record and no sync");
+        assert_eq!(log_bytes(&wal), bytes);
+    }
+
+    #[test]
+    fn an_unsealed_bracket_leaves_the_log_byte_identical() {
+        let wal = Wal::new();
+        wal.append_page(1, page(b"sealed"));
+        wal.commit().unwrap();
+        let bytes = log_bytes(&wal);
+        let records = wal.stats().records;
+        wal.begin_batch();
+        wal.append_page(1, page(b"rewritten"));
+        wal.commit().unwrap(); // suppressed
+        wal.append_page(2, page(b"new"));
+        wal.commit().unwrap(); // suppressed
+        assert_eq!(log_bytes(&wal), bytes, "nothing reached the log");
+        assert_eq!(wal.stats().records, records);
+        assert_eq!(wal.stats().uncommitted, 2);
+        wal.end_batch().unwrap();
+        assert_eq!(wal.stats().records, records + 3);
     }
 
     #[test]
     fn batch_bracket_coalesces_commit_markers() {
         let wal = Wal::new();
         wal.begin_batch();
-        wal.append_page(1, b"a").unwrap();
+        wal.append_page(1, page(b"a"));
         wal.commit().unwrap(); // suppressed
-        wal.append_page(2, b"b").unwrap();
+        wal.append_page(2, page(b"b"));
+        wal.commit().unwrap(); // suppressed
+        wal.append_page(1, page(b"a2"));
         wal.commit().unwrap(); // suppressed
         assert!(wal.in_batch());
         // Nothing is recoverable until the bracket closes.
@@ -698,8 +836,8 @@ mod tests {
         wal.end_batch().unwrap();
         assert!(!wal.in_batch());
         let pages = wal.committed_pages().unwrap();
-        assert_eq!(pages.len(), 2, "one marker seals the whole bracket");
-        // Exactly one commit record was appended for the two suppressed ones.
+        assert_eq!(pages, vec![(1, page(b"a2")), (2, page(b"b"))]);
+        // One image per page and one marker for the three suppressed ones.
         assert_eq!(wal.stats().records, 3);
     }
 
@@ -707,9 +845,9 @@ mod tests {
     fn nested_batch_brackets_seal_once() {
         let wal = Wal::new();
         wal.begin_batch();
-        wal.append_page(1, b"outer").unwrap();
+        wal.append_page(1, page(b"outer"));
         wal.begin_batch();
-        wal.append_page(2, b"inner").unwrap();
+        wal.append_page(2, page(b"inner"));
         wal.end_batch().unwrap();
         assert!(
             wal.committed_pages().unwrap().is_empty(),
@@ -722,7 +860,7 @@ mod tests {
     #[test]
     fn unmatched_end_batch_is_a_noop() {
         let wal = Wal::new();
-        wal.append_page(1, b"x").unwrap();
+        wal.append_page(1, page(b"x"));
         let records_before = wal.stats().records;
         wal.end_batch().unwrap();
         assert_eq!(wal.stats().records, records_before, "no marker appended");
@@ -735,11 +873,11 @@ mod tests {
         // record with lsn 9 behind it. Replay keeps the sealed batch and
         // reports the log unclean.
         let mut log = Vec::new();
-        log.extend(page_record(0, 1, b"good"));
-        log.extend(page_record(1, 2, b"good"));
-        log.extend(commit_record(2));
-        log.extend(page_record(9, 3, b"stale"));
-        log.extend(commit_record(10));
+        put_page_record(&mut log, 0, 1, b"good");
+        put_page_record(&mut log, 1, 2, b"good");
+        put_commit_record(&mut log, 2);
+        put_page_record(&mut log, 9, 3, b"stale");
+        put_commit_record(&mut log, 10);
         let scan = parse_log(&log);
         assert!(!scan.clean, "an lsn gap must mark the log unclean");
         assert_eq!(scan.batches.len(), 1, "only the contiguous prefix replays");
@@ -752,14 +890,14 @@ mod tests {
         // A stale segment replaying an already-seen LSN must not replay its
         // (older) page images over the newer committed state.
         let mut log = Vec::new();
-        log.extend(page_record(0, 1, b"new"));
-        log.extend(commit_record(1));
-        log.extend(page_record(1, 1, b"stale"));
-        log.extend(commit_record(2));
+        put_page_record(&mut log, 0, 1, b"new");
+        put_commit_record(&mut log, 1);
+        put_page_record(&mut log, 1, 1, b"stale");
+        put_commit_record(&mut log, 2);
         let scan = parse_log(&log);
         assert!(!scan.clean);
         assert_eq!(scan.batches.len(), 1);
-        assert_eq!(scan.batches[0][0].1, Bytes::from_static(b"new"));
+        assert_eq!(scan.batches[0][0].1, page(b"new"));
     }
 
     #[test]
@@ -767,35 +905,33 @@ mod tests {
         // After a checkpoint the log restarts at a nonzero LSN: the first
         // record anchors the sequence, contiguity is all that matters.
         let mut log = Vec::new();
-        log.extend(page_record(7, 1, b"a"));
-        log.extend(page_record(8, 2, b"b"));
-        log.extend(commit_record(9));
-        log.extend(page_record(10, 3, b"open"));
+        put_page_record(&mut log, 7, 1, b"a");
+        put_page_record(&mut log, 8, 2, b"b");
+        put_commit_record(&mut log, 9);
+        put_page_record(&mut log, 10, 3, b"open");
         let scan = parse_log(&log);
         assert!(scan.clean);
         assert_eq!(scan.batches.len(), 1);
         assert_eq!(scan.batches[0].len(), 2);
-        assert_eq!(
-            (scan.records, scan.uncommitted, scan.next_lsn),
-            (4, 1, Some(11))
-        );
+        assert_eq!((scan.records, scan.next_lsn), (4, Some(11)));
     }
 
     #[test]
     fn sync_policy_counts_syncs_and_skips() {
         let wal = Wal::new();
-        wal.append_page(1, b"a").unwrap();
+        wal.append_page(1, page(b"a"));
         wal.commit().unwrap();
         assert_eq!(wal.stats().syncs, 1, "interval 0 syncs every commit");
         assert_eq!(wal.stats().sync_skips, 0);
         // A long interval with a sync just recorded: commits defer.
         wal.set_sync_interval_ms(60_000);
-        wal.append_page(2, b"b").unwrap();
+        wal.append_page(2, page(b"b"));
         wal.commit().unwrap();
         assert_eq!(wal.stats().syncs, 1);
         assert_eq!(wal.stats().sync_skips, 1);
         // Back to sync-every-commit.
         wal.set_sync_interval_ms(0);
+        wal.append_page(3, page(b"c"));
         wal.commit().unwrap();
         assert_eq!(wal.stats().syncs, 2);
         assert_eq!(wal.sync_interval_ms(), 0);
@@ -804,7 +940,8 @@ mod tests {
     #[test]
     fn corruption_offset_out_of_bounds_is_a_wal_error() {
         let wal = Wal::new();
-        wal.append_page(1, b"xyz").unwrap();
+        wal.append_page(1, page(b"xyz"));
+        wal.commit().unwrap();
         let len = wal.stats().bytes as usize;
         assert_eq!(
             wal.simulate_corruption(len + 5),
@@ -815,6 +952,32 @@ mod tests {
         );
         // In-bounds flips still work.
         wal.simulate_corruption(len - 1).unwrap();
+    }
+
+    /// After a crash and recovery, the next commit logs only what was
+    /// written since: the images that waited when the crash hit died with
+    /// the buffer pool.
+    #[test]
+    fn a_crash_forgets_the_images_waiting_for_their_commit() {
+        use crate::disk::MemDisk;
+        use crate::pool::Store;
+        use std::sync::Arc;
+
+        let store = Store::new_logged(Arc::new(MemDisk::new(256)), 8, Arc::new(Wal::new()));
+        let ids: Vec<PageId> = (0..3).map(|_| store.allocate().unwrap()).collect();
+        store.write_page(ids[0], page(b"sealed")).unwrap();
+        store.log_commit().unwrap();
+        store.write_page(ids[1], page(b"lost")).unwrap();
+        store.crash();
+        store.recover().unwrap();
+        assert_eq!(store.read_page(ids[0]).unwrap(), page(b"sealed"));
+        store.write_page(ids[2], page(b"after")).unwrap();
+        store.log_commit().unwrap();
+        let wal = store.wal().unwrap();
+        assert_eq!(
+            wal.committed_pages().unwrap(),
+            vec![(ids[2], page(b"after"))]
+        );
     }
 
     fn temp_log(name: &str) -> std::path::PathBuf {
@@ -831,17 +994,19 @@ mod tests {
         let path = temp_log("reopen");
         {
             let wal = Wal::open_file(&path).unwrap();
-            wal.append_page(1, b"a").unwrap();
+            wal.append_page(1, page(b"a"));
             wal.commit().unwrap();
-            wal.append_page(2, b"open").unwrap();
+            // Never sealed: it dies with the process.
+            wal.append_page(2, page(b"open"));
         }
         let file_len = std::fs::metadata(&path).unwrap().len();
         let wal = Wal::open_file(&path).unwrap();
         assert_eq!(wal.stats().bytes, file_len, "the file is the log");
         assert_eq!(wal.committed_pages().unwrap().len(), 1);
         let stats = wal.stats();
-        assert_eq!((stats.records, stats.uncommitted), (3, 1));
+        assert_eq!((stats.records, stats.uncommitted), (2, 0));
         // Appends continue the on-disk LSN sequence, so replay reaches them.
+        wal.append_page(2, page(b"b"));
         wal.commit().unwrap();
         assert_eq!(wal.committed_pages().unwrap().len(), 2);
         // Failure injection lands in the file: a process restart keeps it.
@@ -859,28 +1024,32 @@ mod tests {
         let path = temp_log("unscanned");
         {
             let wal = Wal::open_file(&path).unwrap();
-            wal.append_page(1, b"a").unwrap();
+            wal.append_page(1, page(b"a"));
             wal.commit().unwrap();
         }
         let wal = Wal::open_file(&path).unwrap();
-        wal.append_page(2, b"b").unwrap();
+        wal.append_page(2, page(b"b"));
         wal.commit().unwrap();
         assert_eq!(wal.committed_pages().unwrap().len(), 2);
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// `/dev/full` fails every write with `ENOSPC`: the log must say so.
+    /// `/dev/full` fails every write with `ENOSPC`: the log must say so,
+    /// and keep the images for a later seal.
     #[cfg(target_os = "linux")]
     #[test]
     fn full_disk_fails_appends_and_commits() {
         let wal = Wal::open_file(std::path::Path::new("/dev/full")).unwrap();
-        assert!(matches!(
-            wal.append_page(1, b"lost"),
-            Err(StorageError::Io(_))
-        ));
+        wal.append_page(1, page(b"lost"));
         assert!(matches!(wal.commit(), Err(StorageError::Io(_))));
         wal.begin_batch();
         assert!(matches!(wal.end_batch(), Err(StorageError::Io(_))));
-        assert_eq!(wal.stats(), WalStats::default(), "no record was taken");
+        let stats = wal.stats();
+        assert_eq!(
+            (stats.bytes, stats.records, stats.syncs),
+            (0, 0, 0),
+            "no record was taken"
+        );
+        assert_eq!(stats.uncommitted, 1, "the image waits for the next seal");
     }
 }

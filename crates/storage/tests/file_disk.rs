@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use svr_storage::{BTree, BlobStore, DiskBackend, FileDisk, Store, Wal};
+use svr_storage::{BTree, BlobStore, DiskBackend, FileDisk, StorageError, Store, Wal};
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -108,8 +108,19 @@ fn out_of_bounds_is_rejected() {
     {
         let disk = FileDisk::create(&path, 512).unwrap();
         assert!(disk.read(0).is_err());
-        let id = disk.allocate();
+        let id = disk.allocate().unwrap();
         assert!(disk.read(id).unwrap().iter().all(|&b| b == 0));
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// `/dev/full` cannot grow: allocating reports the I/O error and leaves
+/// the page count where it was.
+#[cfg(target_os = "linux")]
+#[test]
+fn allocate_on_a_full_device_fails_and_allocates_nothing() {
+    let disk = FileDisk::open(std::path::Path::new("/dev/full"), 512).unwrap();
+    let pages = disk.num_pages();
+    assert!(matches!(disk.allocate(), Err(StorageError::Io(_))));
+    assert_eq!(disk.num_pages(), pages);
 }
