@@ -500,4 +500,17 @@ impl MethodBase {
         }
         self.score_table.score_of(doc)
     }
+
+    /// The first step of every method's `update_score`: set a live doc's
+    /// Score-table row to `new` and return the old score, or return `None`
+    /// and write nothing when `new` is already the stored score (an
+    /// insert's own refresh, a peer's refresh that landed first).
+    pub fn replace_score(&self, doc: DocId, new: Score) -> Result<Option<Score>> {
+        let old = self.current_score(doc)?;
+        if old.to_bits() == new.to_bits() {
+            return Ok(None);
+        }
+        self.score_table.set(doc, new)?;
+        Ok(Some(old))
+    }
 }

@@ -259,8 +259,9 @@ impl<const TERM_SCORES: bool> Method for ChunkMethod<TERM_SCORES> {
     /// Algorithm 1, with chunk ids in place of scores and
     /// `thresholdValueOf(c) = c + 1`. One ListChunk read, at most one write.
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
-        let old_score = self.base.current_score(doc)?;
-        self.base.score_table.set(doc, new_score)?;
+        let Some(old_score) = self.base.replace_score(doc, new_score)? else {
+            return Ok(());
+        };
         let row = self.list_chunk.get(doc)?;
         let entry = row.unwrap_or_else(|| self.long_entry(old_score));
         let new_chunk = self.chunk_map.read().chunk_of(new_score);

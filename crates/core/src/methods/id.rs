@@ -166,9 +166,8 @@ impl<const TERM_SCORES: bool> Method for IdMethod<TERM_SCORES> {
     }
 
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
-        // The whole update: one Score-table write.
-        self.base.current_score(doc)?;
-        self.base.score_table.set(doc, new_score)?;
+        // The whole update: at most one Score-table write.
+        self.base.replace_score(doc, new_score)?;
         Ok(())
     }
 

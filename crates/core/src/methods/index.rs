@@ -266,11 +266,6 @@ impl<M: Method> Shard<M> {
     fn apply_refresh(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
         for &doc in docs {
             let Some(score) = read(doc)? else { continue };
-            // Already current (an insert's own refresh, a peer's refresh
-            // that landed first): nothing to write.
-            if self.method.base().current_score(doc).ok() == Some(score) {
-                continue;
-            }
             match self.method.update_score(doc, score) {
                 Ok(()) | Err(CoreError::UnknownDocument(_)) => {}
                 Err(e) => return Err(e),

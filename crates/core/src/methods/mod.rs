@@ -258,7 +258,7 @@ pub trait SearchIndex: Send + Sync {
     /// Apply a document score update (the paper's Algorithm 1 for the
     /// threshold-based methods). Routed to the owning shard: updates of
     /// documents in different shards take different locks and proceed in
-    /// parallel.
+    /// parallel. Setting the score a document already has writes nothing.
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()>;
 
     /// Refresh the scores of `docs` from an authoritative source.

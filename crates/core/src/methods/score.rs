@@ -115,11 +115,9 @@ impl Method for ScoreMethod {
     }
 
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
-        let old = self.base.current_score(doc)?;
-        self.base.score_table.set(doc, new_score)?;
-        if old == new_score {
+        let Some(old) = self.base.replace_score(doc, new_score)? else {
             return Ok(());
-        }
+        };
         // Rewrite the posting of every distinct term of the document.
         let terms = self.base.doc_store.get(doc)?.unwrap_or_default();
         for (term, _) in terms {

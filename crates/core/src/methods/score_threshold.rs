@@ -247,8 +247,9 @@ impl<const TERM_SCORES: bool> Method for ScoreThresholdMethod<TERM_SCORES> {
 
     /// Algorithm 1. One ListScore read, at most one write.
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
-        let old_score = self.base.current_score(doc)?;
-        self.base.score_table.set(doc, new_score)?;
+        let Some(old_score) = self.base.replace_score(doc, new_score)? else {
+            return Ok(());
+        };
         let row = self.list_score.get(doc)?;
         let entry = row.unwrap_or(Self::long_entry(old_score));
         if new_score > self.config.threshold_value_of(entry.l_score) {

@@ -322,3 +322,35 @@ fn first_moving_update_commits_aux_once() {
         assert_eq!(commits() - before, 1, "{kind}");
     }
 }
+
+/// Setting the score a document already has logs nothing, whether it comes
+/// as a direct update or as a refresh.
+#[test]
+fn an_update_to_the_current_score_writes_nothing() {
+    use svr_core::{build_index_at, IndexLocation};
+    use svr_storage::StorageEnv;
+
+    let (docs, scores) = linear_corpus(64);
+    for kind in MethodKind::ALL_EXTENDED {
+        let env = Arc::new(StorageEnv::new_durable(512));
+        let loc = IndexLocation::new(env.clone(), "");
+        let index = build_index_at(&loc, kind, &docs, &scores, &cfg()).unwrap();
+        let logged = || {
+            env.store_names()
+                .iter()
+                .filter_map(|name| env.store(name)?.wal().map(|wal| wal.stats()))
+                .map(|s| (s.records, s.syncs + s.sync_skips))
+                .fold((0, 0), |(r, c), (dr, dc)| (r + dr, c + dc))
+        };
+        let before = logged();
+        // Doc 5's score is 600.
+        index.update_score(DocId(5), 600.0).unwrap();
+        index
+            .refresh_scores(&[DocId(5)], &|_| Ok(Some(600.0)))
+            .unwrap();
+        assert_eq!(logged(), before, "{kind}");
+        index.update_score(DocId(5), 601.0).unwrap();
+        assert_ne!(logged(), before, "{kind}: a changed score is logged");
+        assert_eq!(index.current_score(DocId(5)).unwrap(), 601.0, "{kind}");
+    }
+}
