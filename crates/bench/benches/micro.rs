@@ -142,6 +142,27 @@ fn method_op_benches(c: &mut Criterion) {
             |b, _| b.iter(|| index.query(&queries.next_query(10)).unwrap()),
         );
     }
+    // Two-term OR top-10: the WAND path of ID-TermScore, which resolves
+    // every pivot's score, and Chunk's union of chunked lists.
+    for kind in [MethodKind::IdTermScore, MethodKind::Chunk] {
+        let config = IndexConfig {
+            min_chunk_docs: 16,
+            ..IndexConfig::default()
+        };
+        let index = build_index(kind, &docs, &scores, &config).unwrap();
+        let mut queries = QueryWorkload::new(
+            ranked_terms.clone(),
+            QueryClass::Medium,
+            2,
+            QueryMode::Disjunctive,
+            4,
+        );
+        group.bench_with_input(
+            BenchmarkId::new("query_or_top10_warm", kind.name()),
+            &kind,
+            |b, _| b.iter(|| index.query(&queries.next_query(10)).unwrap()),
+        );
+    }
     group.finish();
 }
 

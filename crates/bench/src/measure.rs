@@ -102,8 +102,10 @@ pub fn measure_queries(
     };
     for q in queries {
         index.clear_long_cache()?;
-        // Only long-list traffic is charged: the Score table and short
-        // lists stay in cache (they are orders of magnitude smaller).
+        // Only long-list traffic is charged: the short lists stay in cache
+        // (they are orders of magnitude smaller), and the Score, ListScore
+        // and ListChunk tables are memory-resident — a candidate's score
+        // lookup reads no page at all.
         let long_before = long_io(index);
         let t0 = Instant::now();
         index.query(q)?;

@@ -4,14 +4,13 @@
 //! been updated. Each entry contains the ID of the document, its score in
 //! the (short or long) inverted list, and an inShortList field" (§4.3.1).
 //! The Chunk method's ListChunk table is the same structure with a chunk id
-//! in place of the score (§4.3.2).
+//! in place of the score (§4.3.2). Queries check the row of every long
+//! candidate, so both are [`DocTable`]s: B+-trees written through on every
+//! change and read only at open, with every row served from memory. Both
+//! are small — the offline merge clears them.
 
-use std::sync::Arc;
-
-use svr_storage::{BTree, Store};
-
-use crate::error::{CoreError, Result};
-use crate::types::{ChunkId, DocId, Score};
+use crate::doc_table::{DocTable, Row};
+use crate::types::{ChunkId, Score};
 
 /// A ListScore row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,71 +22,26 @@ pub struct ListScoreEntry {
     pub in_short_list: bool,
 }
 
-/// B+-tree-backed ListScore table (Score-Threshold method).
-pub struct ListScoreTable {
-    tree: BTree,
-}
+impl Row for ListScoreEntry {
+    type Raw = [u8; 9];
 
-impl ListScoreTable {
-    pub fn create(store: Arc<Store>) -> Result<ListScoreTable> {
-        ListScoreTable::create_in(store, false)
-    }
-
-    /// Create, durable (reopenable) when requested.
-    pub fn create_in(store: Arc<Store>, durable: bool) -> Result<ListScoreTable> {
-        Ok(ListScoreTable {
-            tree: crate::durable::create_tree(store, durable)?,
-        })
-    }
-
-    /// Reattach a durable table.
-    pub fn open(store: Arc<Store>) -> Result<ListScoreTable> {
-        Ok(ListScoreTable {
-            tree: crate::durable::open_tree(store)?,
-        })
-    }
-
-    pub fn get(&self, doc: DocId) -> Result<Option<ListScoreEntry>> {
-        match self.tree.get(&doc.0.to_be_bytes())? {
-            Some(raw) => {
-                let l_score = f64::from_le_bytes(raw[..8].try_into().map_err(|_| {
-                    CoreError::Storage(svr_storage::StorageError::Corrupt("listscore row"))
-                })?);
-                Ok(Some(ListScoreEntry {
-                    l_score,
-                    in_short_list: raw.get(8) == Some(&1),
-                }))
-            }
-            None => Ok(None),
-        }
-    }
-
-    pub fn put(&self, doc: DocId, entry: ListScoreEntry) -> Result<()> {
+    fn encode(self) -> [u8; 9] {
         let mut v = [0u8; 9];
-        v[..8].copy_from_slice(&entry.l_score.to_le_bytes());
-        v[8] = entry.in_short_list as u8;
-        self.tree.put(&doc.0.to_be_bytes(), &v)?;
-        Ok(())
+        v[..8].copy_from_slice(&self.l_score.to_le_bytes());
+        v[8] = self.in_short_list as u8;
+        v
     }
 
-    pub fn delete(&self, doc: DocId) -> Result<()> {
-        self.tree.delete(&doc.0.to_be_bytes())?;
-        Ok(())
-    }
-
-    pub fn len(&self) -> u64 {
-        self.tree.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    /// Remove every row (after an offline merge).
-    pub fn clear(&self) -> Result<()> {
-        Ok(self.tree.clear()?)
+    fn decode(raw: &[u8]) -> Option<ListScoreEntry> {
+        Some(ListScoreEntry {
+            l_score: f64::from_le_bytes(raw.get(..8)?.try_into().ok()?),
+            in_short_list: raw.get(8) == Some(&1),
+        })
     }
 }
+
+/// The ListScore table (Score-Threshold methods).
+pub(crate) type ListScoreTable = DocTable<ListScoreEntry>;
 
 /// A ListChunk row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,76 +51,33 @@ pub struct ListChunkEntry {
     pub in_short_list: bool,
 }
 
-/// B+-tree-backed ListChunk table (Chunk methods).
-pub struct ListChunkTable {
-    tree: BTree,
-}
+impl Row for ListChunkEntry {
+    type Raw = [u8; 5];
 
-impl ListChunkTable {
-    pub fn create(store: Arc<Store>) -> Result<ListChunkTable> {
-        ListChunkTable::create_in(store, false)
-    }
-
-    /// Create, durable (reopenable) when requested.
-    pub fn create_in(store: Arc<Store>, durable: bool) -> Result<ListChunkTable> {
-        Ok(ListChunkTable {
-            tree: crate::durable::create_tree(store, durable)?,
-        })
-    }
-
-    /// Reattach a durable table.
-    pub fn open(store: Arc<Store>) -> Result<ListChunkTable> {
-        Ok(ListChunkTable {
-            tree: crate::durable::open_tree(store)?,
-        })
-    }
-
-    pub fn get(&self, doc: DocId) -> Result<Option<ListChunkEntry>> {
-        match self.tree.get(&doc.0.to_be_bytes())? {
-            Some(raw) => {
-                let l_chunk = u32::from_le_bytes(raw[..4].try_into().map_err(|_| {
-                    CoreError::Storage(svr_storage::StorageError::Corrupt("listchunk row"))
-                })?);
-                Ok(Some(ListChunkEntry {
-                    l_chunk,
-                    in_short_list: raw.get(4) == Some(&1),
-                }))
-            }
-            None => Ok(None),
-        }
-    }
-
-    pub fn put(&self, doc: DocId, entry: ListChunkEntry) -> Result<()> {
+    fn encode(self) -> [u8; 5] {
         let mut v = [0u8; 5];
-        v[..4].copy_from_slice(&entry.l_chunk.to_le_bytes());
-        v[4] = entry.in_short_list as u8;
-        self.tree.put(&doc.0.to_be_bytes(), &v)?;
-        Ok(())
+        v[..4].copy_from_slice(&self.l_chunk.to_le_bytes());
+        v[4] = self.in_short_list as u8;
+        v
     }
 
-    pub fn delete(&self, doc: DocId) -> Result<()> {
-        self.tree.delete(&doc.0.to_be_bytes())?;
-        Ok(())
-    }
-
-    pub fn len(&self) -> u64 {
-        self.tree.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    /// Remove every row (after an offline merge).
-    pub fn clear(&self) -> Result<()> {
-        Ok(self.tree.clear()?)
+    fn decode(raw: &[u8]) -> Option<ListChunkEntry> {
+        Some(ListChunkEntry {
+            l_chunk: u32::from_le_bytes(raw.get(..4)?.try_into().ok()?),
+            in_short_list: raw.get(4) == Some(&1),
+        })
     }
 }
+
+/// The ListChunk table (Chunk methods).
+pub(crate) type ListChunkTable = DocTable<ListChunkEntry>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svr_storage::MemDisk;
+    use crate::types::DocId;
+    use std::sync::Arc;
+    use svr_storage::{MemDisk, Store};
 
     fn store() -> Arc<Store> {
         Arc::new(Store::new(Arc::new(MemDisk::new(4096)), 64))
@@ -174,8 +85,8 @@ mod tests {
 
     #[test]
     fn list_score_roundtrip() {
-        let t = ListScoreTable::create(store()).unwrap();
-        assert_eq!(t.get(DocId(15)).unwrap(), None);
+        let t = ListScoreTable::create_in(store(), false).unwrap();
+        assert_eq!(t.get(DocId(15)), None);
         t.put(
             DocId(15),
             ListScoreEntry {
@@ -185,7 +96,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            t.get(DocId(15)).unwrap(),
+            t.get(DocId(15)),
             Some(ListScoreEntry {
                 l_score: 87.13,
                 in_short_list: false
@@ -199,15 +110,16 @@ mod tests {
             },
         )
         .unwrap();
-        let e = t.get(DocId(15)).unwrap().unwrap();
+        let e = t.get(DocId(15)).unwrap();
         assert_eq!(e.l_score, 124.2);
         assert!(e.in_short_list);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows().len(), 1);
+        assert_eq!(t.rows(), t.tree_rows());
     }
 
     #[test]
     fn list_chunk_roundtrip_and_clear() {
-        let t = ListChunkTable::create(store()).unwrap();
+        let t = ListChunkTable::create_in(store(), false).unwrap();
         for d in 0..50u32 {
             t.put(
                 DocId(d),
@@ -219,15 +131,17 @@ mod tests {
             .unwrap();
         }
         assert_eq!(
-            t.get(DocId(6)).unwrap(),
+            t.get(DocId(6)),
             Some(ListChunkEntry {
                 l_chunk: 6,
                 in_short_list: true
             })
         );
         t.delete(DocId(6)).unwrap();
-        assert_eq!(t.get(DocId(6)).unwrap(), None);
+        assert_eq!(t.get(DocId(6)), None);
+        assert_eq!(t.rows(), t.tree_rows());
         t.clear().unwrap();
-        assert!(t.is_empty());
+        assert!(t.rows().is_empty());
+        assert!(t.tree_rows().is_empty());
     }
 }

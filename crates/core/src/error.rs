@@ -66,10 +66,13 @@ impl From<StorageError> for CoreError {
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;
 
-/// Validate that a score is usable (finite, non-negative).
+/// Validate that a score is usable (finite, non-negative) and return it
+/// with `-0.0` turned into `+0.0`: a stored score's bit pattern must order
+/// like its value (see `ScoreTable::max_score_bound`).
 pub fn check_score(score: f64) -> Result<f64> {
     if score.is_finite() && score >= 0.0 {
-        Ok(score)
+        // `-0.0 == 0.0`, so this also drops the sign of a negative zero.
+        Ok(if score == 0.0 { 0.0 } else { score })
     } else {
         Err(CoreError::InvalidScore(score))
     }
@@ -83,6 +86,7 @@ mod tests {
     fn score_validation() {
         assert_eq!(check_score(0.0), Ok(0.0));
         assert_eq!(check_score(123.5), Ok(123.5));
+        assert_eq!(check_score(-0.0).unwrap().to_bits(), 0.0f64.to_bits());
         assert!(check_score(-1.0).is_err());
         assert!(check_score(f64::NAN).is_err());
         assert!(check_score(f64::INFINITY).is_err());

@@ -64,6 +64,7 @@ pub mod codec;
 pub mod config;
 pub mod cursor;
 pub mod doc_store;
+pub(crate) mod doc_table;
 pub(crate) mod durable;
 pub mod error;
 pub mod heap;

@@ -75,7 +75,7 @@ impl Inversion {
     /// The merge's inversion: the live documents of the forward index under
     /// their current scores.
     pub fn of_live(base: &MethodBase) -> Result<Inversion> {
-        let live = base.score_table.live_scores()?;
+        let live = base.score_table.live_scores();
         // live_scores is doc-ordered, so each term's postings are too.
         invert(live.into_iter().map(|(doc, score)| {
             let terms = base.doc_store.get(doc)?.unwrap_or_default();

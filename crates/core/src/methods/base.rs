@@ -1,6 +1,6 @@
-//! Shared state and bookkeeping for every index method: the Score table,
-//! the forward doc store, deletion tombstones and live document-frequency
-//! statistics (for the term-score methods).
+//! Shared state and bookkeeping for every index method: the Score table
+//! (which also holds the deletion tombstones), the forward doc store and
+//! live document-frequency statistics (for the term-score methods).
 //!
 //! A method instance is always **one shard** of an index (see
 //! [`crate::methods::index`]); the paper's single-partition layout is the
@@ -124,9 +124,6 @@ pub(crate) struct MethodBase {
     pub durable: bool,
     pub score_table: ScoreTable,
     pub doc_store: DocStore,
-    /// In-memory tombstones mirroring the Score table's deleted flags, so
-    /// query-time filtering costs no I/O.
-    pub deleted: RwLock<HashSet<DocId>>,
     /// Collection-wide df / doc-count statistics (shared across shards).
     stats: Arc<CorpusStats>,
     /// Live documents in *this* shard (diagnostics; the IDF denominator is
@@ -161,7 +158,6 @@ impl MethodBase {
             durable,
             score_table: ScoreTable::create_in(score_store, durable)?,
             doc_store: DocStore::create_in(docs_store, durable)?,
-            deleted: RwLock::new(HashSet::new()),
             stats,
             local_docs: AtomicU64::new(0),
             term_weight: config.term_weight,
@@ -169,9 +165,10 @@ impl MethodBase {
         })
     }
 
-    /// Reattach a durable shard: reopen the Score table and forward index
-    /// from their recovered stores and rebuild every in-memory mirror from
-    /// them — the tombstone set from the Score table's deleted flags, the
+    /// Reattach a durable shard: reopen the Score table (one scan of its
+    /// tree loads every row, tombstones included, and seeds the max-score
+    /// bound) and the forward index from their recovered stores, then
+    /// rebuild the in-memory counts from the loaded Score rows — the
     /// live-document count, and the shard's contribution to the shared
     /// collection-wide df / num_docs statistics from the forward index.
     /// No base row is touched and nothing is re-tokenized.
@@ -190,18 +187,13 @@ impl MethodBase {
             &format!("{prefix}{}", store_names::DOCS),
             config.small_cache_pages,
         );
-        let score_table = ScoreTable::open(score_store)?;
+        let (score_table, rows) = ScoreTable::open(score_store)?;
         let doc_store = DocStore::open(docs_store)?;
-        let mut deleted = HashSet::new();
         let mut live = 0u64;
         {
             let mut df = stats.df.write();
-            for (doc, entry) in score_table.all_entries()? {
-                // Seed the monotone max-score bound from every row,
-                // tombstoned included — undelete revives the stored score.
-                score_table.note_score(entry.score);
+            for (doc, entry) in rows {
                 if entry.deleted {
-                    deleted.insert(doc);
                     continue;
                 }
                 live += 1;
@@ -219,7 +211,6 @@ impl MethodBase {
             durable: true,
             score_table,
             doc_store,
-            deleted: RwLock::new(deleted),
             stats,
             local_docs: AtomicU64::new(live),
             term_weight: config.term_weight,
@@ -242,8 +233,8 @@ impl MethodBase {
     pub fn bulk_load(&self, docs: &[Document], scores: &HashMap<DocId, Score>) -> Result<()> {
         let mut df = self.stats.df.write();
         for doc in docs {
-            let score = scores.get(&doc.id).copied().unwrap_or(0.0);
-            self.score_table.set(doc.id, check_score(score)?)?;
+            self.score_table
+                .set(doc.id, Self::initial_score(scores, doc.id))?;
             self.doc_store.put(doc)?;
             for term in doc.term_ids() {
                 *df.entry(term).or_insert(0) += 1;
@@ -258,14 +249,17 @@ impl MethodBase {
         Ok(())
     }
 
-    /// Score for `doc` stored in the score map at build time.
+    /// Score for `doc` stored in the score map at build time, in the form
+    /// the Score table stores it ([`check_score`]; the build's
+    /// [`MethodBase::bulk_load`] rejects an invalid one first).
     pub fn initial_score(scores: &HashMap<DocId, Score>, doc: DocId) -> Score {
-        scores.get(&doc).copied().unwrap_or(0.0)
+        let score = scores.get(&doc).copied().unwrap_or(0.0);
+        check_score(score).unwrap_or(score)
     }
 
     /// True if the document is tombstoned.
     pub fn is_deleted(&self, doc: DocId) -> bool {
-        self.deleted.read().contains(&doc)
+        self.score_table.is_deleted(doc)
     }
 
     /// Live documents in this shard.
@@ -303,10 +297,12 @@ impl MethodBase {
     }
 
     /// Validate and register a brand-new document; returns an error if the
-    /// id is already in use by a live or deleted document.
-    pub fn register_insert(&self, doc: &Document, score: Score) -> Result<()> {
-        check_score(score)?;
-        if self.score_table.get(doc.id)?.is_some() {
+    /// id is already in use by a live or deleted document, else the
+    /// validated score (see [`check_score`]) the caller must place the
+    /// document by.
+    pub fn register_insert(&self, doc: &Document, score: Score) -> Result<Score> {
+        let score = check_score(score)?;
+        if self.score_table.get(doc.id).is_some() {
             return Err(CoreError::DuplicateDocument(doc.id));
         }
         self.score_table.set(doc.id, score)?;
@@ -317,7 +313,7 @@ impl MethodBase {
         }
         self.stats.num_docs.fetch_add(1, Ordering::Relaxed);
         self.local_docs.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(score)
     }
 
     /// Tombstone a document.
@@ -335,7 +331,6 @@ impl MethodBase {
         }
         self.stats.num_docs.fetch_sub(1, Ordering::Relaxed);
         self.local_docs.fetch_sub(1, Ordering::Relaxed);
-        self.deleted.write().insert(doc);
         Ok(())
     }
 
@@ -351,7 +346,7 @@ impl MethodBase {
         }
         let entry = self
             .score_table
-            .get(doc)?
+            .get(doc)
             .ok_or(CoreError::UnknownDocument(doc))?;
         // `set` stores the row live (deleted flag cleared).
         self.score_table.set(doc, entry.score)?;
@@ -364,7 +359,6 @@ impl MethodBase {
         }
         self.stats.num_docs.fetch_add(1, Ordering::Relaxed);
         self.local_docs.fetch_add(1, Ordering::Relaxed);
-        self.deleted.write().remove(&doc);
         Ok(entry.score)
     }
 
@@ -495,22 +489,21 @@ impl MethodBase {
 
     /// Current (live) score of a doc.
     pub fn current_score(&self, doc: DocId) -> Result<Score> {
-        if self.is_deleted(doc) {
-            return Err(CoreError::UnknownDocument(doc));
-        }
         self.score_table.score_of(doc)
     }
 
     /// The first step of every method's `update_score`: set a live doc's
-    /// Score-table row to `new` and return the old score, or return `None`
-    /// and write nothing when `new` is already the stored score (an
-    /// insert's own refresh, a peer's refresh that landed first).
-    pub fn replace_score(&self, doc: DocId, new: Score) -> Result<Option<Score>> {
+    /// Score-table row to `new` and return `(old, new)` with `new`
+    /// validated (see [`check_score`]), or return `None` and write nothing
+    /// when `new` is already the stored score (an insert's own refresh, a
+    /// peer's refresh that landed first).
+    pub fn replace_score(&self, doc: DocId, new: Score) -> Result<Option<(Score, Score)>> {
         let old = self.current_score(doc)?;
+        let new = check_score(new)?;
         if old.to_bits() == new.to_bits() {
             return Ok(None);
         }
         self.score_table.set(doc, new)?;
-        Ok(Some(old))
+        Ok(Some((old, new)))
     }
 }

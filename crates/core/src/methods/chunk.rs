@@ -98,13 +98,13 @@ impl<const TERM_SCORES: bool> CursorBackend for ChunkMethod<TERM_SCORES> {
         if !candidate.all_short()
             && self
                 .list_chunk
-                .get(candidate.doc)?
+                .get(candidate.doc)
                 .is_some_and(|entry| entry.in_short_list)
         {
             return Ok(None);
         }
-        // Long lists carry no SVR scores: always consult the Score table (it
-        // is small and stays cached).
+        // Long lists carry no SVR scores: always consult the Score table.
+        // Both probes are in-memory map lookups (see `crate::doc_table`).
         let svr = self.base.score_table.score_of(candidate.doc)?;
         Ok(Some(if TERM_SCORES {
             self.base.combine_matches(svr, candidate, idfs)
@@ -222,7 +222,7 @@ impl<const TERM_SCORES: bool> Method for ChunkMethod<TERM_SCORES> {
             base.create_store(store_names::SHORT, config.small_cache_pages),
             ShortOrder::ByChunkDesc,
         )?;
-        let list_chunk =
+        let (list_chunk, _) =
             ListChunkTable::open(base.create_store(store_names::AUX, config.small_cache_pages))?;
         let meta = MetaTable::open(base.create_store(store_names::META, config.small_cache_pages))?;
         let chunk_map = meta
@@ -259,10 +259,10 @@ impl<const TERM_SCORES: bool> Method for ChunkMethod<TERM_SCORES> {
     /// Algorithm 1, with chunk ids in place of scores and
     /// `thresholdValueOf(c) = c + 1`. One ListChunk read, at most one write.
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
-        let Some(old_score) = self.base.replace_score(doc, new_score)? else {
+        let Some((old_score, new_score)) = self.base.replace_score(doc, new_score)? else {
             return Ok(());
         };
-        let row = self.list_chunk.get(doc)?;
+        let row = self.list_chunk.get(doc);
         let entry = row.unwrap_or_else(|| self.long_entry(old_score));
         let new_chunk = self.chunk_map.read().chunk_of(new_score);
         // Move only when the score crosses *two* chunk boundaries.
@@ -300,7 +300,7 @@ impl<const TERM_SCORES: bool> Method for ChunkMethod<TERM_SCORES> {
     /// Appendix A.2: an insertion is short-list ADD postings at the score's
     /// chunk.
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
-        self.base.register_insert(doc, score)?;
+        let score = self.base.register_insert(doc, score)?;
         let chunk = self.chunk_map.read().chunk_of(score);
         for (term, ts) in term_scores::<TERM_SCORES>(&doc.terms) {
             self.short
@@ -324,7 +324,7 @@ impl<const TERM_SCORES: bool> Method for ChunkMethod<TERM_SCORES> {
         // entry relocated off the short lists. Fancy bounds widened by the
         // insertion stay widened: they are upper bounds, looser but never
         // wrong.
-        let (pos, in_short_list) = match self.list_chunk.get(doc)? {
+        let (pos, in_short_list) = match self.list_chunk.get(doc) {
             Some(entry) => (PostingPos::ByChunk(entry.l_chunk), entry.in_short_list),
             None => (PostingPos::ByChunk(0), false),
         };
@@ -343,7 +343,7 @@ impl<const TERM_SCORES: bool> Method for ChunkMethod<TERM_SCORES> {
         let current = self.base.current_score(doc.id)?;
         let entry = self
             .list_chunk
-            .get(doc.id)?
+            .get(doc.id)
             .unwrap_or_else(|| self.long_entry(current));
         self.base.replace_content::<TERM_SCORES>(
             &self.short,

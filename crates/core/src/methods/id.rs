@@ -60,8 +60,10 @@ impl<const TERM_SCORES: bool> CursorBackend for IdMethod<TERM_SCORES> {
     }
 
     fn resolve(&self, candidate: &Candidate, idfs: &[f64]) -> Result<Option<Score>> {
-        // Score table probe for every candidate — the ID method's cost.
-        let Some(entry) = self.base.score_table.get(candidate.doc)? else {
+        // Score table probe for every candidate — the ID method's cost in
+        // the paper. Here the probe is an in-memory map lookup (see
+        // `crate::doc_table`), so what remains is the full list scan.
+        let Some(entry) = self.base.score_table.get(candidate.doc) else {
             return Ok(None);
         };
         if entry.deleted {

@@ -115,7 +115,7 @@ impl Method for ScoreMethod {
     }
 
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
-        let Some(old) = self.base.replace_score(doc, new_score)? else {
+        let Some((old, new_score)) = self.base.replace_score(doc, new_score)? else {
             return Ok(());
         };
         // Rewrite the posting of every distinct term of the document.
@@ -131,7 +131,7 @@ impl Method for ScoreMethod {
     }
 
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
-        self.base.register_insert(doc, score)?;
+        let score = self.base.register_insert(doc, score)?;
         let max_tf = doc.max_tf();
         for &(term, tf) in &doc.terms {
             let ts = crate::long_list::posting_term_score(tf, max_tf);

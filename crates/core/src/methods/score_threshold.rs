@@ -98,7 +98,7 @@ impl<const TERM_SCORES: bool> CursorBackend for ScoreThresholdMethod<TERM_SCORES
             self.base.score_table.score_of(candidate.doc)?
         } else {
             // Long-list (or mixed) result.
-            match self.list_score.get(candidate.doc)? {
+            match self.list_score.get(candidate.doc) {
                 // Never updated: the list score is current.
                 None => list_score,
                 Some(entry) if !entry.in_short_list => {
@@ -218,7 +218,7 @@ impl<const TERM_SCORES: bool> Method for ScoreThresholdMethod<TERM_SCORES> {
             base.create_store(store_names::SHORT, config.small_cache_pages),
             ShortOrder::ByScoreDesc,
         )?;
-        let list_score =
+        let (list_score, _) =
             ListScoreTable::open(base.create_store(store_names::AUX, config.small_cache_pages))?;
         let fancy = if TERM_SCORES {
             let meta =
@@ -247,10 +247,10 @@ impl<const TERM_SCORES: bool> Method for ScoreThresholdMethod<TERM_SCORES> {
 
     /// Algorithm 1. One ListScore read, at most one write.
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()> {
-        let Some(old_score) = self.base.replace_score(doc, new_score)? else {
+        let Some((old_score, new_score)) = self.base.replace_score(doc, new_score)? else {
             return Ok(());
         };
-        let row = self.list_score.get(doc)?;
+        let row = self.list_score.get(doc);
         let entry = row.unwrap_or(Self::long_entry(old_score));
         if new_score > self.config.threshold_value_of(entry.l_score) {
             let terms = self.base.doc_store.get(doc)?.unwrap_or_default();
@@ -285,7 +285,7 @@ impl<const TERM_SCORES: bool> Method for ScoreThresholdMethod<TERM_SCORES> {
     }
 
     fn insert_document(&self, doc: &Document, score: Score) -> Result<()> {
-        self.base.register_insert(doc, score)?;
+        let score = self.base.register_insert(doc, score)?;
         for (term, ts) in term_scores::<TERM_SCORES>(&doc.terms) {
             self.short
                 .put(term, PostingPos::ByScore(score), doc.id, Op::Add, ts)?;
@@ -307,7 +307,7 @@ impl<const TERM_SCORES: bool> Method for ScoreThresholdMethod<TERM_SCORES> {
         // the helper's merged-document fallback covers it. Fancy bounds
         // widened by the insertion stay widened: they are upper bounds,
         // looser but never wrong.
-        let (pos, in_short_list) = match self.list_score.get(doc)? {
+        let (pos, in_short_list) = match self.list_score.get(doc) {
             Some(entry) => (PostingPos::ByScore(entry.l_score), entry.in_short_list),
             None => (PostingPos::ByScore(0.0), false),
         };
@@ -324,7 +324,7 @@ impl<const TERM_SCORES: bool> Method for ScoreThresholdMethod<TERM_SCORES> {
         let current = self.base.current_score(doc.id)?;
         let entry = self
             .list_score
-            .get(doc.id)?
+            .get(doc.id)
             .unwrap_or(Self::long_entry(current));
         self.base.replace_content::<TERM_SCORES>(
             &self.short,

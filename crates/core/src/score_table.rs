@@ -3,14 +3,17 @@
 //! "A Score table is used to store the ID and score of each document (there
 //! is only one such Score table for the entire collection)... An index is
 //! built on the ID column of the Score table so that score lookups by ID are
-//! efficient" (§4.2.1). In this implementation the table *is* its B+-tree
-//! index, keyed by document id. Appendix A.2 adds the deleted flag.
+//! efficient" (§4.2.1). Appendix A.2 adds the deleted flag. Every ranked
+//! query resolves each candidate's score here, so the table is a
+//! [`DocTable`]: a B+-tree keyed by document id, written through on every
+//! change and read only at open, with every row served from memory.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use svr_storage::{BTree, Store};
+use svr_storage::Store;
 
+use crate::doc_table::{DocTable, Row, Rows};
 use crate::error::{check_score, CoreError, Result};
 use crate::types::{DocId, Score};
 
@@ -21,76 +24,82 @@ pub struct ScoreEntry {
     pub deleted: bool,
 }
 
-/// B+-tree-backed Score table.
-pub struct ScoreTable {
-    tree: BTree,
+impl Row for ScoreEntry {
+    type Raw = [u8; 9];
+
+    fn encode(self) -> [u8; 9] {
+        let mut v = [0u8; 9];
+        v[..8].copy_from_slice(&self.score.to_le_bytes());
+        v[8] = self.deleted as u8;
+        v
+    }
+
+    fn decode(raw: &[u8]) -> Option<ScoreEntry> {
+        Some(ScoreEntry {
+            score: f64::from_le_bytes(raw.get(..8)?.try_into().ok()?),
+            deleted: raw.get(8).copied().unwrap_or(0) != 0,
+        })
+    }
+}
+
+/// The per-shard Score table.
+pub(crate) struct ScoreTable {
+    table: DocTable<ScoreEntry>,
     /// Monotone upper bound on every score ever written (f64 bits; valid
-    /// because [`check_score`] rejects negatives, so the IEEE-754 bit
-    /// pattern of a non-negative f64 orders like the value). Never lowered
-    /// on score decreases — loose but sound for WAND pruning. Reseeded by
-    /// the reopen scan ([`ScoreTable::all_entries`] callers) via
-    /// [`ScoreTable::note_score`].
+    /// because [`check_score`] rejects negatives and turns `-0.0` into
+    /// `+0.0`, so the IEEE-754 bit pattern of a stored score orders like
+    /// the value). Never lowered on score decreases — loose but sound for
+    /// WAND pruning. Seeded at open from every row, tombstoned included
+    /// (undelete revives the stored score).
     max_bound: AtomicU64,
 }
 
 impl ScoreTable {
-    /// Create an empty table in `store`.
-    pub fn create(store: Arc<Store>) -> Result<ScoreTable> {
-        ScoreTable::create_in(store, false)
-    }
-
     /// Create an empty table, durable (reopenable via [`ScoreTable::open`])
     /// when requested.
     pub fn create_in(store: Arc<Store>, durable: bool) -> Result<ScoreTable> {
         Ok(ScoreTable {
-            tree: crate::durable::create_tree(store, durable)?,
+            table: DocTable::create_in(store, durable)?,
             max_bound: AtomicU64::new(0),
         })
     }
 
-    /// Reattach a durable table from its store.
-    pub fn open(store: Arc<Store>) -> Result<ScoreTable> {
-        Ok(ScoreTable {
-            tree: crate::durable::open_tree(store)?,
+    /// Reattach a durable table: one tree scan loads every row and seeds
+    /// the max-score bound. Returns the rows too — live and tombstoned, in
+    /// doc-id order — which a reopened shard rebuilds its live count and
+    /// df statistics from.
+    pub fn open(store: Arc<Store>) -> Result<(ScoreTable, Rows<ScoreEntry>)> {
+        let (table, rows) = DocTable::open(store)?;
+        let table = ScoreTable {
+            table,
             max_bound: AtomicU64::new(0),
-        })
-    }
-
-    fn key(doc: DocId) -> [u8; 4] {
-        doc.0.to_be_bytes()
-    }
-
-    fn value(entry: ScoreEntry) -> [u8; 9] {
-        let mut v = [0u8; 9];
-        v[..8].copy_from_slice(&entry.score.to_le_bytes());
-        v[8] = entry.deleted as u8;
-        v
-    }
-
-    fn decode(raw: &[u8]) -> ScoreEntry {
-        ScoreEntry {
-            score: f64::from_le_bytes(raw[..8].try_into().expect("short score row")),
-            deleted: raw.get(8).copied().unwrap_or(0) != 0,
+        };
+        for (_, entry) in &rows {
+            table.note_score(entry.score);
         }
+        Ok((table, rows))
     }
 
     /// Fetch a row.
-    pub fn get(&self, doc: DocId) -> Result<Option<ScoreEntry>> {
-        Ok(self.tree.get(&Self::key(doc))?.map(|v| Self::decode(&v)))
+    pub fn get(&self, doc: DocId) -> Option<ScoreEntry> {
+        self.table.get(doc)
     }
 
     /// Current score of a live document; errors on unknown or deleted docs.
     pub fn score_of(&self, doc: DocId) -> Result<Score> {
-        match self.get(doc)? {
+        match self.get(doc) {
             Some(entry) if !entry.deleted => Ok(entry.score),
             _ => Err(CoreError::UnknownDocument(doc)),
         }
     }
 
-    /// Fold a score into the monotone upper bound without writing a row —
-    /// used by the reopen scan to reseed the bound from existing rows
-    /// (including tombstoned ones: undelete revives their score).
-    pub fn note_score(&self, score: Score) {
+    /// True when `doc` has a tombstoned row.
+    pub fn is_deleted(&self, doc: DocId) -> bool {
+        self.get(doc).is_some_and(|entry| entry.deleted)
+    }
+
+    /// Fold a score into the monotone upper bound.
+    fn note_score(&self, score: Score) {
         self.max_bound.fetch_max(score.to_bits(), Ordering::Relaxed);
     }
 
@@ -104,26 +113,25 @@ impl ScoreTable {
     pub fn set(&self, doc: DocId, score: Score) -> Result<Option<ScoreEntry>> {
         let score = check_score(score)?;
         self.note_score(score);
-        let prev = self.tree.put(
-            &Self::key(doc),
-            &Self::value(ScoreEntry {
+        self.table.put(
+            doc,
+            ScoreEntry {
                 score,
                 deleted: false,
-            }),
-        )?;
-        Ok(prev.map(|v| Self::decode(&v)))
+            },
+        )
     }
 
     /// Mark a document deleted (Appendix A.2: "add a new field in the Score
     /// table that indicates whether a document with a given ID is deleted").
     pub fn mark_deleted(&self, doc: DocId) -> Result<()> {
-        let entry = self.get(doc)?.ok_or(CoreError::UnknownDocument(doc))?;
-        self.tree.put(
-            &Self::key(doc),
-            &Self::value(ScoreEntry {
+        let entry = self.get(doc).ok_or(CoreError::UnknownDocument(doc))?;
+        self.table.put(
+            doc,
+            ScoreEntry {
                 deleted: true,
                 ..entry
-            }),
+            },
         )?;
         Ok(())
     }
@@ -133,57 +141,42 @@ impl ScoreTable {
     /// [`ScoreTable::mark_deleted`] so the id stays reserved; removal is
     /// only sound when undoing an insert that the same batch performed.
     pub fn remove(&self, doc: DocId) -> Result<()> {
-        self.tree.delete(&Self::key(doc))?;
-        Ok(())
+        self.table.delete(doc)
     }
 
-    /// Number of rows (live + deleted).
-    pub fn len(&self) -> u64 {
-        self.tree.len()
+    /// All live `(doc, score)` rows in doc-id order (the merge's
+    /// inversion).
+    pub fn live_scores(&self) -> Vec<(DocId, Score)> {
+        self.table
+            .rows()
+            .into_iter()
+            .filter(|(_, entry)| !entry.deleted)
+            .map(|(doc, entry)| (doc, entry.score))
+            .collect()
+    }
+}
+
+#[cfg(test)]
+impl ScoreTable {
+    /// Every row the map serves, in doc-id order.
+    pub fn rows(&self) -> Rows<ScoreEntry> {
+        self.table.rows()
     }
 
-    /// True when the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    /// Every row — live and tombstoned — in doc-id order: the scan a
-    /// reopened shard rebuilds its in-memory tombstone set and live count
-    /// from.
-    pub fn all_entries(&self) -> Result<Vec<(DocId, ScoreEntry)>> {
-        let mut cursor = self.tree.cursor(&[])?;
-        let mut out = Vec::new();
-        while let Some((k, v)) = cursor.next_entry()? {
-            let doc = DocId(u32::from_be_bytes(k[..4].try_into().expect("short key")));
-            out.push((doc, Self::decode(&v)));
-        }
-        Ok(out)
-    }
-
-    /// All live `(doc, score)` rows in doc-id order (used when (re)building
-    /// chunk maps).
-    pub fn live_scores(&self) -> Result<Vec<(DocId, Score)>> {
-        let mut cursor = self.tree.cursor(&[])?;
-        let mut out = Vec::new();
-        while let Some((k, v)) = cursor.next_entry()? {
-            let entry = Self::decode(&v);
-            if !entry.deleted {
-                let doc = DocId(u32::from_be_bytes(k[..4].try_into().expect("short key")));
-                out.push((doc, entry.score));
-            }
-        }
-        Ok(out)
+    /// The rows a fresh read of the B+-tree returns.
+    pub fn tree_rows(&self) -> Rows<ScoreEntry> {
+        self.table.tree_rows()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svr_storage::{MemDisk, Store};
+    use svr_storage::{MemDisk, StorageEnv, Store};
 
     fn table() -> ScoreTable {
         let store = Arc::new(Store::new(Arc::new(MemDisk::new(4096)), 64));
-        ScoreTable::create(store).unwrap()
+        ScoreTable::create_in(store, false).unwrap()
     }
 
     #[test]
@@ -194,7 +187,7 @@ mod tests {
         let prev = t.set(DocId(15), 124.2).unwrap().unwrap();
         assert_eq!(prev.score, 87.13);
         assert_eq!(t.score_of(DocId(15)).unwrap(), 124.2);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows().len(), 1);
     }
 
     #[test]
@@ -205,6 +198,7 @@ mod tests {
             Err(CoreError::UnknownDocument(DocId(1)))
         );
         assert!(t.mark_deleted(DocId(1)).is_err());
+        assert!(!t.is_deleted(DocId(1)));
     }
 
     #[test]
@@ -214,8 +208,10 @@ mod tests {
         t.set(DocId(2), 20.0).unwrap();
         t.mark_deleted(DocId(1)).unwrap();
         assert!(t.score_of(DocId(1)).is_err());
-        assert!(t.get(DocId(1)).unwrap().unwrap().deleted);
-        assert_eq!(t.live_scores().unwrap(), vec![(DocId(2), 20.0)]);
+        assert!(t.get(DocId(1)).unwrap().deleted);
+        assert!(t.is_deleted(DocId(1)));
+        assert!(!t.is_deleted(DocId(2)));
+        assert_eq!(t.live_scores(), vec![(DocId(2), 20.0)]);
     }
 
     #[test]
@@ -237,6 +233,35 @@ mod tests {
         assert_eq!(t.max_score_bound(), 90.0);
         t.note_score(250.0);
         assert_eq!(t.max_score_bound(), 250.0);
+    }
+
+    #[test]
+    fn negative_zero_does_not_poison_the_bound() {
+        // The sign bit of -0.0 outranks every positive score as raw bits.
+        let t = table();
+        t.set(DocId(1), -0.0).unwrap();
+        t.set(DocId(2), 90.0).unwrap();
+        assert_eq!(t.max_score_bound().to_bits(), 90.0f64.to_bits());
+        assert_eq!(t.score_of(DocId(1)).unwrap().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn open_loads_rows_and_seeds_the_bound_from_tombstones_too() {
+        let env = StorageEnv::new_durable(4096);
+        let t = ScoreTable::create_in(env.create_store("score", 16), true).unwrap();
+        t.set(DocId(1), 10.0).unwrap();
+        t.set(DocId(2), 70.0).unwrap();
+        t.set(DocId(3), 30.0).unwrap();
+        t.mark_deleted(DocId(2)).unwrap();
+        t.set(DocId(3), 20.0).unwrap();
+        drop(t);
+        env.crash();
+        env.recover_all().unwrap();
+        let (t, rows) = ScoreTable::open(env.store("score").unwrap()).unwrap();
+        assert_eq!(t.live_scores(), vec![(DocId(1), 10.0), (DocId(3), 20.0)]);
+        assert!(t.is_deleted(DocId(2)));
+        assert_eq!(t.max_score_bound(), 70.0);
+        assert_eq!(rows, t.tree_rows());
     }
 
     #[test]

@@ -354,3 +354,50 @@ fn an_update_to_the_current_score_writes_nothing() {
         assert_eq!(index.current_score(DocId(5)).unwrap(), 601.0, "{kind}");
     }
 }
+
+/// Doc ids are user primary keys: the lowest and (nearly) the highest id
+/// insert, resolve, update, merge and resolve again on a Chunk index. Any
+/// per-candidate lookup structure sized by the largest id would not fit.
+#[test]
+fn chunk_resolves_the_extreme_doc_ids() {
+    let (docs, scores) = linear_corpus(32);
+    let docs: Vec<Document> = docs
+        .into_iter()
+        .map(|d| Document::from_term_freqs(DocId(d.id.0 + 1), d.terms))
+        .collect();
+    let scores: ScoreMap = scores
+        .into_iter()
+        .map(|(d, s)| (DocId(d.0 + 1), s))
+        .collect();
+    let index = build_index(MethodKind::Chunk, &docs, &scores, &cfg()).unwrap();
+    let mut oracle = Oracle::build(&docs, &scores, 0.0);
+    let (low, high) = (DocId(0), DocId(u32::MAX - 1));
+    for (doc, score) in [(low, 50_000.0), (high, 40_000.0)] {
+        let d = Document::from_term_freqs(doc, [(T, 1)]);
+        index.insert_document(&d, score).unwrap();
+        oracle.insert_document(&d, score).unwrap();
+    }
+    let query = Query::conjunctive([T], 5);
+    let check = |oracle: &Oracle, label: &str| {
+        let hits = index.query(&query).unwrap();
+        oracle.assert_topk_valid(&query, &hits, 1e-9);
+        for doc in [low, high] {
+            assert_eq!(
+                index.current_score(doc).unwrap(),
+                oracle.score_of(doc).unwrap(),
+                "{label}: {doc:?}"
+            );
+        }
+    };
+    check(&oracle, "inserted");
+    assert_eq!(index.query(&query).unwrap()[0].doc, low);
+    // A long-list resolve (after the merge) and a short-list move.
+    index.merge_short_lists().unwrap();
+    check(&oracle, "merged");
+    for (doc, score) in [(low, 10.0), (high, 90_000.0)] {
+        index.update_score(doc, score).unwrap();
+        oracle.update_score(doc, score).unwrap();
+    }
+    check(&oracle, "updated");
+    assert_eq!(index.query(&query).unwrap()[0].doc, high);
+}

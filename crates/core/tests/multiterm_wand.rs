@@ -123,6 +123,34 @@ fn multiterm_matrix_matches_oracle_and_cursor_drain() {
     }
 }
 
+/// A score of `-0.0` is stored as `+0.0`: its raw bits would otherwise
+/// outrank every positive score in the Score table's monotone bound, and
+/// WAND would prune with an SVR bound of zero. Term weight 1 keeps the
+/// structured score dominant, as in the paper.
+#[test]
+fn a_negative_zero_score_keeps_wand_exact() {
+    for kind in WAND_METHODS {
+        let mut rng = StdRng::seed_from_u64(0x0_5EED);
+        let (docs, scores) = corpus(&mut rng, 150);
+        let config = IndexConfig {
+            term_weight: if kind.uses_term_scores() { 1.0 } else { 0.0 },
+            ..config_with(kind, 1, CodecKind::Bitpacked)
+        };
+        let index = build_index(kind, &docs, &scores, &config).unwrap();
+        let mut oracle = Oracle::build(&docs, &scores, config.term_weight);
+        index.update_score(DocId(3), -0.0).unwrap();
+        oracle.update_score(DocId(3), -0.0).unwrap();
+        assert_eq!(index.current_score(DocId(3)).unwrap().to_bits(), 0);
+        for mode in [QueryMode::Conjunctive, QueryMode::Disjunctive] {
+            for n_terms in [1usize, 2, 4] {
+                let query = Query::new(distinct_terms(&mut rng, n_terms), 5, mode);
+                let hits = index.query(&query).unwrap();
+                oracle.assert_topk_valid(&query, &hits, EPS);
+            }
+        }
+    }
+}
+
 /// The acceptance shape: a 4-term conjunctive query over block-coded
 /// long lists whose intersection is sparse must skip whole blocks
 /// undecoded — and still return exactly the exhaustive ranking. Three

@@ -156,8 +156,9 @@
 //!   shard's Score table, forward index, long/short lists, aux tables and
 //!   shard metadata (chunk boundaries, fancy-list bounds, content-dirty
 //!   markers) from the recovered stores, and re-derives only the
-//!   in-memory mirrors (tombstone sets, shared df / num_docs statistics)
-//!   by scanning the index's *own* durable state — zero base rows are
+//!   in-memory state (the Score and ListScore/ListChunk rows, each loaded
+//!   by one scan of its tree, and the shared df / num_docs statistics)
+//!   from the index's *own* durable state — zero base rows are
 //!   read for indexing and nothing is re-tokenized.
 //! * **score views re-materialize** from the recovered base rows (the
 //!   deterministic fold of view creation), and listeners are rewired, so
