@@ -1,9 +1,10 @@
 //! Experiment result tables and the experiment scale knob.
 //!
-//! Reports serialize to JSON through the hand-rolled [`to_json`] /
-//! [`from_json`] below (the build environment has no network access, so
-//! pulling in serde is not an option; the schema is four string fields and
-//! two string collections).
+//! Reports serialize to JSON through the hand-rolled
+//! [`ExperimentReport::to_json`] / [`ExperimentReport::from_json`] below
+//! (the workspace builds offline from vendored crates, so pulling in serde
+//! is not an option; the schema is four string fields and two string
+//! collections).
 
 /// How big to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

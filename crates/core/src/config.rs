@@ -44,7 +44,7 @@ pub struct IndexConfig {
     /// cursors should set a cap: a full-scan method's first batch resolves
     /// every match into the pool, and an abandoned cursor would pin that
     /// memory until swept. Exceeding the cap evicts the cursor with
-    /// [`CoreError::CursorEvicted`](crate::CoreError::CursorEvicted).
+    /// [`CoreError::CursorEvicted`].
     pub cursor_pool_cap: usize,
     /// Number of write shards the index is partitioned into (beyond the
     /// paper, which is single-writer). Documents are hash-partitioned by
@@ -98,10 +98,22 @@ impl IndexConfig {
             self.page_size >= 256,
             "page size must be at least 256 bytes",
         )?;
-        check(self.threshold_ratio > 1.0, "threshold ratio must be > 1")?;
-        check(self.chunk_ratio > 1.0, "chunk ratio must be > 1")?;
+        // An infinite ratio or weight makes a stopping bound NaN (`-inf +
+        // inf`), and a cursor never emits.
+        let ratio = |r: f64| r > 1.0 && r.is_finite();
+        check(
+            ratio(self.threshold_ratio),
+            "threshold ratio must be > 1 and finite",
+        )?;
+        check(
+            ratio(self.chunk_ratio),
+            "chunk ratio must be > 1 and finite",
+        )?;
         check(self.fancy_size > 0, "fancy list size must be positive")?;
-        check(self.term_weight >= 0.0, "term weight must be non-negative")?;
+        check(
+            (0.0..f64::INFINITY).contains(&self.term_weight),
+            "term weight must be non-negative and finite",
+        )?;
         check(self.num_shards >= 1, "shard count must be at least 1")
     }
 
@@ -163,6 +175,18 @@ mod tests {
             },
             IndexConfig {
                 num_shards: 0,
+                ..IndexConfig::default()
+            },
+            IndexConfig {
+                threshold_ratio: f64::INFINITY,
+                ..IndexConfig::default()
+            },
+            IndexConfig {
+                chunk_ratio: f64::INFINITY,
+                ..IndexConfig::default()
+            },
+            IndexConfig {
+                term_weight: f64::INFINITY,
                 ..IndexConfig::default()
             },
         ];

@@ -132,9 +132,9 @@ mod tests {
     use proptest::prelude::*;
     use svr_storage::StorageEnv;
 
-    use crate::aux_table::{ListChunkEntry, ListChunkTable};
+    use crate::aux_table::{ListEntry, ListTable};
     use crate::score_table::{ScoreEntry, ScoreTable};
-    use crate::types::DocId;
+    use crate::types::{ChunkId, DocId};
 
     #[derive(Debug, Clone)]
     enum Step {
@@ -165,10 +165,12 @@ mod tests {
         ]
     }
 
-    fn open(env: &StorageEnv) -> (ScoreTable, ListChunkTable) {
+    fn open(env: &StorageEnv) -> (ScoreTable, ListTable<ChunkId>) {
         (
             ScoreTable::open(env.store("score").unwrap()).unwrap().0,
-            ListChunkTable::open(env.store("aux").unwrap()).unwrap().0,
+            ListTable::<ChunkId>::open(env.store("aux").unwrap())
+                .unwrap()
+                .0,
         )
     }
 
@@ -184,9 +186,9 @@ mod tests {
             let mut score =
                 ScoreTable::create_in(env.create_store("score", 8), true).unwrap();
             let mut chunk =
-                ListChunkTable::create_in(env.create_store("aux", 8), true).unwrap();
+                ListTable::<ChunkId>::create_in(env.create_store("aux", 8), true).unwrap();
             let mut score_model: BTreeMap<DocId, ScoreEntry> = BTreeMap::new();
-            let mut chunk_model: BTreeMap<DocId, ListChunkEntry> = BTreeMap::new();
+            let mut chunk_model: BTreeMap<DocId, ListEntry<ChunkId>> = BTreeMap::new();
             for step in steps {
                 match step {
                     Step::Set(d, s) => {
@@ -209,7 +211,7 @@ mod tests {
                         score_model.remove(&DocId(d));
                     }
                     Step::ChunkPut(d, c, s) => {
-                        let row = ListChunkEntry { l_chunk: c, in_short_list: s };
+                        let row = ListEntry { l_pos: c, in_short_list: s };
                         chunk.put(DocId(d), row).unwrap();
                         chunk_model.insert(DocId(d), row);
                     }

@@ -74,6 +74,19 @@ impl CorpusStats {
     pub fn num_docs(&self) -> u64 {
         self.num_docs.load(Ordering::Relaxed)
     }
+
+    /// Count one document's `terms` into (`add`) or out of the document
+    /// frequencies.
+    fn count_terms(&self, terms: impl IntoIterator<Item = TermId>, add: bool) {
+        let mut df = self.df.write();
+        for term in terms {
+            if add {
+                *df.entry(term).or_insert(0) += 1;
+            } else if let Some(count) = df.get_mut(&term) {
+                *count = count.saturating_sub(1);
+            }
+        }
+    }
 }
 
 /// Where a method instance lives: its storage environment, the shared
@@ -190,19 +203,10 @@ impl MethodBase {
         let (score_table, rows) = ScoreTable::open(score_store)?;
         let doc_store = DocStore::open(docs_store)?;
         let mut live = 0u64;
-        {
-            let mut df = stats.df.write();
-            for (doc, entry) in rows {
-                if entry.deleted {
-                    continue;
-                }
-                live += 1;
-                if let Some(terms) = doc_store.get(doc)? {
-                    for (term, _) in terms {
-                        *df.entry(term).or_insert(0) += 1;
-                    }
-                }
-            }
+        for (doc, _) in rows.into_iter().filter(|(_, entry)| !entry.deleted) {
+            live += 1;
+            let terms = doc_store.get(doc)?.unwrap_or_default();
+            stats.count_terms(terms.into_iter().map(|(term, _)| term), true);
         }
         stats.num_docs.fetch_add(live, Ordering::Relaxed);
         Ok(MethodBase {
@@ -231,14 +235,11 @@ impl MethodBase {
 
     /// Bulk-load documents and scores at build time.
     pub fn bulk_load(&self, docs: &[Document], scores: &HashMap<DocId, Score>) -> Result<()> {
-        let mut df = self.stats.df.write();
         for doc in docs {
             self.score_table
                 .set(doc.id, Self::initial_score(scores, doc.id))?;
             self.doc_store.put(doc)?;
-            for term in doc.term_ids() {
-                *df.entry(term).or_insert(0) += 1;
-            }
+            self.stats.count_terms(doc.term_ids(), true);
         }
         // Accumulate (not store): sibling shards load into the same shared
         // counter.
@@ -265,6 +266,19 @@ impl MethodBase {
     /// Live documents in this shard.
     pub fn live_docs(&self) -> u64 {
         self.local_docs.load(Ordering::Relaxed)
+    }
+
+    /// Count a live document with `terms` into (`add`) or out of the
+    /// statistics: the shared df and document count, and this shard's.
+    fn count_doc(&self, terms: impl IntoIterator<Item = TermId>, add: bool) {
+        self.stats.count_terms(terms, add);
+        if add {
+            self.stats.num_docs.fetch_add(1, Ordering::Relaxed);
+            self.local_docs.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.stats.num_docs.fetch_sub(1, Ordering::Relaxed);
+            self.local_docs.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
     /// IDF weight of a term under the live collection-wide df statistics.
@@ -307,12 +321,7 @@ impl MethodBase {
         }
         self.score_table.set(doc.id, score)?;
         self.doc_store.put(doc)?;
-        let mut df = self.stats.df.write();
-        for term in doc.term_ids() {
-            *df.entry(term).or_insert(0) += 1;
-        }
-        self.stats.num_docs.fetch_add(1, Ordering::Relaxed);
-        self.local_docs.fetch_add(1, Ordering::Relaxed);
+        self.count_doc(doc.term_ids(), true);
         Ok(score)
     }
 
@@ -322,15 +331,7 @@ impl MethodBase {
             return Err(CoreError::UnknownDocument(doc));
         }
         self.score_table.mark_deleted(doc)?;
-        let terms = self.doc_store.term_ids(doc)?;
-        let mut df = self.stats.df.write();
-        for term in terms {
-            if let Some(count) = df.get_mut(&term) {
-                *count = count.saturating_sub(1);
-            }
-        }
-        self.stats.num_docs.fetch_sub(1, Ordering::Relaxed);
-        self.local_docs.fetch_sub(1, Ordering::Relaxed);
+        self.count_doc(self.doc_store.term_ids(doc)?, false);
         Ok(())
     }
 
@@ -350,15 +351,7 @@ impl MethodBase {
             .ok_or(CoreError::UnknownDocument(doc))?;
         // `set` stores the row live (deleted flag cleared).
         self.score_table.set(doc, entry.score)?;
-        let terms = self.doc_store.term_ids(doc)?;
-        {
-            let mut df = self.stats.df.write();
-            for term in terms {
-                *df.entry(term).or_insert(0) += 1;
-            }
-        }
-        self.stats.num_docs.fetch_add(1, Ordering::Relaxed);
-        self.local_docs.fetch_add(1, Ordering::Relaxed);
+        self.count_doc(self.doc_store.term_ids(doc)?, true);
         Ok(entry.score)
     }
 
@@ -379,16 +372,7 @@ impl MethodBase {
             .ok_or(CoreError::UnknownDocument(doc))?;
         self.score_table.remove(doc)?;
         self.doc_store.delete(doc)?;
-        {
-            let mut df = self.stats.df.write();
-            for &(term, _) in &terms {
-                if let Some(count) = df.get_mut(&term) {
-                    *count = count.saturating_sub(1);
-                }
-            }
-        }
-        self.stats.num_docs.fetch_sub(1, Ordering::Relaxed);
-        self.local_docs.fetch_sub(1, Ordering::Relaxed);
+        self.count_doc(terms.iter().map(|&(term, _)| term), false);
         Ok(terms)
     }
 
@@ -441,15 +425,10 @@ impl MethodBase {
         self.doc_store.put(doc)?;
         let old_set: HashSet<TermId> = old.iter().map(|&(t, _)| t).collect();
         let new_set: HashSet<TermId> = doc.term_ids().collect();
-        let mut df = self.stats.df.write();
-        for term in new_set.difference(&old_set) {
-            *df.entry(*term).or_insert(0) += 1;
-        }
-        for term in old_set.difference(&new_set) {
-            if let Some(count) = df.get_mut(term) {
-                *count = count.saturating_sub(1);
-            }
-        }
+        self.stats
+            .count_terms(new_set.difference(&old_set).copied(), true);
+        self.stats
+            .count_terms(old_set.difference(&new_set).copied(), false);
         Ok((old, doc.terms.clone()))
     }
 

@@ -148,20 +148,13 @@ impl FancyLists {
     }
 
     /// Write every term's fancy list from `inv` and persist its `(minF,
-    /// complete)` to `meta` (build and merge); clears the insert-time
-    /// widening.
+    /// complete)` to `meta` (build and merge). Every document's fancy
+    /// postings are current again, and the insert-time widening is cleared.
     pub fn write(&self, inv: &Inversion, fancy_size: usize, meta: &MetaTable) -> Result<()> {
         let fresh = write_fancy_lists(&self.lists, inv, fancy_size)?;
         meta.put_fancy_meta(fresh.iter().map(|(&t, m)| (t, (m.min_ts, m.complete))))?;
-        *self.meta.write() = fresh;
-        Ok(())
-    }
-
-    /// The offline merge's share: rewrite the lists from the live `inv`;
-    /// every document's fancy postings are current again.
-    pub fn rebuild(&self, inv: &Inversion, fancy_size: usize, meta: &MetaTable) -> Result<()> {
-        self.write(inv, fancy_size, meta)?;
         meta.clear_dirty()?;
+        *self.meta.write() = fresh;
         self.content_dirty.write().clear();
         Ok(())
     }

@@ -21,20 +21,19 @@
 //! layout:
 //!
 //! * `id.rs` — doc-id order, full scans (ID);
-//! * `score_threshold.rs` — score order plus thresholded short lists
-//!   (Score-Threshold);
-//! * `chunk.rs` — chunk order plus short lists moved on a two-chunk climb
-//!   (Chunk);
+//! * `threshold.rs` — a long list plus thresholded short lists, one body
+//!   over a `Placement`: the list score (`ByScore`, Score-Threshold) or the
+//!   chunk id (`ByChunk`, Chunk) a posting sits at;
 //! * `score.rs` — the Score method's clustered B+-tree, updated in place.
 //!
-//! The three blob-list structs take a `const TERM_SCORES: bool`. `false`
-//! is the base method; `true` is its term-scored form (ID-TermScore,
-//! Score-Threshold-TermScore, Chunk-TermScore) — the same body with a term
-//! score in every posting and the combined ranking `f(svr, ts)`. The two
-//! threshold layouts add the fancy lists of `fancy.rs` (`FancyLists`: phase 1
-//! of Algorithm 3, its term-score bounds and their durable metadata). The
-//! flag is a type parameter, so the SVR-only instantiations carry no
-//! term-score work.
+//! `IdMethod` and `ThresholdMethod` take a `const TERM_SCORES: bool`.
+//! `false` is the base method; `true` is its term-scored form
+//! (ID-TermScore, Score-Threshold-TermScore, Chunk-TermScore) — the same
+//! body with a term score in every posting and the combined ranking
+//! `f(svr, ts)`. The threshold forms add the fancy lists of `fancy.rs`
+//! (`FancyLists`: phase 1 of Algorithm 3, its term-score bounds and their
+//! durable metadata). The flag and the placement are type parameters, so
+//! each instantiation carries only its own work.
 //!
 //! Each struct implements `CursorBackend` (stream, resolve, bound) and the
 //! crate-private `Method` trait (build, open, and the Algorithm 1/2/3
@@ -52,12 +51,14 @@
 //! ## Adding an eighth method
 //!
 //! A term-scored form of an existing layout is a `TERM_SCORES` branch, not
-//! a new file. A new layout is a new struct — generic over `TERM_SCORES`
-//! if it supports term scores, reusing `FancyLists` if it stops early on
-//! them — with a list writer in [`crate::maintenance`] shared by its build
-//! and merge. Implement `Method` (and its supertrait `CursorBackend`) for
-//! it and add one dispatch arm per [`MethodKind`] it serves. Required
-//! items:
+//! a new file. A new thresholded layout — a list position other than a
+//! score or a chunk id — is a new `Placement` impl in `threshold.rs`
+//! (position type, move rule, stopping bound, list writer). Any other
+//! layout is a new struct — generic over `TERM_SCORES` if it supports term
+//! scores, reusing `FancyLists` if it stops early on them — with a list
+//! writer in [`crate::maintenance`] shared by its build and merge.
+//! Implement `Method` (and its supertrait `CursorBackend`) for it and add
+//! one dispatch arm per [`MethodKind`] it serves. Required items:
 //!
 //! * `KIND` — the new [`MethodKind`] variant (also add it to `ALL_EXTENDED`
 //!   and `name`);
@@ -77,12 +78,11 @@
 //! blob-long-list method.
 
 pub(crate) mod base;
-mod chunk;
 pub(crate) mod fancy;
 mod id;
 pub(crate) mod index;
 mod score;
-mod score_threshold;
+mod threshold;
 
 pub use index::shard_of_doc;
 
@@ -576,18 +576,17 @@ fn attach(
             &fresh
         }
     };
-    use chunk::ChunkMethod;
     use id::IdMethod;
-    use score_threshold::ScoreThresholdMethod;
+    use threshold::{ByChunk, ByScore, ThresholdMethod};
     match kind {
         MethodKind::Id => boxed::<IdMethod<false>>(loc, corpus, config),
         MethodKind::Score => boxed::<score::ScoreMethod>(loc, corpus, config),
-        MethodKind::ScoreThreshold => boxed::<ScoreThresholdMethod<false>>(loc, corpus, config),
-        MethodKind::Chunk => boxed::<ChunkMethod<false>>(loc, corpus, config),
+        MethodKind::ScoreThreshold => boxed::<ThresholdMethod<ByScore, false>>(loc, corpus, config),
+        MethodKind::Chunk => boxed::<ThresholdMethod<ByChunk, false>>(loc, corpus, config),
         MethodKind::IdTermScore => boxed::<IdMethod<true>>(loc, corpus, config),
-        MethodKind::ChunkTermScore => boxed::<ChunkMethod<true>>(loc, corpus, config),
+        MethodKind::ChunkTermScore => boxed::<ThresholdMethod<ByChunk, true>>(loc, corpus, config),
         MethodKind::ScoreThresholdTermScore => {
-            boxed::<ScoreThresholdMethod<true>>(loc, corpus, config)
+            boxed::<ThresholdMethod<ByScore, true>>(loc, corpus, config)
         }
     }
 }

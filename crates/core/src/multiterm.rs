@@ -24,7 +24,7 @@
 //!   approximation.
 //! * **Score-accumulating union** (OR): doc-at-a-time merge of the live
 //!   heads, summing the matched terms' `idf·ts` contributions per doc.
-//! * **Block-max WAND pruning** ([`wand_topk`]): a [`TopKHeap`] maintains
+//! * **Block-max WAND pruning** (`wand_topk`): a [`TopKHeap`] maintains
 //!   the running threshold θ = score of the current k-th result. Before
 //!   resolving a pivot doc, the executor computes an upper bound on the
 //!   combined score of *any* document in the current block window and, when
@@ -68,7 +68,7 @@
 //!
 //! ## Cursors and pagination
 //!
-//! The one-shot [`wand_topk`] path requires `k` up front (θ needs a full
+//! The one-shot `wand_topk` path requires `k` up front (θ needs a full
 //! heap). The any-k cursor executor cannot use score pruning — a cursor may
 //! be drained past any k — but conjunctive cursors on doc-ordered methods
 //! still leapfrog ([`crate::merge::MultiMerge::next_conjunctive_candidate`])

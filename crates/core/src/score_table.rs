@@ -4,9 +4,9 @@
 //! is only one such Score table for the entire collection)... An index is
 //! built on the ID column of the Score table so that score lookups by ID are
 //! efficient" (§4.2.1). Appendix A.2 adds the deleted flag. Every ranked
-//! query resolves each candidate's score here, so the table is a
-//! [`DocTable`]: a B+-tree keyed by document id, written through on every
-//! change and read only at open, with every row served from memory.
+//! query resolves each candidate's score here, so the table is a doc table
+//! (`crate::doc_table`): a B+-tree keyed by doc id, written through on
+//! every change and read only at open, every row served from memory.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

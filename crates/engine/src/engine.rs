@@ -612,7 +612,7 @@ struct EngineShared {
 
 /// The integrated engine. Cloning is cheap (`Arc` bump) and every clone
 /// addresses the same shared state, so one engine can serve queries from
-/// many threads while writers mutate it — see the [module docs](self) for
+/// many threads while writers mutate it — see the `engine` module docs for
 /// the locking rules and `examples/flash_crowd.rs` for the pattern in
 /// action.
 #[derive(Clone)]

@@ -1149,6 +1149,35 @@ fn parse_statement_arity_is_an_error_not_a_panic() {
 /// Out-of-range `OPTIONS (...)` values arrive from outside: each must be an
 /// execution error (not a panic), and must leave nothing behind — the same
 /// index name is creatable with valid options right after.
+/// The lexer reads `1e999` as `+inf`. An infinite term weight makes every
+/// stopping bound NaN, so the index must be refused at creation.
+#[test]
+fn infinite_index_options_are_refused_at_create() {
+    let session = SqlSession::new();
+    session
+        .execute_script(
+            "CREATE TABLE d (id INT PRIMARY KEY, b TEXT);
+             CREATE TABLE p (id INT PRIMARY KEY, v INT);
+             CREATE FUNCTION c (x INT) RETURNS FLOAT
+                 RETURN SELECT p.v FROM p WHERE p.id = x;
+             CREATE FUNCTION mix (s1 FLOAT, s2 FLOAT) RETURNS FLOAT
+                 RETURN s1 + s2;
+             INSERT INTO d VALUES (1, 'golden gate'), (2, 'golden bridge');
+             INSERT INTO p VALUES (1, 10), (2, 20);",
+        )
+        .unwrap();
+    for option in ["term_weight = 1e999", "chunk_ratio = 1e999"] {
+        let err = session
+            .execute(&format!(
+                "CREATE TEXT INDEX i ON d(b) SCORE WITH (c, TFIDF()) AGGREGATE WITH mix
+                 USING METHOD CHUNK_TERMSCORE OPTIONS ({option})"
+            ))
+            .unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("finite"), "{option}: {message}");
+    }
+}
+
 #[test]
 fn out_of_range_index_options_are_errors_and_leave_no_orphan_view() {
     let session = SqlSession::new();
