@@ -531,14 +531,12 @@ fn read_block_meta_slice(format: ListFormat, buf: &[u8], pos: &mut usize) -> Res
     let max_doc = read_varint_or(buf, pos, "truncated block header")?;
     let max_tscore = read_varint_or(buf, pos, "truncated block header")?;
     let max_score = if matches!(format, ListFormat::Score { .. }) {
-        let end = pos
-            .checked_add(8)
-            .ok_or_else(|| corrupt("truncated block header"))?;
         let bytes = buf
-            .get(*pos..end)
+            .get(*pos..)
+            .and_then(<[u8]>::first_chunk)
             .ok_or_else(|| corrupt("truncated block header"))?;
-        *pos = end;
-        f64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+        *pos += 8;
+        f64::from_le_bytes(*bytes)
     } else {
         0.0
     };
@@ -584,14 +582,12 @@ pub fn decode_block(
 }
 
 fn read_f64_at(buf: &[u8], pos: &mut usize) -> Result<f64> {
-    let end = pos
-        .checked_add(8)
-        .ok_or_else(|| corrupt("truncated posting"))?;
     let b = buf
-        .get(*pos..end)
+        .get(*pos..)
+        .and_then(<[u8]>::first_chunk)
         .ok_or_else(|| corrupt("truncated posting"))?;
-    *pos = end;
-    Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
+    *pos += 8;
+    Ok(f64::from_le_bytes(*b))
 }
 
 /// Read the optional term-score frame of `count` postings (zeros without).

@@ -12,7 +12,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use svr_storage::codec::{read_varint, write_varint};
+use svr_storage::codec::{read_array, read_u32_be, read_varint, write_varint};
 use svr_storage::{BTree, Store};
 
 use crate::error::{CoreError, Result};
@@ -98,19 +98,18 @@ impl MetaTable {
         if rows.is_empty() {
             return Ok(None);
         }
+        let corrupt = || CoreError::Storage(svr_storage::StorageError::Corrupt("chunk-map record"));
         let mut out = Vec::new();
         for (_, val) in rows {
             let mut pos = 0;
-            let n = read_varint(&val, &mut pos).ok_or(CoreError::Storage(
-                svr_storage::StorageError::Corrupt("chunk-map record"),
-            ))? as usize;
+            let n = read_varint(&val, &mut pos).ok_or_else(corrupt)? as usize;
             for _ in 0..n {
-                let end = pos + 8;
-                let bytes = val.get(pos..end).ok_or(CoreError::Storage(
-                    svr_storage::StorageError::Corrupt("chunk-map record"),
-                ))?;
-                out.push(f64::from_le_bytes(bytes.try_into().expect("8 bytes")));
-                pos = end;
+                let bytes = val
+                    .get(pos..)
+                    .and_then(<[u8]>::first_chunk)
+                    .ok_or_else(corrupt)?;
+                out.push(f64::from_le_bytes(*bytes));
+                pos += 8;
             }
         }
         Ok(Some(out))
@@ -145,8 +144,8 @@ impl MetaTable {
                     "fancy-meta record",
                 )));
             }
-            let term = TermId(u32::from_be_bytes(key[1..5].try_into().expect("4 bytes")));
-            let min_ts = u16::from_le_bytes(val[..2].try_into().expect("2 bytes"));
+            let term = TermId(read_u32_be(&key, 1));
+            let min_ts = u16::from_le_bytes(read_array(&val, 0));
             out.insert(term, (min_ts, val[2] != 0));
         }
         Ok(out)
@@ -175,9 +174,7 @@ impl MetaTable {
                     "dirty record",
                 )));
             }
-            out.insert(DocId(u32::from_be_bytes(
-                key[1..5].try_into().expect("4 bytes"),
-            )));
+            out.insert(DocId(read_u32_be(&key, 1)));
         }
         Ok(out)
     }

@@ -57,6 +57,11 @@
 //! module docs for the byte-level layout, the skip-metadata contract, and
 //! the codec-versioning rules.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod aux_table;
 pub mod byte_stream;
 pub mod chunk_map;

@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use svr_storage::codec::{read_array, read_u32_be};
 use svr_storage::{BlobHandle, BlobStore, Store};
 use svr_text::postings::{ChunkGroup, TermScoredPosting};
 use svr_text::{normalized_tf, quantize_term_score};
@@ -97,17 +98,17 @@ fn decode_entry(raw: &[u8]) -> Result<DirEntry> {
     if raw.len() < 24 {
         return Err(corrupt("long-list directory row"));
     }
-    let first = u64::from_le_bytes(raw[..8].try_into().expect("8 bytes"));
+    let first = u64::from_le_bytes(read_array(raw, 0));
     let postings = if raw.len() >= 32 {
-        u64::from_le_bytes(raw[24..32].try_into().expect("8 bytes"))
+        u64::from_le_bytes(read_array(raw, 24))
     } else {
         0
     };
     Ok(DirEntry {
         handle: BlobHandle {
             first_page: first.checked_sub(1),
-            len: u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes")),
-            pages: u64::from_le_bytes(raw[16..24].try_into().expect("8 bytes")),
+            len: u64::from_le_bytes(read_array(raw, 8)),
+            pages: u64::from_le_bytes(read_array(raw, 16)),
         },
         postings,
     })
@@ -178,7 +179,7 @@ impl LongListStore {
                 if k.len() < 4 {
                     return Err(corrupt("long-list directory key"));
                 }
-                let term = TermId(u32::from_be_bytes(k[..4].try_into().expect("4 bytes")));
+                let term = TermId(read_u32_be(&k, 0));
                 let entry = decode_entry(&v)?;
                 total += entry.handle.len;
                 postings += entry.postings;

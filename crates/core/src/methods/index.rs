@@ -125,8 +125,11 @@ struct GroupQueue {
 const MAX_DRAIN_PER_HOLD: usize = 128;
 
 /// Unwrap a refresh-queue lock result.
+#[expect(
+    clippy::expect_used,
+    reason = "poisoned = a peer panicked mid-update; dying is the safe response"
+)]
 fn unpoisoned<T>(result: LockResult<T>) -> T {
-    // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
     result.expect("refresh queue poisoned")
 }
 

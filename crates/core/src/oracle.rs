@@ -27,6 +27,10 @@ pub struct Oracle {
 
 impl Oracle {
     /// Build from the same corpus/scores as the index under test.
+    #[expect(
+        clippy::expect_used,
+        reason = "the oracle's contract is to panic on divergence"
+    )]
     pub fn build(docs: &[Document], scores: &HashMap<DocId, Score>, term_weight: f64) -> Oracle {
         let mut oracle = Oracle {
             docs: HashMap::new(),
@@ -40,7 +44,7 @@ impl Oracle {
             let score = scores.get(&doc.id).copied().unwrap_or(0.0);
             oracle
                 .insert_document(doc, score)
-                .expect("oracle build must not fail"); // svr-lint: allow(no-unwrap): the oracle's contract is to panic on divergence
+                .expect("oracle build must not fail");
         }
         oracle
     }
@@ -191,6 +195,10 @@ impl Oracle {
     /// ground truth within `eps`; (2) results are ranked; (3) no missing doc
     /// ranks strictly above a returned one (beyond `eps`); (4) the result
     /// count equals `min(k, qualifying docs)`.
+    #[expect(
+        clippy::panic,
+        reason = "the oracle's contract is to panic on divergence"
+    )]
     pub fn assert_topk_valid(&self, query: &Query, hits: &[SearchHit], eps: f64) {
         let truth = self.query(query);
         assert_eq!(
@@ -209,7 +217,7 @@ impl Oracle {
         for hit in hits {
             let want = self
                 .query_score(query, hit.doc)
-                .unwrap_or_else(|| panic!("doc {} does not qualify for {query:?}", hit.doc)); // svr-lint: allow(no-unwrap): the oracle's contract is to panic on divergence
+                .unwrap_or_else(|| panic!("doc {} does not qualify for {query:?}", hit.doc));
             assert!(
                 (hit.score - want).abs() <= eps,
                 "score mismatch for doc {}: got {}, want {want}",

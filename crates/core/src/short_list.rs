@@ -146,6 +146,10 @@ impl ShortLists {
         self.tree.is_empty()
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "type-state misuse by a caller, not a data error"
+    )]
     fn key(&self, term: TermId, pos: PostingPos, doc: DocId) -> Vec<u8> {
         let mut key = Vec::with_capacity(16);
         push_u32_be(&mut key, term.0);
@@ -153,7 +157,7 @@ impl ShortLists {
             (ShortOrder::ById, PostingPos::Id) => {}
             (ShortOrder::ByScoreDesc, PostingPos::ByScore(s)) => push_f64_desc(&mut key, s),
             (ShortOrder::ByChunkDesc, PostingPos::ByChunk(c)) => push_u32_desc(&mut key, c),
-            _ => panic!("posting position does not match short-list order"), // svr-lint: allow(no-unwrap): type-state misuse by a caller, not a data error
+            _ => panic!("posting position does not match short-list order"),
         }
         push_u32_be(&mut key, doc.0);
         key

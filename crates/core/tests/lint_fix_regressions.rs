@@ -1,6 +1,7 @@
-//! Regression tests for the panic paths `svr-lint`'s `no-unwrap` rule
-//! flagged and this tree fixed: the sites now return errors (or behave
-//! gracefully) where they previously `panic!`ed or `expect`ed.
+//! Regression tests for library panic paths that once `panic!`ed or
+//! `expect`ed on bad input: the sites now return errors (or behave
+//! gracefully). Clippy's `unwrap_used`, `expect_used` and `panic` lints,
+//! denied at every library crate root, keep new ones out.
 
 use std::sync::Arc;
 

@@ -34,9 +34,9 @@
 //!    thread-local stack and panics on an out-of-rank acquisition
 //!    (`cargo test` runs with `debug_assertions`, so the whole stress and
 //!    proptest suite doubles as a lock-order validator);
-//! 2. **statically** — `svr-lint`'s `lock-order` rule flags any source
+//! 2. **statically** — `svr-lint`'s `lock-order` scan flags any source
 //!    line that takes a tier-1 table lock while a shard refresh guard is
-//!    live (see `crates/lint`);
+//!    live (`crates/lint`, run by `cargo test -p svr-lint`);
 //! 3. **observably in release builds** — every class counts acquisitions,
 //!    contended acquisitions, wait and hold nanoseconds
 //!    ([`SvrEngine::contention_stats`], the server `Info` payload, the
@@ -107,9 +107,10 @@
 //!
 //! The refresh tier takes shard locks only: nothing acquires a table lock
 //! (rank 0) while holding a shard lock (rank 1), which is exactly the
-//! rank rule above — a violation panics in debug builds and fails
-//! `svr-lint` statically. [`SvrEngine::apply`] takes its table locks in
-//! sorted order so equal-rank acquisitions cannot deadlock either.
+//! rank rule above — a violation panics in debug builds and fails the
+//! `lock-order` scan statically. [`SvrEngine::apply`] takes its table
+//! locks in sorted order so equal-rank acquisitions cannot deadlock
+//! either.
 //!
 //! DDL is coarser: `create_text_index` blocks the indexed table's writers
 //! for the whole build. `DROP TABLE` retires the table's tier-1 lock
@@ -1032,7 +1033,6 @@ impl SvrEngine {
     /// a writer that loses the race against `DROP TABLE` + re-`CREATE`
     /// must not mutate the new incarnation under the old lock.
     fn with_table_lock<R>(&self, table: &str, f: impl FnOnce() -> R) -> R {
-        let mut f = Some(f);
         loop {
             let lock = self.write_lock(table);
             let table_guard = lock.lock();
@@ -1043,7 +1043,7 @@ impl SvrEngine {
                 .get(table)
                 .is_some_and(|registered| Arc::ptr_eq(registered, &lock));
             if current {
-                let result = (f.take().expect("validated lock runs f exactly once"))(); // svr-lint: allow(no-unwrap): `f` is consumed exactly once on the validated path
+                let result = f();
                 drop(table_guard);
                 return result;
             }
@@ -1054,7 +1054,6 @@ impl SvrEngine {
     /// in the caller's (sorted) order so concurrent batches cannot
     /// deadlock.
     fn with_table_locks<R>(&self, tables: &[String], f: impl FnOnce() -> R) -> R {
-        let mut f = Some(f);
         loop {
             let locks: Vec<_> = tables.iter().map(|t| self.write_lock(t)).collect();
             let table_guards: Vec<_> = locks.iter().map(|l| l.lock()).collect();
@@ -1066,7 +1065,7 @@ impl SvrEngine {
                     .all(|(t, l)| registered.get(t).is_some_and(|cur| Arc::ptr_eq(cur, l)))
             };
             if all_current {
-                let result = (f.take().expect("validated locks run f exactly once"))(); // svr-lint: allow(no-unwrap): `f` is consumed exactly once on the validated path
+                let result = f();
                 drop(table_guards);
                 return result;
             }
@@ -1875,11 +1874,28 @@ struct IndexRecord {
     config: IndexConfig,
 }
 
-const INDEX_RECORD_V1: u8 = 1;
-/// V2 appends the long-list codec tag; V1 records (written before codecs
-/// existed) decode with [`CodecKind::Legacy`], the format they were built
-/// with, so pre-upgrade stores reopen unchanged.
-const INDEX_RECORD_V2: u8 = 2;
+/// The layout version an [`IndexRecord`] leads with. V2 appends the
+/// long-list codec tag; V1 records (written before codecs existed) decode
+/// with [`CodecKind::Legacy`], the format they were built with, so
+/// pre-upgrade stores reopen unchanged. The decoder matches this enum with
+/// no wildcard arm, so adding a version fails to compile until the reader
+/// handles it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IndexRecordVersion {
+    V1 = 1,
+    V2 = 2,
+}
+
+impl IndexRecordVersion {
+    /// The version whose tag is `tag`, if any.
+    fn from_tag(tag: u8) -> Option<IndexRecordVersion> {
+        match tag {
+            1 => Some(IndexRecordVersion::V1),
+            2 => Some(IndexRecordVersion::V2),
+            _ => None,
+        }
+    }
+}
 
 fn method_tag(kind: MethodKind) -> u8 {
     match kind {
@@ -1908,7 +1924,7 @@ fn method_from_tag(tag: u8) -> Result<MethodKind> {
 
 fn encode_index_record(record: &IndexRecord) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    begin_record(&mut buf, INDEX_RECORD_V2);
+    begin_record(&mut buf, IndexRecordVersion::V2 as u8);
     write_string(&mut buf, &record.table);
     write_string(&mut buf, &record.text_col);
     buf.push(method_tag(record.method));
@@ -1927,22 +1943,27 @@ fn encode_index_record(record: &IndexRecord) -> Vec<u8> {
     buf
 }
 
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn decode_index_record(raw: &[u8]) -> Result<IndexRecord> {
     let corrupt = || SvrError::Engine("corrupt index catalog record".into());
     let mut pos = 0;
-    let version = match record_version(raw, &mut pos) {
-        Some(v @ (INDEX_RECORD_V1 | INDEX_RECORD_V2)) => v,
-        _ => return Err(corrupt()),
-    };
+    let version = record_version(raw, &mut pos)
+        .and_then(IndexRecordVersion::from_tag)
+        .ok_or_else(corrupt)?;
     let table = read_string(raw, &mut pos).ok_or_else(corrupt)?;
     let text_col = read_string(raw, &mut pos).ok_or_else(corrupt)?;
     let method = method_from_tag(*raw.get(pos).ok_or_else(corrupt)?)?;
     pos += 1;
     let f64_at = |pos: &mut usize| -> Result<f64> {
-        let end = *pos + 8;
-        let bytes = raw.get(*pos..end).ok_or_else(corrupt)?;
-        *pos = end;
-        Ok(f64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        let bytes = raw
+            .get(*pos..)
+            .and_then(<[u8]>::first_chunk)
+            .ok_or_else(corrupt)?;
+        *pos += 8;
+        Ok(f64::from_le_bytes(*bytes))
     };
     let threshold_ratio = f64_at(&mut pos)?;
     let chunk_ratio = f64_at(&mut pos)?;
@@ -1954,10 +1975,9 @@ fn decode_index_record(raw: &[u8]) -> Result<IndexRecord> {
     let small_cache_pages = read_varint(raw, &mut pos).ok_or_else(corrupt)? as usize;
     let num_shards = read_varint(raw, &mut pos).ok_or_else(corrupt)? as usize;
     let cursor_pool_cap = read_varint(raw, &mut pos).ok_or_else(corrupt)? as usize;
-    let codec = if version >= INDEX_RECORD_V2 {
-        CodecKind::from_tag(*raw.get(pos).ok_or_else(corrupt)?)?
-    } else {
-        CodecKind::Legacy
+    let codec = match version {
+        IndexRecordVersion::V1 => CodecKind::Legacy,
+        IndexRecordVersion::V2 => CodecKind::from_tag(*raw.get(pos).ok_or_else(corrupt)?)?,
     };
     Ok(IndexRecord {
         table,
@@ -2021,7 +2041,7 @@ mod tests {
     fn v1_index_record_decodes_with_legacy_codec() {
         let config = IndexConfig::default();
         let mut raw = Vec::new();
-        begin_record(&mut raw, INDEX_RECORD_V1);
+        begin_record(&mut raw, IndexRecordVersion::V1 as u8);
         write_string(&mut raw, "movies");
         write_string(&mut raw, "title");
         raw.push(method_tag(MethodKind::Chunk));
@@ -2069,6 +2089,30 @@ mod tests {
             *raw.last_mut().unwrap() = 9;
             let Err(err) = decode_index_record(&raw) else {
                 panic!("unknown codec tag 9 must be refused")
+            };
+            assert!(err.to_string().contains("corrupt"), "{err}");
+        }
+    }
+
+    /// Every catalog record version round-trips through its tag, and a tag
+    /// no version owns is a corrupt record rather than a default layout.
+    #[test]
+    fn index_record_version_tags_roundtrip() {
+        for version in [IndexRecordVersion::V1, IndexRecordVersion::V2] {
+            assert_eq!(IndexRecordVersion::from_tag(version as u8), Some(version));
+        }
+        let record = IndexRecord {
+            table: "movies".into(),
+            text_col: "title".into(),
+            method: MethodKind::Chunk,
+            config: IndexConfig::default(),
+        };
+        for tag in [0, 3] {
+            assert_eq!(IndexRecordVersion::from_tag(tag), None);
+            let mut raw = encode_index_record(&record);
+            raw[0] = tag;
+            let Err(err) = decode_index_record(&raw) else {
+                panic!("record version tag {tag} must be refused")
             };
             assert!(err.to_string().contains("corrupt"), "{err}");
         }

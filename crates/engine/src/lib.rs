@@ -86,6 +86,11 @@
 //! `Info` command forwards them over the wire, and the wall-clock
 //! benchmark's `serving_mixed` workload reports the throughput they buy.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod engine;
 mod error;
 

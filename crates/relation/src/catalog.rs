@@ -499,6 +499,15 @@ impl Database {
     /// captured pre-batch state, or [`ViewUndoBracket::commit`] (or just
     /// drop the bracket) to discard the capture. Consume the bracket on
     /// the thread that created it.
+    ///
+    /// The bracket is `#[must_use]`: discarding it would end the capture
+    /// before the batch runs, so the workspace denies that at compile time.
+    ///
+    /// ```compile_fail
+    /// #![deny(unused_must_use)]
+    /// let db = svr_relation::Database::new();
+    /// db.begin_view_undo(&["t".to_string()]);
+    /// ```
     pub fn begin_view_undo(&self, tables: &[String]) -> ViewUndoBracket {
         let views = self.views_touching(tables);
         for view in &views {
@@ -562,6 +571,7 @@ const WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 /// Undo capture across every view of a database for one thread's write
 /// batch (see [`Database::begin_view_undo`]). Dropping without calling
 /// [`ViewUndoBracket::rollback`] commits (discards the capture).
+#[must_use = "dropping the bracket at once commits an empty capture"]
 pub struct ViewUndoBracket {
     views: Vec<Arc<Mutex<ScoreView>>>,
 }
@@ -591,6 +601,7 @@ impl Drop for ViewUndoBracket {
 
 /// RAII bracket for coalesced view notifications across one thread's write
 /// batch.
+#[must_use = "dropping the bracket at once ends buffering before the batch runs"]
 pub struct BufferBracket {
     /// The views bracketed at entry (a view created mid-batch notifies
     /// immediately, which is correct: it has no stale index yet).

@@ -31,6 +31,11 @@
 //! assert_eq!(db.score_of("movie_scores", 1).unwrap(), 450.0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod aggexpr;
 pub mod catalog;
 pub mod codec;

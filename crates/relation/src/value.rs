@@ -75,19 +75,28 @@ impl Value {
         match tag {
             0 => Ok(Value::Null),
             1 => {
-                let bytes = buf.get(*pos..*pos + 8).ok_or_else(corrupt)?;
+                let bytes = buf
+                    .get(*pos..)
+                    .and_then(<[u8]>::first_chunk)
+                    .ok_or_else(corrupt)?;
                 *pos += 8;
-                Ok(Value::Int(i64::from_le_bytes(bytes.try_into().unwrap())))
+                Ok(Value::Int(i64::from_le_bytes(*bytes)))
             }
             2 => {
-                let bytes = buf.get(*pos..*pos + 8).ok_or_else(corrupt)?;
+                let bytes = buf
+                    .get(*pos..)
+                    .and_then(<[u8]>::first_chunk)
+                    .ok_or_else(corrupt)?;
                 *pos += 8;
-                Ok(Value::Float(f64::from_le_bytes(bytes.try_into().unwrap())))
+                Ok(Value::Float(f64::from_le_bytes(*bytes)))
             }
             3 => {
-                let len_bytes = buf.get(*pos..*pos + 4).ok_or_else(corrupt)?;
+                let len_bytes = buf
+                    .get(*pos..)
+                    .and_then(<[u8]>::first_chunk)
+                    .ok_or_else(corrupt)?;
                 *pos += 4;
-                let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
+                let len = u32::from_le_bytes(*len_bytes) as usize;
                 let text = buf.get(*pos..*pos + len).ok_or_else(corrupt)?;
                 *pos += len;
                 Ok(Value::Text(
@@ -152,7 +161,7 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
 /// Decode a full row.
 pub fn decode_row(buf: &[u8]) -> Result<Vec<Value>> {
     let corrupt = || RelationError::Storage(svr_storage::StorageError::Corrupt("row"));
-    let n = u16::from_le_bytes(buf.get(0..2).ok_or_else(corrupt)?.try_into().unwrap()) as usize;
+    let n = u16::from_le_bytes(*buf.first_chunk().ok_or_else(corrupt)?) as usize;
     let mut pos = 2;
     let mut row = Vec::with_capacity(n);
     for _ in 0..n {

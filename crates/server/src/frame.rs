@@ -80,10 +80,10 @@ impl fmt::Display for FrameError {
 /// * `Ok(None)` — the buffer holds a valid prefix of a frame; read more.
 /// * `Err(_)` — the stream is malformed; close the connection.
 pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
-    if buf.len() < HEADER_LEN {
+    let Some(header) = buf.first_chunk::<HEADER_LEN>() else {
         return Ok(None);
-    }
-    let len = u32::from_be_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
+    };
+    let len = u32::from_be_bytes(*header) as usize;
     if len == 0 {
         return Err(FrameError::EmptyFrame);
     }

@@ -41,10 +41,16 @@
 //! assert_eq!(rows.rows.len(), 1);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod client;
 pub mod error;
 pub mod frame;
 pub mod json;
+#[allow(unsafe_code)]
 pub mod poll;
 pub mod protocol;
 pub mod server;

@@ -43,7 +43,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex};
 use std::time::{Duration, Instant};
 
 use svr_engine::SvrEngine;
@@ -301,6 +301,15 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Unwrap a job- or completion-queue lock result.
+#[expect(
+    clippy::expect_used,
+    reason = "poisoned = a peer panicked mid-update; dying is the safe response"
+)]
+fn unpoisoned<T>(result: LockResult<T>) -> T {
+    result.expect("server queue poisoned")
+}
+
 fn worker_loop(
     shared: &WorkerShared,
     mut wake: UnixStream,
@@ -309,7 +318,7 @@ fn worker_loop(
 ) {
     loop {
         let job = {
-            let mut jobs = shared.jobs.lock().expect("job queue poisoned"); // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
+            let mut jobs = unpoisoned(shared.jobs.lock());
             loop {
                 if let Some(job) = jobs.pop_front() {
                     break job;
@@ -317,20 +326,17 @@ fn worker_loop(
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                jobs = shared
-                    .jobs_ready
-                    .wait_timeout(jobs, Duration::from_millis(50))
-                    .expect("job queue poisoned") // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
-                    .0;
+                jobs = unpoisoned(
+                    shared
+                        .jobs_ready
+                        .wait_timeout(jobs, Duration::from_millis(50)),
+                )
+                .0;
             }
         };
         let response = execute_request(&job.session, engine, counters, &job.request);
         let bytes = response.encode().encode();
-        shared
-            .completions
-            .lock()
-            .expect("completion queue poisoned") // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
-            .push((job.conn, job.gen, bytes));
+        unpoisoned(shared.completions.lock()).push((job.conn, job.gen, bytes));
         shared.inflight.fetch_sub(1, Ordering::SeqCst);
         counters.requests.fetch_add(1, Ordering::Relaxed);
         // A full pipe means a wake is already pending: the loop will
@@ -596,10 +602,7 @@ fn event_loop(
 
         // Completions (and freed global slots) may unblock any pipeline.
         let completions: Vec<(usize, u64, Vec<u8>)> = {
-            let mut queue = shared
-                .completions
-                .lock()
-                .expect("completion queue poisoned"); // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
+            let mut queue = unpoisoned(shared.completions.lock());
             std::mem::take(&mut *queue)
         };
         for (idx, gen, bytes) in completions {
@@ -839,16 +842,12 @@ fn pump(conn: &mut Conn, idx: usize, config: &ServerConfig, shared: &WorkerShare
                     unreachable!()
                 };
                 conn.executing = true;
-                shared
-                    .jobs
-                    .lock()
-                    .expect("job queue poisoned") // svr-lint: allow(no-unwrap): poisoned = a peer panicked mid-update; dying is the safe response
-                    .push_back(Job {
-                        conn: idx,
-                        gen: conn.gen,
-                        request,
-                        session: conn.session.clone(),
-                    });
+                unpoisoned(shared.jobs.lock()).push_back(Job {
+                    conn: idx,
+                    gen: conn.gen,
+                    request,
+                    session: conn.session.clone(),
+                });
                 shared.jobs_ready.notify_one();
             }
         }

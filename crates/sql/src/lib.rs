@@ -93,6 +93,11 @@
 //! assert_eq!(top.row_count(), 1);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

@@ -25,6 +25,7 @@ use crate::pool::Store;
 /// append or fsync. Dropping an unfinished guard (an early return or an
 /// unwind) still seals every store, so no bracket outlives its guard, but
 /// it has nowhere to report a sealing error.
+#[must_use = "dropping the guard at once seals an empty batch; call `finish` after the writes"]
 pub struct WalBatch {
     stores: Vec<Arc<Store>>,
     /// Checkpoint a store whose log outgrew this many bytes once it seals.

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
+use crate::codec::read_array;
 use crate::error::{Result, StorageError};
 use crate::page::{decode_page_link, encode_page_link, PageId};
 use crate::pool::Store;
@@ -135,7 +136,7 @@ impl BlobStore {
             if page.len() < BLOB_HEADER {
                 return Err(StorageError::Corrupt("short blob page"));
             }
-            next = decode_page_link(u64::from_le_bytes(page[0..8].try_into().unwrap()));
+            next = decode_page_link(u64::from_le_bytes(read_array(&page, 0)));
             self.store.free_page(page_id);
         }
         self.store.log_commit()?;
@@ -169,8 +170,8 @@ impl<'a> BlobReader<'a> {
         if page.len() < BLOB_HEADER {
             return Err(StorageError::Corrupt("short blob page"));
         }
-        self.next_page = decode_page_link(u64::from_le_bytes(page[0..8].try_into().unwrap()));
-        let len = u16::from_le_bytes(page[8..10].try_into().unwrap()) as usize;
+        self.next_page = decode_page_link(u64::from_le_bytes(read_array(&page, 0)));
+        let len = u16::from_le_bytes(read_array(&page, 8)) as usize;
         if page.len() < BLOB_HEADER + len {
             return Err(StorageError::Corrupt("blob payload overruns page"));
         }

@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::codec::read_array;
 use crate::error::{Result, StorageError};
 use crate::page::PageId;
 use crate::pool::Store;
@@ -101,7 +102,7 @@ impl BTree {
         if meta.len() < META_MAGIC.len() + 8 || &meta[..8] != META_MAGIC {
             return Err(StorageError::Corrupt("bad B+-tree metadata page"));
         }
-        let root = PageId::from_le_bytes(meta[8..16].try_into().expect("8 bytes"));
+        let root = PageId::from_le_bytes(read_array(&meta, 8));
         let tree = BTree {
             store,
             state: Mutex::new(TreeState { root, len: 0 }),

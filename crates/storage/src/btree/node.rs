@@ -114,13 +114,15 @@ impl Node {
     pub fn decode(page: &[u8]) -> Result<Node> {
         let tag = *page.first().ok_or(StorageError::Corrupt("empty page"))?;
         let read_u16 = |pos: usize| -> Result<u16> {
-            page.get(pos..pos + 2)
-                .map(|b| u16::from_le_bytes(b.try_into().unwrap()))
+            page.get(pos..)
+                .and_then(<[u8]>::first_chunk)
+                .map(|b| u16::from_le_bytes(*b))
                 .ok_or(StorageError::Corrupt("truncated u16"))
         };
         let read_u64 = |pos: usize| -> Result<u64> {
-            page.get(pos..pos + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            page.get(pos..)
+                .and_then(<[u8]>::first_chunk)
+                .map(|b| u64::from_le_bytes(*b))
                 .ok_or(StorageError::Corrupt("truncated u64"))
         };
         let n = read_u16(1)? as usize;

@@ -61,16 +61,31 @@ pub fn push_f64_desc(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&(!f64_order_bits(v)).to_be_bytes());
 }
 
+/// The `N` bytes of `buf` at `offset`, as an array: the fixed-width read
+/// every caller whose slice is sized by construction goes through. Like
+/// slice indexing, panics if `buf` holds fewer than `offset + N` bytes;
+/// callers that read untrusted lengths use `first_chunk` instead.
+#[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "a slice of length N always converts to [u8; N]"
+)]
+pub fn read_array<const N: usize>(buf: &[u8], offset: usize) -> [u8; N] {
+    buf[offset..offset + N]
+        .try_into()
+        .expect("slice of length N")
+}
+
 /// Read a big-endian `u32` at `offset`.
 #[inline]
 pub fn read_u32_be(buf: &[u8], offset: usize) -> u32 {
-    u32::from_be_bytes(buf[offset..offset + 4].try_into().expect("short u32"))
+    u32::from_be_bytes(read_array(buf, offset))
 }
 
 /// Read a big-endian `u64` at `offset`.
 #[inline]
 pub fn read_u64_be(buf: &[u8], offset: usize) -> u64 {
-    u64::from_be_bytes(buf[offset..offset + 8].try_into().expect("short u64"))
+    u64::from_be_bytes(read_array(buf, offset))
 }
 
 /// Read a descending-encoded `u32` at `offset`.

@@ -24,6 +24,11 @@
 //! assert_eq!(tree.get(b"k1").unwrap().as_deref(), Some(&b"v1"[..]));
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod batch;
 pub mod blob;
 pub mod btree;
@@ -207,9 +212,13 @@ impl StorageEnv {
 
     /// Create (or fetch, if it already exists) a store with a buffer pool of
     /// `cache_pages` pages. In a durable environment the store is logged.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience; use try_create_store to handle"
+    )]
     pub fn create_store(&self, name: &str, cache_pages: usize) -> Arc<Store> {
         self.try_create_store(name, cache_pages)
-            .expect("store creation failed") // svr-lint: allow(no-unwrap): documented panicking convenience; use try_create_store to handle
+            .expect("store creation failed")
     }
 
     /// Fallible form of [`StorageEnv::create_store`] (file backends can hit
@@ -228,6 +237,10 @@ impl StorageEnv {
     /// Create (or fetch) a **write-ahead-logged** store: page writes are
     /// logged before buffering and [`Store::recover`] replays committed
     /// batches after a crash (see [`wal`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience; use try_create_store to handle"
+    )]
     pub fn create_logged_store(&self, name: &str, cache_pages: usize) -> Arc<Store> {
         let mut stores = self.stores.lock();
         if let Some(store) = stores.get(name) {
@@ -235,7 +248,7 @@ impl StorageEnv {
         }
         let store = self
             .make_store(name, cache_pages, true)
-            .expect("store creation failed"); // svr-lint: allow(no-unwrap): documented panicking convenience; use try_create_store to handle
+            .expect("store creation failed");
         stores.insert(name.to_string(), store.clone());
         store
     }
@@ -342,13 +355,17 @@ impl StorageEnv {
     /// # Panics
     ///
     /// If a log file cannot be cut: the injected crash would not happen.
+    #[expect(
+        clippy::expect_used,
+        reason = "failure injection; a log that cannot be cut leaves no crash to test"
+    )]
     pub fn crash_unsynced(&self) -> usize {
         let mut lost = 0;
         for store in self.stores.lock().values() {
             if let Some(wal) = store.wal() {
                 lost += wal
                     .simulate_crash_unsynced_tail()
-                    .expect("cutting the unsynced log tail"); // svr-lint: allow(no-unwrap): failure injection; a log that cannot be cut leaves no crash to test
+                    .expect("cutting the unsynced log tail");
             }
             store.crash();
         }

@@ -48,7 +48,7 @@ pub enum LockClass {
     /// `svr_core`'s index body, `methods::index`). Score refreshes
     /// and maintenance take only this tier; acquiring a table lock while
     /// holding one is the classic two-tier deadlock and is exactly what
-    /// the validator (and `svr-lint`'s `lock-order` rule) rejects.
+    /// the validator (and the `svr-lint` crate's `lock-order` scan) rejects.
     Shard = 1,
     /// A store's checkpoint lock (`Store::checkpoint`): serializes
     /// flush+truncate against concurrent checkpointers. Taken under table

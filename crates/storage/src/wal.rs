@@ -52,6 +52,7 @@ use std::os::unix::fs::FileExt;
 
 use bytes::Bytes;
 
+use crate::codec::read_array;
 use crate::error::{Result, StorageError};
 use crate::page::PageId;
 use crate::sync::{LockClass, OrderedMutex};
@@ -604,30 +605,27 @@ fn parse_log(log: &[u8]) -> LogScan {
         };
         // The record body (everything the CRC covers) ends at `body_end`.
         let body_end = match kind {
-            REC_PAGE => match log.get(pos + 17..pos + 21) {
-                Some(len) => {
-                    pos + 21 + u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize
-                }
+            REC_PAGE => match log.get(pos + 17..).and_then(<[u8]>::first_chunk) {
+                Some(len) => pos + 21 + u32::from_le_bytes(*len) as usize,
                 None => break false,
             },
             REC_COMMIT => pos + 9,
             _ => break false,
         };
-        let Some(crc_stored) = log.get(body_end..body_end + 4) else {
+        let Some(crc_stored) = log.get(body_end..).and_then(<[u8]>::first_chunk) else {
             break false;
         };
-        if crc32(&log[pos..body_end]) != u32::from_le_bytes(crc_stored.try_into().expect("4 bytes"))
-        {
+        if crc32(&log[pos..body_end]) != u32::from_le_bytes(*crc_stored) {
             break false;
         }
-        let lsn = u64::from_le_bytes(log[pos + 1..pos + 9].try_into().expect("8 bytes"));
+        let lsn = u64::from_le_bytes(read_array(log, pos + 1));
         if scan.next_lsn.is_some_and(|expected| lsn != expected) {
             break false;
         }
         scan.next_lsn = Some(lsn.wrapping_add(1));
         scan.records += 1;
         if kind == REC_PAGE {
-            let page_id = u64::from_le_bytes(log[pos + 9..pos + 17].try_into().expect("8 bytes"));
+            let page_id = u64::from_le_bytes(read_array(log, pos + 9));
             current.push((page_id, Bytes::copy_from_slice(&log[pos + 21..body_end])));
         } else {
             scan.batches.push(std::mem::take(&mut current));

@@ -6,6 +6,11 @@
 //! "text management component" (extender / cartridge / data blade) needs
 //! underneath the index structures of `svr-core`.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod document;
 pub mod postings;
 pub mod termscore;

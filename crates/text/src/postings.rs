@@ -18,7 +18,7 @@
 //! Encoders live here together with slice decoders; `svr-core` implements
 //! page-streaming decoders over the same formats (validated against these).
 
-use svr_storage::codec::{read_varint, write_varint};
+use svr_storage::codec::{read_array, read_varint, write_varint};
 
 use crate::document::DocId;
 
@@ -144,9 +144,9 @@ impl Iterator for IdPostingsIter<'_> {
         };
         self.prev = Some(doc);
         let tscore = if self.with_scores {
-            let b = self.buf.get(self.pos..self.pos + 2)?;
+            let b = self.buf.get(self.pos..)?.first_chunk()?;
             self.pos += 2;
-            u16::from_le_bytes(b.try_into().unwrap())
+            u16::from_le_bytes(*b)
         } else {
             0
         };
@@ -202,9 +202,9 @@ impl Iterator for ChunkedPostingsIter<'_> {
         };
         self.prev = Some(doc);
         let tscore = if self.with_scores {
-            let b = self.buf.get(self.pos..self.pos + 2)?;
+            let b = self.buf.get(self.pos..)?.first_chunk()?;
             self.pos += 2;
-            u16::from_le_bytes(b.try_into().unwrap())
+            u16::from_le_bytes(*b)
         } else {
             0
         };
@@ -243,10 +243,10 @@ impl Iterator for ScorePostingsIter<'_> {
         let width = PostingsBuilder::score_posting_width(self.with_scores);
         let bytes = self.buf.get(self.pos..self.pos + width)?;
         self.pos += width;
-        let score = f64::from_le_bytes(bytes[0..8].try_into().unwrap());
-        let doc = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        let score = f64::from_le_bytes(read_array(bytes, 0));
+        let doc = u32::from_le_bytes(read_array(bytes, 8));
         let tscore = if self.with_scores {
-            u16::from_le_bytes(bytes[12..14].try_into().unwrap())
+            u16::from_le_bytes(read_array(bytes, 12))
         } else {
             0
         };

@@ -6,6 +6,11 @@
 //! (selectivity classes drawn from the most frequent terms) and an
 //! Internet-Archive-like data set standing in for the real one.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod archive;
 pub mod queries;
 pub mod synth;

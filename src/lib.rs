@@ -57,6 +57,11 @@
 //! [`EngineConfig::group_refresh`]); see `examples/serving.rs` and the
 //! `svr-serve` binary.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub use svr_engine::{
     EngineConfig, QueryRequest, RankedRow, Result, SearchCursor, SvrEngine, SvrError, WriteBatch,
 };
