@@ -90,7 +90,7 @@ pub use cursor::MethodCursor;
 pub use error::{CoreError, Result};
 pub use methods::{
     build_index, build_index_at, open_index_at, shard_of_doc, store_names, IndexLocation,
-    MethodKind, RefreshGroupStats, ScoreMap, ScoreRead, SearchIndex, ShardStats,
+    MethodKind, RefreshGroupStats, ScoreMap, SearchIndex, Seq, ShardStats,
 };
 pub use multiterm::{SeekStats, SeekingIterator};
 pub use oracle::Oracle;

@@ -47,7 +47,7 @@
 //! after another, so a write is atomic per store, not across stores.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex};
 
@@ -60,8 +60,7 @@ use crate::error::{CoreError, Result};
 use crate::heap::{ranks_above, TopKHeap};
 use crate::methods::base::{CorpusStats, ShardContext};
 use crate::methods::{
-    IndexLocation, Method, MethodKind, RefreshGroupStats, ScoreMap, ScoreRead, SearchIndex,
-    ShardStats,
+    IndexLocation, Method, MethodKind, RefreshGroupStats, ScoreMap, SearchIndex, Seq, ShardStats,
 };
 use crate::multiterm::SeekStats;
 use crate::types::{DocId, Document, Query, Score, SearchHit, TermId};
@@ -96,15 +95,17 @@ struct Shard<M> {
     /// The logged stores among `M::STORES`, resolved once: what every
     /// write's WAL batch brackets and what checkpoint gating polls.
     stores: Vec<Arc<Store>>,
-    lock: OrderedRwLock<()>,
+    /// Guards the shard; holds the last refresh [`Seq`] applied per
+    /// document (in memory only, empty at open).
+    lock: OrderedRwLock<HashMap<DocId, Seq>>,
     group: GroupQueue,
 }
 
-/// One queued refresh batch: the documents plus a slot its owner blocks on
-/// until some lock holder (the owner itself, or a peer draining the queue)
-/// deposits the batch's result.
+/// One queued refresh batch: the score changes plus a slot its owner
+/// blocks on until some lock holder (the owner itself, or a peer draining
+/// the queue) deposits the batch's result.
 struct RefreshTicket {
-    docs: Vec<DocId>,
+    refreshes: Vec<(DocId, Score, Seq)>,
     result: Mutex<Option<Result<()>>>,
     done: Condvar,
 }
@@ -195,7 +196,7 @@ impl<M: Method> Index<M> {
                         .filter(|store| store.wal().is_some())
                         .collect(),
                     method,
-                    lock: OrderedRwLock::new(LockClass::Shard, ()),
+                    lock: OrderedRwLock::new(LockClass::Shard, HashMap::new()),
                     group: GroupQueue::default(),
                 })
                 .collect(),
@@ -264,11 +265,20 @@ impl<M: Method> Shard<M> {
         self.write(|| self.method.merge_short_lists())
     }
 
-    /// Apply one refresh batch; the caller holds the write lock and the
-    /// WAL batch.
-    fn apply_refresh(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
-        for &doc in docs {
-            let Some(score) = read(doc)? else { continue };
+    /// Apply one refresh batch, skipping each change older than the last
+    /// one `applied` to its document; the caller holds the write lock (whose
+    /// map `applied` is) and the WAL batch.
+    fn apply_refresh(
+        &self,
+        applied: &mut HashMap<DocId, Seq>,
+        refreshes: &[(DocId, Score, Seq)],
+    ) -> Result<()> {
+        for &(doc, score, seq) in refreshes {
+            let last = applied.entry(doc).or_insert(seq);
+            if *last > seq {
+                continue;
+            }
+            *last = seq;
             match self.method.update_score(doc, score) {
                 Ok(()) | Err(CoreError::UnknownDocument(_)) => {}
                 Err(e) => return Err(e),
@@ -282,9 +292,9 @@ impl<M: Method> Shard<M> {
     /// winning peer to deposit this batch's result. One hold is one WAL
     /// batch: the drained tickets get their results only once it sealed,
     /// and a seal error goes to every one of them.
-    fn refresh_grouped(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
+    fn refresh_grouped(&self, refreshes: Vec<(DocId, Score, Seq)>) -> Result<()> {
         let ticket = Arc::new(RefreshTicket {
-            docs: docs.to_vec(),
+            refreshes,
             result: Mutex::new(None),
             done: Condvar::new(),
         });
@@ -300,13 +310,13 @@ impl<M: Method> Shard<M> {
             if let Some(result) = unpoisoned(ticket.result.lock()).take() {
                 return result;
             }
-            if let Some(_shard_guard) = self.lock.try_write() {
+            if let Some(mut applied) = self.lock.try_write() {
                 let mut drained = Vec::new();
                 let sealed = self.batched(|| {
                     while drained.len() < MAX_DRAIN_PER_HOLD {
                         let next = unpoisoned(self.group.queue.lock()).pop_front();
                         let Some(t) = next else { break };
-                        let result = self.apply_refresh(&t.docs, read);
+                        let result = self.apply_refresh(&mut applied, &t.refreshes);
                         drained.push((t, result));
                     }
                     Ok(())
@@ -350,27 +360,26 @@ impl<M: Method> SearchIndex for Index<M> {
         shard.write(|| shard.method.update_score(doc, new_score))
     }
 
-    fn refresh_scores(&self, docs: &[DocId], read: ScoreRead) -> Result<()> {
+    fn refresh_scores(&self, refreshes: &[(DocId, Score, Seq)]) -> Result<()> {
         let n = self.shards.len();
-        let mut groups: Vec<Vec<DocId>> = vec![Vec::new(); n];
-        for &doc in docs {
-            groups[shard_of_doc(doc, n)].push(doc);
+        let mut groups: Vec<Vec<(DocId, Score, Seq)>> = vec![Vec::new(); n];
+        for &refresh in refreshes {
+            groups[shard_of_doc(refresh.0, n)].push(refresh);
         }
         let grouped = self.group_refresh.load(Ordering::Relaxed);
         let touched = self
             .shards
             .iter()
-            .zip(&groups)
+            .zip(groups)
             .filter(|(_, group)| !group.is_empty())
             .collect();
         in_parallel(touched, |(shard, group)| {
             if grouped {
-                return shard.refresh_grouped(group, read);
+                return shard.refresh_grouped(group);
             }
-            // One write for the whole batch; `read` runs under its lock,
-            // which is what makes deferred propagation stale-proof (see the
-            // trait docs).
-            shard.write(|| shard.apply_refresh(group, read))
+            // One write for the whole batch.
+            let mut applied = shard.lock.write();
+            shard.batched(|| shard.apply_refresh(&mut applied, &group))
         })
     }
 

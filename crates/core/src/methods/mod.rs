@@ -212,11 +212,9 @@ pub struct ShardStats {
     pub short_postings: u64,
 }
 
-/// A callback that re-reads the *authoritative* score of a document at
-/// refresh time, so deferred score propagation can never apply a stale
-/// value (see [`SearchIndex::refresh_scores`]). Returning `Ok(None)` means
-/// "no current score" (the row is gone) and skips the document.
-pub type ScoreRead<'a> = &'a (dyn Fn(DocId) -> Result<Option<Score>> + Sync);
+/// Engine-wide sequence number of a score change: a later change of one
+/// document carries a larger number (see [`SearchIndex::refresh_scores`]).
+pub type Seq = u64;
 
 /// Contention counters of the group-commit refresh queues, summed across
 /// shards. All zeros while group-commit draining is off.
@@ -261,19 +259,18 @@ pub trait SearchIndex: Send + Sync {
     /// parallel. Setting the score a document already has writes nothing.
     fn update_score(&self, doc: DocId, new_score: Score) -> Result<()>;
 
-    /// Refresh the scores of `docs` from an authoritative source.
+    /// Apply score changes, each `(doc, score, seq)`: `doc`'s score became
+    /// `score` at sequence number `seq`.
     ///
-    /// `read` is evaluated **while holding the lock that serializes score
-    /// writes for the document** (the shard's writer lock), so when several
-    /// threads defer score propagation the last applier always re-reads a
-    /// value at least as fresh as every committed write — stale captured
-    /// scores cannot win. Documents whose `read` returns `Ok(None)` and
-    /// documents unknown to the index (deleted or never inserted) are
-    /// skipped; both mean the row vanished between commit and refresh.
+    /// Each shard remembers, in memory, the last `seq` it applied per
+    /// document and skips a change older than that, so when writers race
+    /// on one document the newest score lands last whatever order the
+    /// changes arrive in. Documents unknown to the index (deleted or never
+    /// inserted) are skipped: the row vanished between commit and refresh.
     ///
-    /// `docs` are grouped by shard and the groups applied in parallel, one
+    /// Changes are grouped by shard and the groups applied in parallel, one
     /// thread per touched shard, each under its own shard lock.
-    fn refresh_scores(&self, docs: &[DocId], read: ScoreRead) -> Result<()>;
+    fn refresh_scores(&self, refreshes: &[(DocId, Score, Seq)]) -> Result<()>;
 
     /// Open a resumable ranked enumeration for `query` (see
     /// [`crate::cursor`]). The cursor is bound to this index: feed it back
@@ -384,10 +381,8 @@ pub trait SearchIndex: Send + Sync {
     /// waited, before releasing — under write skew one lock hold retires
     /// many writers' propagation work.
     ///
-    /// Requires every concurrent `refresh_scores` caller of this index to
-    /// supply a semantically equivalent authoritative [`ScoreRead`] (the
-    /// engine always does): a drainer re-reads peers' documents through
-    /// its own callback.
+    /// Each queued batch carries its own values and sequence numbers, so
+    /// the drainer applies them exactly as their owners would have.
     fn set_group_refresh(&self, enabled: bool);
 
     /// True when group-commit refresh draining is on.

@@ -345,9 +345,7 @@ fn an_update_to_the_current_score_writes_nothing() {
         let before = logged();
         // Doc 5's score is 600.
         index.update_score(DocId(5), 600.0).unwrap();
-        index
-            .refresh_scores(&[DocId(5)], &|_| Ok(Some(600.0)))
-            .unwrap();
+        index.refresh_scores(&[(DocId(5), 600.0, 0)]).unwrap();
         assert_eq!(logged(), before, "{kind}");
         index.update_score(DocId(5), 601.0).unwrap();
         assert_ne!(logged(), before, "{kind}: a changed score is logged");

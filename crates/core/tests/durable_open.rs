@@ -243,10 +243,10 @@ fn acknowledged_writes_survive(
             .update_score(DocId(i), 1_000.0 + f64::from(i))
             .unwrap();
     }
-    let moved: Vec<DocId> = (5..=8).map(DocId).collect();
-    index
-        .refresh_scores(&moved, &|doc: DocId| Ok(Some(2_000.0 + f64::from(doc.0))))
-        .unwrap();
+    let moved: Vec<_> = (5..=8u32)
+        .map(|i| (DocId(i), 2_000.0 + f64::from(i), 0))
+        .collect();
+    index.refresh_scores(&moved).unwrap();
     let fresh = Document::from_term_freqs(DocId(61), [(TermId(1), 4), (TermId(9), 1)]);
     index.insert_document(&fresh, 321.0).unwrap();
     let edited = Document::from_term_freqs(DocId(10), [(TermId(0), 1), (TermId(4), 6)]);

@@ -87,21 +87,25 @@ fn group_refresh_applies_every_writers_batch() {
         index.set_group_refresh(true);
         assert!(index.group_refresh_enabled());
 
-        // Authoritative score source shared by every writer, as the engine
-        // guarantees: doc id -> deterministic final score.
-        let authoritative = |doc: DocId| Ok(Some(f64::from(doc.0) * 2.0 + 1.0));
-
+        // Each document gets four versions, one per round, each from a
+        // different writer. Rounds submit versions newest first, so the
+        // highest-sequence score usually arrives before the older ones and
+        // must still be the one that stays.
+        let version = |doc: u32, v: u32| {
+            let score = f64::from(doc) * 2.0 + 1.0 + f64::from(v) * 1_000.0;
+            (DocId(doc), score, u64::from(v) * 256 + u64::from(doc))
+        };
         let writers = 8;
         std::thread::scope(|scope| {
             for w in 0..writers {
                 let index = Arc::clone(&index);
                 scope.spawn(move || {
                     for round in 0..4u32 {
-                        let batch: Vec<DocId> = (0..256u32)
+                        let batch: Vec<_> = (0..256u32)
                             .filter(|d| (d + round) % writers == w)
-                            .map(DocId)
+                            .map(|d| version(d, 3 - round))
                             .collect();
-                        index.refresh_scores(&batch, &authoritative).unwrap();
+                        index.refresh_scores(&batch).unwrap();
                     }
                 });
             }
@@ -110,7 +114,7 @@ fn group_refresh_applies_every_writers_batch() {
         for id in 0..256u32 {
             assert_eq!(
                 index.current_score(DocId(id)).unwrap(),
-                f64::from(id) * 2.0 + 1.0,
+                version(id, 3).1,
                 "doc {id} (shards={shards})"
             );
         }
@@ -122,9 +126,29 @@ fn group_refresh_applies_every_writers_batch() {
 
         // Toggling off restores the direct path (and rankings still move).
         index.set_group_refresh(false);
-        index
-            .refresh_scores(&[DocId(0)], &|_| Ok(Some(123.5)))
-            .unwrap();
+        index.refresh_scores(&[(DocId(0), 123.5, 4 * 256)]).unwrap();
         assert_eq!(index.current_score(DocId(0)).unwrap(), 123.5);
+    }
+}
+
+/// Two changes of one document applied in reverse sequence order, in two
+/// calls and inside one batch: the newer score wins either way, for every
+/// method, sharded or not, on the direct and the group-commit path.
+#[test]
+fn refresh_keeps_the_newest_sequence() {
+    let (docs, scores) = corpus(64);
+    for kind in MethodKind::ALL_EXTENDED {
+        for (shards, grouped) in [(1usize, false), (3, false), (3, true)] {
+            let index = build_index(kind, &docs, &scores, &config(shards, 0)).unwrap();
+            index.set_group_refresh(grouped);
+            let label = format!("{kind} shards={shards} grouped={grouped}");
+            index.refresh_scores(&[(DocId(7), 500.0, 2)]).unwrap();
+            index.refresh_scores(&[(DocId(7), 400.0, 1)]).unwrap();
+            assert_eq!(index.current_score(DocId(7)).unwrap(), 500.0, "{label}");
+            index
+                .refresh_scores(&[(DocId(9), 900.0, 4), (DocId(9), 800.0, 3)])
+                .unwrap();
+            assert_eq!(index.current_score(DocId(9)).unwrap(), 900.0, "{label}");
+        }
     }
 }

@@ -34,9 +34,12 @@
 //!    thread-local stack and panics on an out-of-rank acquisition
 //!    (`cargo test` runs with `debug_assertions`, so the whole stress and
 //!    proptest suite doubles as a lock-order validator);
-//! 2. **statically** — `svr-lint`'s `lock-order` scan flags any source
-//!    line that takes a tier-1 table lock while a shard refresh guard is
-//!    live (`crates/lint`, run by `cargo test -p svr-lint`);
+//! 2. **by construction** — a shard guard is a private field of
+//!    `svr_core`, and only `svr_core` code runs under it: refreshes arrive
+//!    by value, so no callback crosses in. `svr_core` depends on neither
+//!    `svr_relation` nor this crate, so code under a shard guard cannot
+//!    name a table lock, and this crate cannot take a shard guard (CI
+//!    checks the dependency with `cargo tree`);
 //! 3. **observably in release builds** — every class counts acquisitions,
 //!    contended acquisitions, wait and hold nanoseconds
 //!    ([`SvrEngine::contention_stats`], the server `Info` payload, the
@@ -50,18 +53,24 @@
 //!   any *structural* index operation of the same row (document insert,
 //!   delete, content update — these must stay ordered with the row they
 //!   describe). Score-change notifications raised by the view are only
-//!   *recorded*, not applied; view listeners run synchronously on the
-//!   mutating thread, so the record is a thread-local capture private to
-//!   the call — no other writer can take over (or race) this call's
-//!   refresh work.
+//!   *recorded*, not applied: the key, its new score and a sequence
+//!   number from one engine-wide counter. View listeners run
+//!   synchronously on the mutating thread under the view's lock, so the
+//!   record is a thread-local capture private to the call — no other
+//!   writer can take over (or race) this call's refresh work — and one
+//!   key's sequence numbers follow the order of its view changes, even
+//!   when writers holding different table locks (the indexed table and a
+//!   score source table) change it.
 //! * **tier 2 — the per-shard index locks**: after the table lock is
-//!   released, the call's recorded keys are refreshed through
+//!   released, the call's recorded values are applied through
 //!   [`SearchIndex::refresh_scores`], which groups them by index shard and
 //!   applies each group under that shard's writer lock only (in parallel
-//!   for batches). The refresh *re-reads* the view score under the shard
-//!   lock, so when two writers race on one document the last applier
-//!   always writes a value at least as fresh as every committed change —
-//!   deferred propagation cannot resurrect a stale score.
+//!   for batches). A shard skips a change older than the last one it
+//!   applied to the document, so when two writers race on one document
+//!   the newest score lands last whichever refresh arrives first —
+//!   deferred propagation cannot resurrect a stale score. An inserted
+//!   document needs no number of its own: its key's notification fires
+//!   after `insert_document`, still under the table lock.
 //!
 //! Consequences:
 //!
@@ -107,18 +116,18 @@
 //!
 //! The refresh tier takes shard locks only: nothing acquires a table lock
 //! (rank 0) while holding a shard lock (rank 1), which is exactly the
-//! rank rule above — a violation panics in debug builds and fails the
-//! `lock-order` scan statically. [`SvrEngine::apply`] takes its table
-//! locks in sorted order so equal-rank acquisitions cannot deadlock
+//! rank rule above — a violation panics in debug builds and cannot be
+//! written across the crate boundary. [`SvrEngine::apply`] takes its
+//! table locks in sorted order so equal-rank acquisitions cannot deadlock
 //! either.
 //!
-//! DDL is coarser: `create_text_index` blocks the indexed table's writers
-//! for the whole build. `DROP TABLE` retires the table's tier-1 lock
-//! entry under the lock itself, and every acquisition re-validates that
-//! the lock it got is still the registered one — so a writer racing a
-//! drop + re-create can never mutate the new incarnation under the old
-//! lock (it re-acquires the current lock, or errors on the missing
-//! table).
+//! DDL is coarser: `create_text_index` blocks the writers of the indexed
+//! table and of every score source table for the whole build.
+//! `DROP TABLE` retires the table's tier-1 lock entry under the lock
+//! itself, and every acquisition re-validates that the lock it got is
+//! still the registered one — so a writer racing a drop + re-create can
+//! never mutate the new incarnation under the old lock (it re-acquires
+//! the current lock, or errors on the missing table).
 //!
 //! ## Durability & recovery
 //!
@@ -187,9 +196,9 @@ use parking_lot::{Mutex, RwLock};
 use svr_core::types::{DocId, Document, Query, QueryMode, SearchHit, TermId};
 use svr_core::{
     build_index, build_index_at, open_index_at, CodecKind, IndexConfig, IndexLocation,
-    MethodCursor, MethodKind, SearchIndex, ShardStats,
+    MethodCursor, MethodKind, SearchIndex, Seq, ShardStats,
 };
-use svr_relation::{Database, RowChange, Schema, SvrSpec, Value};
+use svr_relation::{Database, RowChange, Schema, ScoreListener, SvrSpec, Value};
 use svr_storage::codec::{
     begin_record, read_string, read_varint, record_version, write_string, write_varint,
 };
@@ -363,7 +372,10 @@ struct TextIndex {
     table: String,
     text_col: usize,
     pk_col: usize,
-    view: String,
+    /// The view's name; also the tag its listener records changes under,
+    /// so a refresh can tell this incarnation from a later one of the same
+    /// name.
+    view: Arc<str>,
     index: Arc<dyn SearchIndex>,
     /// The build configuration the index runs under (from the catalog on
     /// reopen) — `EXPLAIN` reports its codec alongside the list sizes.
@@ -564,14 +576,17 @@ enum UndoEntry {
     RestoreContent { ti: Arc<TextIndex>, old: Document },
 }
 
+/// One recorded view change: `(view name, target pk, new score, seq)`.
+type ScoreChange = (Arc<str>, i64, f64, Seq);
+
 std::thread_local! {
-    /// `(view name, target pk)` score changes raised by the mutation
-    /// in flight **on this thread**. View listeners run synchronously on
-    /// the mutating thread, so recording here (instead of in a shared
-    /// queue) gives each mutating call exactly its own refresh set: no
-    /// other writer can steal a key and return before it is applied, and
-    /// refresh errors surface on the call that caused them.
-    static TOUCHED_SCORES: std::cell::RefCell<Vec<(Arc<str>, i64)>> =
+    /// The score changes raised by the mutation in flight **on this
+    /// thread**. View listeners run synchronously on the mutating thread,
+    /// so recording here (instead of in a shared queue) gives each mutating
+    /// call exactly its own refresh set: no other writer can steal a key
+    /// and return before it is applied, and refresh errors surface on the
+    /// call that caused them.
+    static TOUCHED_SCORES: std::cell::RefCell<Vec<ScoreChange>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -609,6 +624,9 @@ struct EngineShared {
     /// creation/open and toggled engine-wide at runtime
     /// ([`SvrEngine::set_group_refresh`]).
     group_refresh: std::sync::atomic::AtomicBool,
+    /// The sequence numbers score changes are stamped with, drawn by the
+    /// view listeners (see [`SvrEngine::score_listener`]).
+    refresh_seq: Arc<AtomicU64>,
 }
 
 /// The integrated engine. Cloning is cheap (`Arc` bump) and every clone
@@ -641,6 +659,7 @@ impl SvrEngine {
                 write_locks: Mutex::new(HashMap::new()),
                 durable: None,
                 group_refresh: std::sync::atomic::AtomicBool::new(false),
+                refresh_seq: Arc::default(),
             }),
         }
     }
@@ -691,6 +710,7 @@ impl SvrEngine {
                     checkpoint_bytes: config.wal_checkpoint_bytes,
                 }),
                 group_refresh: std::sync::atomic::AtomicBool::new(config.group_refresh),
+                refresh_seq: Arc::default(),
             }),
         })
     }
@@ -779,6 +799,7 @@ impl SvrEngine {
                     checkpoint_bytes: config.wal_checkpoint_bytes,
                 }),
                 group_refresh: std::sync::atomic::AtomicBool::new(config.group_refresh),
+                refresh_seq: Arc::default(),
             }),
         };
 
@@ -991,26 +1012,42 @@ impl SvrEngine {
         index: Arc<dyn SearchIndex>,
         config: IndexConfig,
     ) -> Result<()> {
-        let view_tag: Arc<str> = Arc::from(name);
-        self.shared.db.set_score_listener(
-            name,
-            Box::new(move |pk, _score| {
-                TOUCHED_SCORES.with(|t| t.borrow_mut().push((view_tag.clone(), pk)));
-            }),
-        )?;
+        let view: Arc<str> = Arc::from(name);
+        self.shared
+            .db
+            .set_score_listener(name, self.score_listener(view.clone()))?;
         self.shared.indexes.write().insert(
             name.to_string(),
             Arc::new(TextIndex {
                 table: table.to_string(),
                 text_col: text_idx,
                 pk_col: pk_idx,
-                view: name.to_string(),
+                view,
                 index,
                 config,
                 epoch: AtomicU64::new(0),
             }),
         );
         Ok(())
+    }
+
+    /// Tier-1 recording for the index on `view`: the view listener notes
+    /// the changed key, its new score and a fresh sequence number in the
+    /// mutating thread's capture (listeners run synchronously on that
+    /// thread). The mutating call drains its own capture after commit and
+    /// applies the values under shard locks (see the module docs).
+    fn score_listener(&self, view: Arc<str>) -> ScoreListener {
+        let refresh_seq = self.shared.refresh_seq.clone();
+        Box::new(move |pk, score| {
+            // Drawn under the view's lock, which every change of the key
+            // holds — whichever table lock its writer holds — so one key's
+            // sequence numbers follow the order of its view changes.
+            // Relaxed: the counter publishes no other data, and the lock
+            // orders two draws for one key (a later read-modify-write
+            // returns a larger number).
+            let seq = refresh_seq.fetch_add(1, Ordering::Relaxed);
+            TOUCHED_SCORES.with(|t| t.borrow_mut().push((view.clone(), pk, score, seq)));
+        })
     }
 
     /// The underlying relational database (read access).
@@ -1072,12 +1109,13 @@ impl SvrEngine {
         }
     }
 
-    /// Tier 2: drain this thread's recorded score changes and refresh the
-    /// affected indexes. Called after the tier-1 lock is released — each
-    /// index groups its documents by shard and re-reads the authoritative
-    /// view score under the shard's writer lock, so refreshes of documents
-    /// in different shards proceed in parallel and stale captured values
-    /// cannot win (see the [module docs](self)).
+    /// Tier 2: drain this thread's recorded score changes and apply them to
+    /// the affected indexes. Called after the tier-1 lock is released —
+    /// each index groups the changes by shard and applies them under the
+    /// shard's writer lock, so refreshes of documents in different shards
+    /// proceed in parallel, and a shard skips a change older than the one
+    /// it last applied, so stale values cannot win (see the
+    /// [module docs](self)).
     ///
     /// Every affected index is refreshed even if an earlier one fails; the
     /// first error is returned.
@@ -1086,25 +1124,29 @@ impl SvrEngine {
         if raw.is_empty() {
             return Ok(());
         }
-        let mut by_view: HashMap<Arc<str>, Vec<i64>> = HashMap::new();
-        for (view, pk) in raw {
-            by_view.entry(view).or_default().push(pk);
+        let mut by_view: HashMap<Arc<str>, Vec<(i64, f64, Seq)>> = HashMap::new();
+        for (view, pk, score, seq) in raw {
+            by_view.entry(view).or_default().push((pk, score, seq));
         }
         let mut first_error: Option<SvrError> = None;
-        for (view, mut pks) in by_view {
-            let Some(ti) = self.shared.indexes.read().get(&*view).cloned() else {
-                // Index dropped between the mutation and this refresh.
+        for (view, mut changes) in by_view {
+            let ti = self.shared.indexes.read().get(&*view).cloned();
+            // Skip an index dropped between the mutation and this refresh,
+            // and one created under its name since: that one was built from
+            // tables that already held this change.
+            let Some(ti) = ti.filter(|ti| Arc::ptr_eq(&ti.view, &view)) else {
                 continue;
             };
-            pks.sort_unstable();
-            pks.dedup();
+            // Keep each key's newest change only.
+            changes.sort_unstable_by_key(|&(pk, _, seq)| (pk, std::cmp::Reverse(seq)));
+            changes.dedup_by_key(|change| change.0);
             // Refresh every convertible key even when one is out of the
             // document-id range — the bad key is reported, the rest must
             // not go stale over it.
-            let mut docs = Vec::with_capacity(pks.len());
-            for pk in pks {
+            let mut refreshes = Vec::with_capacity(changes.len());
+            for (pk, score, seq) in changes {
                 match doc_id(pk) {
-                    Ok(doc) => docs.push(doc),
+                    Ok(doc) => refreshes.push((doc, score, seq)),
                     Err(e) => {
                         first_error.get_or_insert(SvrError::Engine(format!(
                             "score propagation failed: index '{}': {e}",
@@ -1113,13 +1155,7 @@ impl SvrEngine {
                     }
                 }
             }
-            let db = &self.shared.db;
-            let read = |doc: DocId| -> svr_core::Result<Option<f64>> {
-                // The row (or the whole view) may have vanished between the
-                // commit and this refresh; that is a skip, not an error.
-                Ok(db.score_of(&ti.view, i64::from(doc.0)).ok())
-            };
-            if let Err(e) = ti.index.refresh_scores(&docs, &read) {
+            if let Err(e) = ti.index.refresh_scores(&refreshes) {
                 first_error.get_or_insert(SvrError::Engine(format!(
                     "score propagation failed: index '{}': {e}",
                     ti.view
@@ -1202,9 +1238,16 @@ impl SvrEngine {
         let text_idx = schema.column_index(text_col)?;
         let pk_idx = schema.pk;
 
-        // Block writers of the indexed table while the view + index are
-        // built and wired, so no row slips between the scan and the wiring.
-        self.with_table_lock(table, || {
+        // Block writers of the indexed table and of every source table
+        // while the view + index are built and wired, so no change slips
+        // between the view's scan, the index build and the wiring.
+        let mut tables: Vec<String> = std::iter::once(table)
+            .chain(spec.components.iter().filter_map(|c| c.source_table()))
+            .map(str::to_string)
+            .collect();
+        tables.sort_unstable();
+        tables.dedup();
+        self.with_table_locks(&tables, || {
             self.create_text_index_locked(
                 name,
                 table_ref.as_ref(),
@@ -1218,7 +1261,7 @@ impl SvrEngine {
     }
 
     /// [`SvrEngine::create_text_index`] body, with the caller holding the
-    /// indexed table's writer lock.
+    /// writer locks of the indexed table and of the view's source tables.
     #[allow(clippy::too_many_arguments)]
     fn create_text_index_locked(
         &self,
@@ -1258,26 +1301,17 @@ impl SvrEngine {
                     "text index '{name}' already exists"
                 )));
             }
-            // Tier-1 recording: the view listener only notes *which* target
-            // key changed, in the mutating thread's local capture (listeners
-            // run synchronously on that thread). The mutating call drains
-            // its own capture after commit and refreshes the index under
-            // shard locks, re-reading the view for the authoritative score
-            // (see the module docs).
-            let view_tag: Arc<str> = Arc::from(name);
-            self.shared.db.set_score_listener(
-                name,
-                Box::new(move |pk, _score| {
-                    TOUCHED_SCORES.with(|t| t.borrow_mut().push((view_tag.clone(), pk)));
-                }),
-            )?;
+            let view: Arc<str> = Arc::from(name);
+            self.shared
+                .db
+                .set_score_listener(name, self.score_listener(view.clone()))?;
             indexes.insert(
                 name.to_string(),
                 Arc::new(TextIndex {
                     table: table.to_string(),
                     text_col: text_idx,
                     pk_col: pk_idx,
-                    view: name.to_string(),
+                    view,
                     index,
                     config: config.clone(),
                     epoch: AtomicU64::new(0),

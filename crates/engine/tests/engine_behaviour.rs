@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use svr_core::types::QueryMode;
+use svr_core::types::{DocId, QueryMode};
 use svr_core::{IndexConfig, MethodKind};
 use svr_engine::SvrEngine;
 use svr_relation::schema::{ColumnType, Schema};
@@ -114,6 +114,65 @@ fn index_over_prepopulated_table_sees_existing_rows() {
     assert_eq!(hits.len(), 3);
     assert_eq!(hits[0].row[0], Value::Int(19));
     assert_eq!(hits[0].score, 1900.0);
+}
+
+/// `CREATE TEXT INDEX` while a writer updates every row of the view's
+/// source table once, each to a distinct value: whether an update lands
+/// before, during or after the build, the view and the index both end at
+/// it.
+#[test]
+fn create_text_index_races_source_table_writer() {
+    const ROWS: i64 = 3_000;
+    let engine = SvrEngine::new();
+    engine.create_table(docs_schema()).unwrap();
+    engine.create_table(pop_schema()).unwrap();
+    engine
+        .insert_rows(
+            "docs",
+            (0..ROWS)
+                .map(|i| vec![Value::Int(i), Value::Text(format!("common token{i}"))])
+                .collect(),
+        )
+        .unwrap();
+    engine
+        .insert_rows(
+            "pop",
+            (0..ROWS)
+                .map(|i| vec![Value::Int(i), Value::Int(i)])
+                .collect(),
+        )
+        .unwrap();
+    std::thread::scope(|scope| {
+        let writer = engine.clone();
+        scope.spawn(move || {
+            for i in 0..ROWS {
+                writer
+                    .update_row(
+                        "pop",
+                        Value::Int(i),
+                        &[("hits".into(), Value::Int(ROWS + i))],
+                    )
+                    .unwrap();
+            }
+        });
+        engine
+            .create_text_index(
+                "idx",
+                "docs",
+                "body",
+                pop_spec(),
+                MethodKind::Chunk,
+                IndexConfig::default(),
+            )
+            .unwrap();
+    });
+    let index = engine.index("idx").unwrap();
+    for i in 0..ROWS {
+        let score = engine.score_of("idx", i).unwrap();
+        assert_eq!(score, (ROWS + i) as f64, "row {i}: view");
+        let doc = DocId(u32::try_from(i).unwrap());
+        assert_eq!(index.current_score(doc).unwrap(), score, "row {i}: index");
+    }
 }
 
 #[test]

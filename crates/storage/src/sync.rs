@@ -47,8 +47,10 @@ pub enum LockClass {
     /// Tier 2: a per-shard index writer/reader lock (one per shard of
     /// `svr_core`'s index body, `methods::index`). Score refreshes
     /// and maintenance take only this tier; acquiring a table lock while
-    /// holding one is the classic two-tier deadlock and is exactly what
-    /// the validator (and the `svr-lint` crate's `lock-order` scan) rejects.
+    /// holding one is the classic two-tier deadlock. The validator rejects
+    /// it at run time, and the crate graph rules it out at build time: the
+    /// guard is private to `svr_core`, which depends on no crate that has a
+    /// table lock.
     Shard = 1,
     /// A store's checkpoint lock (`Store::checkpoint`): serializes
     /// flush+truncate against concurrent checkpointers. Taken under table
