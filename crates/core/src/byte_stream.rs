@@ -42,7 +42,9 @@ impl<'a> ByteStream<'a> {
 
     /// Continue a suspended stream: start at `pos.page`, skipping
     /// `pos.offset` payload bytes of it. The caller must guarantee the page
-    /// still belongs to the same blob (see `LongListStore`'s epoch check).
+    /// still belongs to the same blob: long-list positions are resumed only
+    /// within the `LongListStore` epoch they were captured in, and the
+    /// index restarts a cursor whose epoch moved instead.
     pub fn resume(blobs: &'a BlobStore, pos: StreamPos) -> Result<ByteStream<'a>> {
         let mut stream = ByteStream::new(blobs.reader_from(pos.page));
         if pos.offset > 0 {

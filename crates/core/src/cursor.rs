@@ -49,11 +49,17 @@
 //!   rankings — callers can detect this through the engine's staleness
 //!   epoch and re-open.
 //! * structural churn (offline merge): long-list page chains are rebuilt,
-//!   so a positional resume would chase freed pages. The
-//!   [`LongListStore`](crate::long_list::LongListStore) epoch detects this
-//!   and the stream falls back to re-scanning the new list, skipping
-//!   everything at or before the last consumed merge key; re-delivered
-//!   documents are deduplicated by the cursor's seen-set.
+//!   so a positional resume would chase freed pages. Each shard's slice of
+//!   a cursor records the
+//!   [`LongListStore::epoch`](crate::long_list::LongListStore::epoch) its
+//!   positions belong to; when the next batch finds the epoch moved, the
+//!   shard restarts its slice: it re-opens the enumeration on the rebuilt
+//!   lists (phase 1 of Algorithm 3 included) and keeps the seen-set, the
+//!   unemitted pool and the block counters, so documents already resolved
+//!   are neither re-scored nor emitted again. The cost is one re-scan of
+//!   the lists' prefix down to where the enumeration stood; in return, if
+//!   no score changed in between, the cursor emits exactly what a cursor
+//!   that never suspended would.
 //!
 //! Memory: the pool holds resolved-but-unemitted candidates. For the
 //! early-terminating methods that is a small working set proportional to
@@ -106,6 +112,8 @@ impl PartialOrd for Best {
 /// any other.
 pub struct MethodCursor {
     pub(crate) kind: MethodKind,
+    /// Process-unique id of the opening index (see `Index::attach`).
+    pub(crate) index: u64,
     pub(crate) query: Query,
     /// One suspended enumeration per shard of the opening index (exactly
     /// one for an unsharded index), k-way merged by `next_batch`.
@@ -148,6 +156,8 @@ pub(crate) struct ShardSlot {
 
 /// The owned state of one method instance's suspended enumeration.
 pub(crate) struct MergeState {
+    /// The long-list store epoch the stream positions belong to.
+    pub(crate) epoch: u64,
     /// Per-term stream suspension (aligned with `query.terms`).
     streams: Vec<UnionResume>,
     /// Buffered m-way merge heads.
@@ -171,6 +181,7 @@ pub(crate) struct MergeState {
 impl MergeState {
     pub(crate) fn new(num_terms: usize, idfs: Vec<f64>) -> MergeState {
         MergeState {
+            epoch: 0,
             streams: vec![UnionResume::fresh(); num_terms],
             heads: vec![None; num_terms],
             primed: false,
@@ -195,6 +206,20 @@ impl MergeState {
             self.pool.push(Best(SearchHit { doc, score }));
         }
     }
+
+    /// Continue this enumeration from `fresh`, the same query re-opened on
+    /// rebuilt lists: its streams, threshold state and epoch replace ours,
+    /// while the documents already resolved stay resolved — the seen-set,
+    /// the unemitted pool and the block counters carry over, and `fresh`
+    /// forgets what phase 1 found again among them.
+    pub(crate) fn restart(&mut self, fresh: MergeState) {
+        let old = std::mem::replace(self, fresh);
+        self.pool.retain(|hit| !old.seen.contains(&hit.0.doc));
+        self.remain.retain(|doc, _| !old.seen.contains(doc));
+        self.pool.extend(old.pool);
+        self.seen.extend(old.seen);
+        self.stats = old.stats;
+    }
 }
 
 /// What a method must provide for the generic enumeration executor. The
@@ -203,10 +228,6 @@ impl MergeState {
 pub(crate) trait CursorBackend {
     /// The shard's shared bookkeeping (tombstones, pool cap).
     fn base(&self) -> &MethodBase;
-
-    /// Structural epoch of the long-list store (0 when the method keeps no
-    /// blob long lists).
-    fn long_epoch(&self) -> u64;
 
     /// Build (fresh `UnionResume`) or resume one term's union stream.
     fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>>;
@@ -394,7 +415,7 @@ pub(crate) fn run<B: CursorBackend>(
     // per-batch (live cursors start at zero each rebuild), so the delta is
     // simply this batch's totals.
     let delta = merge.list_stats();
-    let (streams, heads, primed) = merge.suspend(backend.long_epoch());
+    let (streams, heads, primed) = merge.suspend();
     state.streams = streams;
     state.heads = heads;
     state.primed = primed;

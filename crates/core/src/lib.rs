@@ -92,6 +92,6 @@ pub use methods::{
     build_index, build_index_at, open_index_at, shard_of_doc, store_names, IndexLocation,
     MethodKind, RefreshGroupStats, ScoreMap, SearchIndex, Seq, ShardStats,
 };
-pub use multiterm::{SeekStats, SeekingIterator};
+pub use multiterm::SeekStats;
 pub use oracle::Oracle;
 pub use types::{Query, QueryMode, SearchHit};

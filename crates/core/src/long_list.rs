@@ -21,7 +21,6 @@ use svr_text::{normalized_tf, quantize_term_score};
 use crate::byte_stream::{ByteStream, StreamPos};
 use crate::codec::{self, BlockMeta, CodecKind};
 use crate::error::{CoreError, Result};
-use crate::merge::MergeKey;
 use crate::short_list::PostingPos;
 use crate::types::{DocId, TermId};
 
@@ -74,9 +73,8 @@ pub struct LongListStore {
     total_bytes: AtomicU64,
     total_postings: AtomicU64,
     /// Structural epoch: bumped whenever a list is replaced (offline merge).
-    /// A suspended cursor whose recorded epoch no longer matches must not
-    /// chase stale page chains; it falls back to a key-skip re-scan (see
-    /// [`LongListStore::resume_cursor`]).
+    /// A suspended cursor's positions belong to one epoch; the index
+    /// restarts the cursor's streams instead of resuming them once it moved.
     epoch: AtomicU64,
 }
 
@@ -208,8 +206,8 @@ impl LongListStore {
         self.codec
     }
 
-    /// Structural epoch of the store. Page-level cursor resume is only
-    /// valid while this is unchanged.
+    /// Structural epoch of the store. A position captured by a suspended
+    /// cursor is only valid while this is unchanged.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
@@ -333,7 +331,6 @@ impl LongListStore {
                     blocks_skipped: 0,
                     blocks_decoded: 0,
                 })),
-                pending: None,
             };
         }
         let inner = match self.format {
@@ -370,60 +367,28 @@ impl LongListStore {
                 with_scores,
             }),
         };
-        LongCursor {
-            inner,
-            pending: None,
-        }
+        LongCursor { inner }
     }
 
-    /// Reopen a suspended cursor.
-    ///
-    /// While the store's structural [`epoch`](LongListStore::epoch) still
-    /// matches the one captured at suspension, this resumes exactly where
-    /// the cursor stopped — the incremental cost is at most re-fetching one
-    /// (usually cached) page, plus re-decoding the current block for the
-    /// block codec. If the lists were rebuilt in between (offline merge),
-    /// the saved page chain is gone; the cursor then degrades gracefully by
-    /// re-opening the term's current list and skipping every posting at or
-    /// before the last consumed merge position. Positions in the rebuilt
-    /// list reflect *current* scores, so a document may be re-delivered
-    /// (deduplicated downstream by the executor's seen-set) or skipped —
-    /// the documented staleness semantics of suspended cursors.
-    pub fn resume_cursor(&self, term: TermId, resume: &LongResume) -> Result<LongCursor<'_>> {
-        match &resume.state {
-            LongResumeState::Fresh => Ok(self.cursor(term)),
-            LongResumeState::Done => {
-                if resume.epoch == self.epoch() {
-                    Ok(LongCursor::empty())
-                } else {
-                    self.skip_cursor(term, resume.after)
-                }
-            }
-            LongResumeState::At { pos, decode } => {
-                if resume.epoch == self.epoch() {
-                    let stream = ByteStream::resume(&self.blobs, *pos)?;
-                    Ok(self.cursor_from(stream, Some(*decode)))
-                } else {
-                    self.skip_cursor(term, resume.after)
-                }
-            }
-            LongResumeState::Skip => self.skip_cursor(term, resume.after),
-        }
-    }
-
-    /// Fallback resume: fresh scan skipping keys `<= after`.
-    fn skip_cursor(&self, term: TermId, after: Option<MergeKey>) -> Result<LongCursor<'_>> {
-        let mut cursor = self.cursor(term);
-        let Some(after) = after else {
-            return Ok(cursor);
-        };
-        while let Some(p) = cursor.next_posting()? {
-            if (p.pos.rank(), p.doc.0) > after {
-                cursor.pending = Some(p);
-                break;
+    /// Reopen a suspended cursor exactly where it stopped: the incremental
+    /// cost is at most re-fetching one (usually cached) page, plus
+    /// re-decoding the current block for the block codec. `resume` must
+    /// come from a cursor of this store in the current
+    /// [`epoch`](LongListStore::epoch) — the index restarts cursors whose
+    /// lists were rebuilt instead of resuming them.
+    pub(crate) fn resume_cursor(
+        &self,
+        term: TermId,
+        resume: &LongResume,
+    ) -> Result<LongCursor<'_>> {
+        match *resume {
+            LongResume::Fresh => Ok(self.cursor(term)),
+            LongResume::Done => Ok(LongCursor::empty()),
+            LongResume::At { pos, decode } => {
+                let stream = ByteStream::resume(&self.blobs, pos)?;
+                Ok(self.cursor_from(stream, Some(decode)))
             }
         }
-        Ok(cursor)
     }
 
     /// Total encoded (physical, post-compression) bytes across every term
@@ -462,7 +427,7 @@ impl LongListStore {
 /// Decoder-internal state captured when a cursor suspends, sufficient to
 /// continue decoding mid-list.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DecodeState {
+pub(crate) enum DecodeState {
     Id {
         prev: Option<u32>,
     },
@@ -481,51 +446,23 @@ pub enum DecodeState {
     },
 }
 
+/// Owned suspension state of a [`LongCursor`] — everything needed to
+/// continue the scan in a later call without holding any borrow of the
+/// store. Produced by `LongCursor::suspend`, consumed by
+/// `LongListStore::resume_cursor`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum LongResumeState {
+pub(crate) enum LongResume {
     /// Never opened: resume = plain [`LongListStore::cursor`].
     Fresh,
     /// The scan reached the end of the list.
     Done,
     /// Mid-list: byte position + decoder state.
     At { pos: StreamPos, decode: DecodeState },
-    /// Position unknown (e.g. suspended mid-fallback): re-scan the current
-    /// list and skip keys `<= after` regardless of epoch.
-    Skip,
-}
-
-/// Owned suspension state of a [`LongCursor`] — everything needed to
-/// continue the scan in a later call without holding any borrow of the
-/// store. Produced by [`LongCursor::suspend`], consumed by
-/// [`LongListStore::resume_cursor`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LongResume {
-    /// Store epoch at suspension; a mismatch at resume means the lists were
-    /// rebuilt and triggers the key-skip fallback.
-    epoch: u64,
-    state: LongResumeState,
-    /// Merge key of the last posting this cursor delivered (fallback skip
-    /// boundary).
-    after: Option<MergeKey>,
-}
-
-impl LongResume {
-    /// Resume state for a cursor that was never opened.
-    pub fn fresh() -> LongResume {
-        LongResume {
-            epoch: 0,
-            state: LongResumeState::Fresh,
-            after: None,
-        }
-    }
 }
 
 /// Streaming decoder over one term's long list.
 pub struct LongCursor<'a> {
     inner: CursorInner<'a>,
-    /// One decoded posting pushed back by the key-skip fallback; delivered
-    /// before the stream continues.
-    pending: Option<LongPosting>,
 }
 
 enum CursorInner<'a> {
@@ -671,31 +608,18 @@ impl LongCursor<'_> {
     pub fn empty() -> LongCursor<'static> {
         LongCursor {
             inner: CursorInner::Empty,
-            pending: None,
         }
     }
 
-    /// Capture this cursor's suspension state. `epoch` is the owning
-    /// store's structural epoch ([`LongListStore::epoch`]; 0 for detached
-    /// empty cursors) and `after` the merge key of the last posting the
-    /// cursor delivered.
-    pub fn suspend(&self, epoch: u64, after: Option<MergeKey>) -> LongResume {
-        // A pending pushback means the fallback skip already decoded one
-        // posting ahead; re-running the skip from `after` reproduces it.
-        if self.pending.is_some() {
-            return LongResume {
-                epoch,
-                state: LongResumeState::Skip,
-                after,
-            };
-        }
-        let state = match &self.inner {
-            CursorInner::Empty => LongResumeState::Done,
-            CursorInner::Id(s) => LongResumeState::At {
+    /// Capture this cursor's suspension state.
+    pub(crate) fn suspend(&self) -> LongResume {
+        match &self.inner {
+            CursorInner::Empty => LongResume::Done,
+            CursorInner::Id(s) => LongResume::At {
                 pos: s.stream.position(),
                 decode: DecodeState::Id { prev: s.prev },
             },
-            CursorInner::Chunked(s) => LongResumeState::At {
+            CursorInner::Chunked(s) => LongResume::At {
                 pos: s.stream.position(),
                 decode: DecodeState::Chunked {
                     cid: s.current_cid,
@@ -703,7 +627,7 @@ impl LongCursor<'_> {
                     prev: s.prev,
                 },
             },
-            CursorInner::Score(s) => LongResumeState::At {
+            CursorInner::Score(s) => LongResume::At {
                 pos: s.stream.position(),
                 decode: DecodeState::Score,
             },
@@ -711,7 +635,7 @@ impl LongCursor<'_> {
                 if s.idx < s.decoded.len() || s.pending_skip > 0 {
                     // Mid-block: anchor at the block header and re-decode
                     // the one block on resume, dropping what was delivered.
-                    LongResumeState::At {
+                    LongResume::At {
                         pos: s.block_start,
                         decode: DecodeState::Block {
                             skip: (s.idx + s.pending_skip) as u32,
@@ -721,7 +645,7 @@ impl LongCursor<'_> {
                 } else {
                     // Between blocks: the next unread byte is a block header
                     // (or the list header / EOF).
-                    LongResumeState::At {
+                    LongResume::At {
                         pos: s.stream.position(),
                         decode: DecodeState::Block {
                             skip: 0,
@@ -730,11 +654,6 @@ impl LongCursor<'_> {
                     }
                 }
             }
-        };
-        LongResume {
-            epoch,
-            state,
-            after,
         }
     }
 
@@ -764,31 +683,27 @@ impl LongCursor<'_> {
         }
     }
 
-    /// Advance so the next posting is the first with `doc >= target`.
+    /// Consume postings up to and including the first with `doc >= target`
+    /// and return it, or `None` when the list holds no such posting.
     ///
     /// Only meaningful for doc-ordered (Id-format) lists. Block cursors use
     /// the per-block max-doc metadata to *skip* whole blocks — their
     /// payloads are never copied or decoded; legacy cursors (and non-Id
     /// layouts, where doc ids are not globally ascending) degrade to a
     /// linear scan.
-    pub fn skip_to_doc(&mut self, target: DocId) -> Result<()> {
-        if let Some(p) = &self.pending {
-            if p.doc >= target {
-                return Ok(());
-            }
-            self.pending = None;
-        }
+    pub fn skip_to_doc(&mut self, target: DocId) -> Result<Option<LongPosting>> {
         if let CursorInner::Block(s) = &mut self.inner {
             if matches!(s.format, ListFormat::Id { .. }) && s.pending_skip == 0 {
                 loop {
                     while s.idx < s.decoded.len() {
-                        if s.decoded[s.idx].doc >= target {
-                            return Ok(());
-                        }
+                        let p = s.decoded[s.idx];
                         s.idx += 1;
+                        if p.doc >= target {
+                            return Ok(Some(p));
+                        }
                     }
                     if !s.at_next_block()? {
-                        return Ok(());
+                        return Ok(None);
                     }
                     let meta = read_block_meta_stream(&mut s.stream, s.format)?;
                     if meta.max_doc < target.0 {
@@ -810,18 +725,14 @@ impl LongCursor<'_> {
         }
         while let Some(p) = self.next_posting()? {
             if p.doc >= target {
-                self.pending = Some(p);
-                return Ok(());
+                return Ok(Some(p));
             }
         }
-        Ok(())
+        Ok(None)
     }
 
     /// Next posting in list order, or `None` at the end.
     pub fn next_posting(&mut self) -> Result<Option<LongPosting>> {
-        if let Some(p) = self.pending.take() {
-            return Ok(Some(p));
-        }
         match &mut self.inner {
             CursorInner::Empty => Ok(None),
             CursorInner::Id(state) => {
@@ -1084,15 +995,14 @@ mod tests {
         let codec = CodecKind::Bitpacked;
         let lls = LongListStore::new(store(), ListFormat::Id { with_scores: true }, codec);
         lls.put_id_list(TermId(1), &postings).unwrap();
-        let epoch = lls.epoch();
         // Suspend after every single posting and resume.
-        let mut resume = LongResume::fresh();
+        let mut resume = LongResume::Fresh;
         for p in &postings {
             let mut cursor = lls.resume_cursor(TermId(1), &resume).unwrap();
             let got = cursor.next_posting().unwrap().unwrap();
             assert_eq!(got.doc, p.doc);
             assert_eq!(got.tscore, p.tscore);
-            resume = cursor.suspend(epoch, Some((got.pos.rank(), got.doc.0)));
+            resume = cursor.suspend();
         }
         let mut cursor = lls.resume_cursor(TermId(1), &resume).unwrap();
         assert!(cursor.next_posting().unwrap().is_none());
@@ -1110,19 +1020,18 @@ mod tests {
         let lls = LongListStore::new(store(), ListFormat::Id { with_scores: false }, codec);
         lls.put_id_list(TermId(1), &postings).unwrap();
         let mut cursor = lls.cursor(TermId(1));
-        cursor.skip_to_doc(DocId(6000)).unwrap();
+        let p = cursor.skip_to_doc(DocId(6000)).unwrap().unwrap();
         assert!(
             cursor.blocks_skipped() >= 20,
             "skipped only {} blocks",
             cursor.blocks_skipped()
         );
-        let p = cursor.next_posting().unwrap().unwrap();
         assert_eq!(p.doc, DocId(6000));
         // Block metadata is exposed for block-max pruning.
         let meta = cursor.block_meta().unwrap();
         assert!(meta.max_doc >= 6000);
         // Seeking past the end drains cleanly.
-        cursor.skip_to_doc(DocId(u32::MAX)).unwrap();
+        assert!(cursor.skip_to_doc(DocId(u32::MAX)).unwrap().is_none());
         assert!(cursor.next_posting().unwrap().is_none());
         // Legacy cursors answer the same question by linear scan.
         let lls = LongListStore::new(
@@ -1132,9 +1041,9 @@ mod tests {
         );
         lls.put_id_list(TermId(1), &postings).unwrap();
         let mut cursor = lls.cursor(TermId(1));
-        cursor.skip_to_doc(DocId(6001)).unwrap();
+        let p = cursor.skip_to_doc(DocId(6001)).unwrap().unwrap();
         assert_eq!(cursor.blocks_skipped(), 0);
-        assert_eq!(cursor.next_posting().unwrap().unwrap().doc, DocId(6002));
+        assert_eq!(p.doc, DocId(6002));
     }
 
     #[test]

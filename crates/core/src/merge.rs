@@ -53,7 +53,7 @@ impl UnionEvent {
 
 /// Owned suspension state of a [`UnionCursor`]: the buffered heads plus the
 /// two underlying cursor positions, with no borrow of any store. Captured
-/// by [`UnionCursor::suspend`]; a method's cursor backend turns it back
+/// by `UnionCursor::suspend`; a method's cursor backend turns it back
 /// into a live [`UnionCursor`] (see `methods::cursor`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnionResume {
@@ -62,11 +62,6 @@ pub struct UnionResume {
     pub(crate) short_head: Option<ShortPosting>,
     /// Long-cursor position *after* `long_head`.
     pub(crate) long: LongResume,
-    /// Merge key of the last posting pulled from the long cursor — carried
-    /// explicitly so the epoch-mismatch fallback keeps its skip boundary
-    /// even across suspensions where the long side is exhausted
-    /// (`long_head == None`).
-    pub(crate) long_after: Option<MergeKey>,
     /// Key of the last posting pulled from the short cursor (`short_head`'s
     /// key while a head is buffered): resume seeks its successor.
     pub(crate) short_after: Option<(PostingPos, DocId)>,
@@ -79,8 +74,7 @@ impl UnionResume {
             primed: false,
             long_head: None,
             short_head: None,
-            long: LongResume::fresh(),
-            long_after: None,
+            long: LongResume::Fresh,
             short_after: None,
         }
     }
@@ -91,7 +85,7 @@ impl UnionResume {
     }
 
     /// The long-side resume state (for rebuilding the long cursor).
-    pub fn long_resume(&self) -> &LongResume {
+    pub(crate) fn long_resume(&self) -> &LongResume {
         &self.long
     }
 }
@@ -103,8 +97,6 @@ pub struct UnionCursor<'a> {
     long_head: Option<LongPosting>,
     short_head: Option<ShortPosting>,
     primed: bool,
-    /// Merge key of the last posting pulled from the long cursor.
-    long_after: Option<MergeKey>,
     /// Key of the last posting pulled from the short cursor.
     short_after: Option<(PostingPos, DocId)>,
 }
@@ -118,14 +110,13 @@ impl<'a> UnionCursor<'a> {
             long_head: None,
             short_head: None,
             primed: false,
-            long_after: None,
             short_after: None,
         }
     }
 
     /// Rebuild a previously suspended union stream. `long` and `short` must
     /// be cursors positioned according to `resume` (via
-    /// [`crate::long_list::LongListStore::resume_cursor`] and
+    /// `LongListStore::resume_cursor` and
     /// [`crate::short_list::ShortLists::cursor_after`]); the buffered heads
     /// are restored verbatim.
     pub fn resume(
@@ -139,20 +130,17 @@ impl<'a> UnionCursor<'a> {
             long_head: resume.long_head,
             short_head: resume.short_head,
             primed: resume.primed,
-            long_after: resume.long_after,
             short_after: resume.short_after,
         }
     }
 
-    /// Capture this stream's suspension state. `long_epoch` is the long
-    /// store's structural epoch (0 when the method has no long store).
-    pub fn suspend(&self, long_epoch: u64) -> UnionResume {
+    /// Capture this stream's suspension state.
+    pub(crate) fn suspend(&self) -> UnionResume {
         UnionResume {
             primed: self.primed,
             long_head: self.long_head,
             short_head: self.short_head,
-            long: self.long.suspend(long_epoch, self.long_after),
-            long_after: self.long_after,
+            long: self.long.suspend(),
             short_after: self.short_after,
         }
     }
@@ -188,9 +176,6 @@ impl<'a> UnionCursor<'a> {
 
     fn advance_long(&mut self) -> Result<()> {
         self.long_head = self.long.next_posting()?;
-        if let Some(p) = self.long_head {
-            self.long_after = Some((p.pos.rank(), p.doc.0));
-        }
         Ok(())
     }
 
@@ -299,26 +284,10 @@ impl<'a> UnionCursor<'a> {
     pub fn next_event_seek(&mut self, target: DocId) -> Result<Option<UnionEvent>> {
         self.prime()?;
         if self.long_head.is_some_and(|p| p.doc < target) {
-            self.long_head = None;
-            self.long.skip_to_doc(target)?;
-            self.advance_long()?;
+            self.long_head = self.long.skip_to_doc(target)?;
         }
         while self.short_head.is_some_and(|p| p.doc < target) {
             self.advance_short()?;
-        }
-        // Record the skipped-over range as consumed so an epoch-mismatch
-        // resume does not linearly re-deliver it.
-        if let Some(floor) = target.0.checked_sub(1) {
-            let key = (PostingPos::Id.rank(), floor);
-            if self.long_after.is_none_or(|after| after < key) {
-                self.long_after = Some(key);
-            }
-            let short_below = self
-                .short_after
-                .is_none_or(|(pos, doc)| (pos.rank(), doc.0) < key);
-            if short_below {
-                self.short_after = Some((PostingPos::Id, DocId(floor)));
-            }
         }
         self.next_event()
     }
@@ -372,7 +341,7 @@ impl<'a> MultiMerge<'a> {
     }
 
     /// Rebuild a suspended merge: `streams` resumed per term, plus the
-    /// buffered merge heads captured by [`MultiMerge::suspend`].
+    /// buffered merge heads captured by `MultiMerge::suspend`.
     pub fn resume(
         streams: Vec<UnionCursor<'a>>,
         heads: Vec<Option<UnionEvent>>,
@@ -387,10 +356,10 @@ impl<'a> MultiMerge<'a> {
     }
 
     /// Capture the merge-level suspension state: per-stream union resumes
-    /// plus the buffered heads. `long_epoch` as in [`UnionCursor::suspend`].
-    pub fn suspend(&self, long_epoch: u64) -> (Vec<UnionResume>, Vec<Option<UnionEvent>>, bool) {
+    /// plus the buffered heads.
+    pub(crate) fn suspend(&self) -> (Vec<UnionResume>, Vec<Option<UnionEvent>>, bool) {
         (
-            self.streams.iter().map(|s| s.suspend(long_epoch)).collect(),
+            self.streams.iter().map(UnionCursor::suspend).collect(),
             self.heads.clone(),
             self.primed,
         )

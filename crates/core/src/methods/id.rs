@@ -47,10 +47,6 @@ impl<const TERM_SCORES: bool> CursorBackend for IdMethod<TERM_SCORES> {
         &self.base
     }
 
-    fn long_epoch(&self) -> u64 {
-        self.long.epoch()
-    }
-
     fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
         Ok(UnionCursor::resume(
             self.long.resume_cursor(term, resume.long_resume())?,
@@ -157,6 +153,10 @@ impl<const TERM_SCORES: bool> Method for IdMethod<TERM_SCORES> {
             short,
             counters: SeekCounters::default(),
         })
+    }
+
+    fn long_epoch(&self) -> u64 {
+        self.long.epoch()
     }
 
     fn list_sizes(&self) -> (u64, u64, u64) {

@@ -55,7 +55,7 @@ use svr_storage::sync::{LockClass, OrderedRwLock};
 use svr_storage::{StorageEnv, Store, WalBatch};
 
 use crate::config::IndexConfig;
-use crate::cursor::{self, MethodCursor, ShardSlot};
+use crate::cursor::{self, MergeState, MethodCursor, ShardSlot};
 use crate::error::{CoreError, Result};
 use crate::heap::{ranks_above, TopKHeap};
 use crate::methods::base::{CorpusStats, ShardContext};
@@ -75,10 +75,15 @@ pub fn shard_of_doc(doc: DocId, num_shards: usize) -> usize {
     (doc.0.wrapping_mul(0x9E37_79B1) >> 16) as usize % num_shards
 }
 
+/// Where [`Index`] ids come from: each attach draws the next one.
+static NEXT_INDEX_ID: AtomicU64 = AtomicU64::new(0);
+
 /// An index of method `M`: `N >= 1` complete method instances, each behind
 /// its own lock. Built through [`crate::build_index`] /
 /// [`crate::build_index_at`], reattached through [`crate::open_index_at`].
 pub(crate) struct Index<M> {
+    /// Unique within the process: binds the cursors this index opens.
+    id: u64,
     env: Arc<StorageEnv>,
     stats: Arc<CorpusStats>,
     shards: Vec<Shard<M>>,
@@ -185,6 +190,7 @@ impl<M: Method> Index<M> {
                 .collect::<Result<_>>()?,
         };
         Ok(Index {
+            id: NEXT_INDEX_ID.fetch_add(1, Ordering::Relaxed),
             env: loc.env.clone(),
             stats,
             shards: methods
@@ -256,6 +262,15 @@ impl<M: Method> Shard<M> {
     /// Lock-free: has one of the shard's logs outgrown `threshold` bytes?
     fn logs_over(&self, threshold: u64) -> bool {
         self.stores.iter().any(|store| store.log_over(threshold))
+    }
+
+    /// Open this shard's slice of an enumeration of `query`, stamped with
+    /// the long-list epoch its positions belong to; the caller holds the
+    /// read lock.
+    fn open_cursor(&self, query: &Query) -> Result<MergeState> {
+        let mut state = self.method.open_cursor(query)?;
+        state.epoch = self.method.long_epoch();
+        Ok(state)
     }
 
     /// The offline merge, as one write: each store commits once however
@@ -391,13 +406,14 @@ impl<M: Method> SearchIndex for Index<M> {
             .map(|shard| {
                 let _shard_guard = shard.lock.read();
                 Ok(ShardSlot {
-                    state: shard.method.open_cursor(query)?,
+                    state: shard.open_cursor(query)?,
                     buf: VecDeque::new(),
                 })
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(MethodCursor {
             kind: M::KIND,
+            index: self.id,
             query: query.clone(),
             slots,
         })
@@ -410,15 +426,16 @@ impl<M: Method> SearchIndex for Index<M> {
     /// pull runs under one read-lock acquisition, so it is individually
     /// snapshot-consistent, and no lock is held while the cursor is
     /// suspended between batches.
+    ///
+    /// The one restart rule: a pull that finds the shard's long-list epoch
+    /// moved (an offline merge rebuilt the lists) re-opens the shard's
+    /// slice on the new lists and carries over what it already resolved
+    /// (`MergeState::restart`); no stream position is ever resumed across
+    /// an epoch.
     fn next_batch(&self, cursor: &mut MethodCursor, n: usize) -> Result<Vec<SearchHit>> {
-        if cursor.kind != M::KIND {
+        if cursor.index != self.id {
             return Err(CoreError::Unsupported(
-                "cursor was opened by a different index method",
-            ));
-        }
-        if cursor.slots.len() != self.shards.len() {
-            return Err(CoreError::Unsupported(
-                "cursor was opened by an index with a different shard count",
+                "cursor was opened by a different index",
             ));
         }
         let mut out = Vec::with_capacity(n.min(64));
@@ -426,6 +443,9 @@ impl<M: Method> SearchIndex for Index<M> {
             for (shard, slot) in self.shards.iter().zip(cursor.slots.iter_mut()) {
                 if slot.buf.is_empty() && !slot.state.is_drained() {
                     let _shard_guard = shard.lock.read();
+                    if slot.state.epoch != shard.method.long_epoch() {
+                        slot.state.restart(shard.open_cursor(&cursor.query)?);
+                    }
                     slot.buf.extend(cursor::run(
                         &shard.method,
                         &cursor.query,

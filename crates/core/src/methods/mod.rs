@@ -66,12 +66,13 @@
 //!   (drives checkpoint gating and pins the on-disk layout);
 //! * `build_in` / `open_in` — create the structures from a corpus, or
 //!   reattach them from recovered stores;
+//! * `long_epoch` — the long-list store's structural epoch (0 without
+//!   blob long lists), which tells the index when to restart a cursor;
 //! * `list_sizes` — long-list bytes, long postings, short postings;
 //! * `update_score`, `insert_document`, `uninsert_document`,
 //!   `update_content`, `merge_short_lists` — the write-side algorithms;
-//! * from `CursorBackend`: `base`, `long_epoch`, `stream`, `resolve`,
-//!   `svr_bound` (plus `term_fancy_bound` / `combine` when ranking uses
-//!   term scores).
+//! * from `CursorBackend`: `base`, `stream`, `resolve`, `svr_bound` (plus
+//!   `term_fancy_bound` / `combine` when ranking uses term scores).
 //!
 //! `open_cursor`, `query`, `delete_document`, `undelete_document` and
 //! `clear_long_cache` have defaults that fit every tombstoning,
@@ -273,13 +274,20 @@ pub trait SearchIndex: Send + Sync {
     fn refresh_scores(&self, refreshes: &[(DocId, Score, Seq)]) -> Result<()>;
 
     /// Open a resumable ranked enumeration for `query` (see
-    /// [`crate::cursor`]). The cursor is bound to this index: feed it back
-    /// through [`SearchIndex::next_batch`] on the same instance.
+    /// [`crate::cursor`]). The cursor is bound to this index instance: any
+    /// other index — even one of the same method and shard count — rejects
+    /// it in [`SearchIndex::next_batch`].
     fn open_cursor(&self, query: &Query) -> Result<MethodCursor>;
 
     /// Emit the next `n` results in exact rank order, resuming the
     /// suspended traversal. Returns fewer than `n` hits only when the
-    /// enumeration is exhausted.
+    /// enumeration is exhausted. A shard whose long lists were rebuilt
+    /// since the last batch (an offline merge) restarts its slice of the
+    /// cursor on the new lists, re-scanning their prefix once; documents
+    /// already emitted are not emitted again, and with no score change in
+    /// between the sequence equals a never-suspended drain. Fails with
+    /// [`CoreError::Unsupported`](crate::CoreError::Unsupported) on a
+    /// cursor another index opened.
     fn next_batch(&self, cursor: &mut MethodCursor, n: usize) -> Result<Vec<SearchHit>>;
 
     /// Evaluate a top-k query against the *latest* scores (Algorithms 2/3).
@@ -425,6 +433,11 @@ pub(crate) trait Method: CursorBackend + Send + Sync + Sized + 'static {
     /// Reattach one durable shard from its recovered stores (see
     /// [`open_index_at`]).
     fn open_in(ctx: ShardContext, config: &IndexConfig) -> Result<Self>;
+
+    /// Structural epoch of the shard's long-list store (0 when the method
+    /// keeps no blob long lists): a suspended cursor's stream positions
+    /// are valid only within the epoch they were captured in.
+    fn long_epoch(&self) -> u64;
 
     /// `(long-list bytes, long-list postings, short-list postings)` of
     /// this shard.

@@ -34,12 +34,6 @@ impl CursorBackend for ScoreMethod {
         &self.base
     }
 
-    fn long_epoch(&self) -> u64 {
-        // The clustered list is a B+-tree resumed by key; there is no page
-        // chain to invalidate.
-        0
-    }
-
     fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
         Ok(UnionCursor::resume(
             LongCursor::empty(),
@@ -100,6 +94,12 @@ impl Method for ScoreMethod {
             ShortOrder::ByScoreDesc,
         )?;
         Ok(ScoreMethod { base, list })
+    }
+
+    fn long_epoch(&self) -> u64 {
+        // The clustered list is a B+-tree resumed by key; there is no page
+        // chain to invalidate.
+        0
     }
 
     fn list_sizes(&self) -> (u64, u64, u64) {

@@ -295,10 +295,6 @@ impl<P: Placement, const TERM_SCORES: bool> CursorBackend for ThresholdMethod<P,
         &self.base
     }
 
-    fn long_epoch(&self) -> u64 {
-        self.long.epoch()
-    }
-
     fn stream(&self, term: TermId, resume: &UnionResume) -> Result<UnionCursor<'_>> {
         Ok(UnionCursor::resume(
             self.long.resume_cursor(term, resume.long_resume())?,
@@ -433,6 +429,10 @@ impl<P: Placement, const TERM_SCORES: bool> Method for ThresholdMethod<P, TERM_S
             meta,
             fancy,
         })
+    }
+
+    fn long_epoch(&self) -> u64 {
+        self.long.epoch()
     }
 
     fn list_sizes(&self) -> (u64, u64, u64) {

@@ -1,4 +1,4 @@
-//! Multi-term query engine: seeking iterators and block-max WAND top-k.
+//! Multi-term query engine: seeking and block-max WAND top-k.
 //!
 //! The merge executor of [`crate::cursor`] evaluates multi-term queries by
 //! *exhaustively* unioning every term's posting stream. That is the only
@@ -9,14 +9,14 @@
 //! from the inverted-index literature (Pibiri & Venturini, *Techniques for
 //! Inverted Index Compression*):
 //!
-//! * **Seeking** ([`SeekingIterator`]): `next_seek(doc)` positions a stream
-//!   at its first posting with `doc >= target` without delivering (for
-//!   the block codec: without even *decoding*) what lies in between.
-//!   [`LongCursor`] seeks via the per-block `max_doc` skip metadata
-//!   ([`crate::codec::BlockMeta`]); [`ShortCursor`] advances linearly
-//!   (short lists are bounded small between merges by design); and
-//!   [`UnionCursor`] seeks both sides of a term's `SL ∪ LL` union at once,
-//!   preserving `REM`-tombstone cancellation.
+//! * **Seeking**: [`UnionCursor::next_event_seek`] delivers a term's next
+//!   `SL ∪ LL` event with `doc >= target` without delivering (for the
+//!   block codec: without even *decoding*) what lies in between, preserving
+//!   `REM`-tombstone cancellation. The long side seeks with
+//!   [`LongCursor::skip_to_doc`](crate::long_list::LongCursor::skip_to_doc)
+//!   via the per-block `max_doc` skip metadata
+//!   ([`crate::codec::BlockMeta`]); the short side advances linearly
+//!   (short lists are bounded small between merges by design).
 //! * **Leapfrog intersection** (AND): repeatedly seek every stream to the
 //!   largest buffered head doc; a doc survives iff all streams land on it.
 //!   Docs skipped in between are absent from at least one stream, so they
@@ -49,8 +49,8 @@
 //!   already-delivered head event's exact term score — the stream's
 //!   internal buffers sit one posting *past* the delivered head, so the
 //!   block/short bounds alone would not cover it. Streams without block
-//!   metadata (legacy codec, fallback scans) contribute the loose bound
-//!   1.0, which simply disables score-based skipping for them;
+//!   metadata (legacy codec) contribute the loose bound 1.0, which simply
+//!   disables score-based skipping for them;
 //! * `combine(svr, ts) = svr + w·ts` is monotone in both arguments
 //!   (`w = term_weight ≥ 0`).
 //!
@@ -72,7 +72,7 @@
 //! heap). The any-k cursor executor cannot use score pruning — a cursor may
 //! be drained past any k — but conjunctive cursors on doc-ordered methods
 //! still leapfrog ([`crate::merge::MultiMerge::next_conjunctive_candidate`])
-//! through the same [`SeekingIterator`] machinery, so block skipping and
+//! through the same [`UnionCursor::next_event_seek`], so block skipping and
 //! exact suspend/resume (`open_cursor`/`next_batch`) compose: any batch
 //! schedule reproduces the one-shot ranking bit-for-bit.
 
@@ -84,9 +84,8 @@ use svr_text::unquantize_term_score;
 use crate::cursor::CursorBackend;
 use crate::error::Result;
 use crate::heap::TopKHeap;
-use crate::long_list::{LongCursor, LongPosting};
 use crate::merge::{Candidate, UnionCursor, UnionEvent};
-use crate::short_list::{PostingPos, ShortCursor, ShortPosting};
+use crate::short_list::PostingPos;
 use crate::types::{DocId, Query, QueryMode, SearchHit};
 
 /// Per-query block skip/decode counters, surfaced through EXPLAIN and the
@@ -137,54 +136,6 @@ impl SeekCounters {
     }
 }
 
-/// A posting stream that can *seek*: deliver its next item with
-/// `doc >= target`, consuming (and for block-structured long lists, never
-/// decoding) everything before it. Seeking is only meaningful on
-/// doc-ordered streams — Id-format long lists and `ShortOrder::ById` short
-/// lists, where doc ids ascend in list order.
-pub trait SeekingIterator {
-    /// The posting type the stream delivers.
-    type Item;
-
-    /// Next item with `doc >= target`, or `None` when the stream has no
-    /// such item. Equivalent to repeatedly calling `next` and discarding
-    /// items with smaller doc ids, but skips undecoded blocks where the
-    /// layout allows.
-    fn next_seek(&mut self, target: DocId) -> Result<Option<Self::Item>>;
-}
-
-impl SeekingIterator for LongCursor<'_> {
-    type Item = LongPosting;
-
-    fn next_seek(&mut self, target: DocId) -> Result<Option<LongPosting>> {
-        self.skip_to_doc(target)?;
-        self.next_posting()
-    }
-}
-
-impl SeekingIterator for ShortCursor<'_> {
-    type Item = ShortPosting;
-
-    fn next_seek(&mut self, target: DocId) -> Result<Option<ShortPosting>> {
-        // B+-tree keys are `(term, doc)`: a linear walk is already in doc
-        // order, and short lists stay small between offline merges.
-        while let Some(p) = self.next_posting()? {
-            if p.doc >= target {
-                return Ok(Some(p));
-            }
-        }
-        Ok(None)
-    }
-}
-
-impl SeekingIterator for UnionCursor<'_> {
-    type Item = UnionEvent;
-
-    fn next_seek(&mut self, target: DocId) -> Result<Option<UnionEvent>> {
-        self.next_event_seek(target)
-    }
-}
-
 /// Upper bound on a stream's unquantized term score, and the last doc id
 /// the bound is valid through (`u32::MAX` = valid for the whole remainder).
 fn stream_bound(stream: &UnionCursor<'_>, short_bound: f64) -> (f64, u32) {
@@ -199,8 +150,8 @@ fn stream_bound(stream: &UnionCursor<'_>, short_bound: f64) -> (f64, u32) {
             short_bound.max(unquantize_term_score(meta.max_tscore)),
             meta.max_doc,
         ),
-        // No usable metadata (legacy codec, fallback linear scan): the
-        // loose bound 1.0 disables score-based skipping for this stream.
+        // No usable metadata (legacy codec): the loose bound 1.0 disables
+        // score-based skipping for this stream.
         (Some(_), _) => (1.0, u32::MAX),
     }
 }

@@ -181,44 +181,68 @@ fn resume_equals_deeper_one_shot() {
     }
 }
 
-/// A cursor that outlives an offline merge keeps enumerating without
-/// panicking or duplicating documents (graceful degradation: the long-list
-/// epoch fallback re-scans and the seen-set dedupes) — with the block codec,
-/// the merge also re-encodes every list, so the resumed cursor crosses a
-/// full physical rewrite.
+/// A cursor that outlives an offline merge returns exactly what a
+/// never-suspended drain returns. The merge moves every short-list posting
+/// into rebuilt (and, with the block codec, re-encoded) long lists, so a
+/// suspended cursor's positions point into lists that no longer exist; with
+/// no score change in between, the restarted cursor must still emit the
+/// same `(doc, score)` sequence — nothing dropped, nothing repeated, same
+/// order. Every method × codec × shard count × AND/OR × first-batch size
+/// 1-7, over several seeds; all the cursors of one index cross one merge.
 #[test]
 fn cursor_survives_offline_merge() {
-    for kind in MethodKind::ALL_EXTENDED {
-        for codec in CodecKind::ALL {
-            let mut rng = StdRng::seed_from_u64(0xDEAD);
-            let num_docs = 90;
-            let (docs, scores) = corpus(&mut rng, num_docs);
-            let config = config_with_codec(kind, 1, codec);
-            let index = build_index(kind, &docs, &scores, &config).unwrap();
-            storm(&mut rng, index.as_ref(), num_docs);
+    let mut cases = 0;
+    let mut failures = Vec::new();
+    for seed in 0..6u64 {
+        for kind in MethodKind::ALL_EXTENDED {
+            for codec in CodecKind::ALL {
+                for shards in [1usize, 4] {
+                    let mut rng = StdRng::seed_from_u64(0xDEAD + seed);
+                    let num_docs = 90;
+                    let (docs, scores) = corpus(&mut rng, num_docs);
+                    let config = config_with_codec(kind, shards, codec);
+                    let index = build_index(kind, &docs, &scores, &config).unwrap();
+                    storm(&mut rng, index.as_ref(), num_docs);
 
-            let query = Query::disjunctive([TermId(0), TermId(1), TermId(2)], 10);
-            let mut cursor = index.open_cursor(&query).unwrap();
-            let first = index.next_batch(&mut cursor, 5).unwrap();
-            index.merge_short_lists().unwrap();
-            let mut rest = Vec::new();
-            loop {
-                let batch = index.next_batch(&mut cursor, 7).unwrap();
-                if batch.is_empty() {
-                    break;
+                    let terms: Vec<TermId> = (0..rng.gen_range(2..4))
+                        .map(|_| TermId(rng.gen_range(0..6)))
+                        .collect();
+                    let mut open = Vec::new();
+                    for mode in [QueryMode::Conjunctive, QueryMode::Disjunctive] {
+                        let query = Query::new(terms.clone(), 10, mode);
+                        let never_suspended = drain_in_batches(index.as_ref(), &query, &[1 << 20]);
+                        for first in 1..=7usize {
+                            let mut cursor = index.open_cursor(&query).unwrap();
+                            let emitted = index.next_batch(&mut cursor, first).unwrap();
+                            open.push((mode, first, cursor, emitted, never_suspended.clone()));
+                        }
+                    }
+                    index.merge_short_lists().unwrap();
+                    for (mode, first, mut cursor, mut emitted, want) in open {
+                        loop {
+                            let batch = index.next_batch(&mut cursor, 7).unwrap();
+                            if batch.is_empty() {
+                                break;
+                            }
+                            emitted.extend(batch);
+                        }
+                        cases += 1;
+                        if emitted != want {
+                            failures.push(format!(
+                                "seed={seed} {kind} {codec:?} shards={shards} {mode:?} first={first}"
+                            ));
+                        }
+                    }
                 }
-                rest.extend(batch);
-            }
-            let mut seen = std::collections::HashSet::new();
-            for hit in first.iter().chain(&rest) {
-                assert!(
-                    seen.insert(hit.doc),
-                    "{kind} {codec:?}: doc {} emitted twice across a maintenance merge",
-                    hit.doc
-                );
             }
         }
     }
+    assert!(
+        failures.is_empty(),
+        "{} of {cases} cursors differ from a never-suspended drain after a merge, e.g. {:?}",
+        failures.len(),
+        &failures[..failures.len().min(8)]
+    );
 }
 
 /// The codec matrix: every method × every shard count × the block codec
@@ -285,7 +309,9 @@ fn block_codecs_rank_identically_to_legacy() {
     }
 }
 
-/// Mismatched cursors are rejected, not misinterpreted.
+/// Mismatched cursors are rejected, not misinterpreted — including a
+/// cursor of another index with the same method and shard count, whose
+/// positions point into a different store.
 #[test]
 fn cursor_is_bound_to_its_method_and_shape() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -318,6 +344,17 @@ fn cursor_is_bound_to_its_method_and_shape() {
     assert!(sharded.next_batch(&mut chunk_cursor, 5).is_err());
     let mut sharded_cursor = sharded.open_cursor(&query).unwrap();
     assert!(chunk.next_batch(&mut sharded_cursor, 5).is_err());
+    for codec in CodecKind::ALL {
+        for kind in MethodKind::ALL_EXTENDED {
+            let build = || build_index(kind, &docs, &scores, &config_with_codec(kind, 1, codec));
+            let (ours, twin) = (build().unwrap(), build().unwrap());
+            let mut cursor = ours.open_cursor(&query).unwrap();
+            assert!(
+                twin.next_batch(&mut cursor, 3).is_err(),
+                "{kind} {codec:?}: a twin index accepted a foreign cursor"
+            );
+        }
+    }
 }
 
 proptest! {

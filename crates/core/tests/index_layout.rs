@@ -115,7 +115,7 @@ fn foreign_cursor_is_an_error_not_a_panic() {
     assert_eq!(
         other_method.next_batch(&mut cursor, 5),
         Err(CoreError::Unsupported(
-            "cursor was opened by a different index method"
+            "cursor was opened by a different index"
         ))
     );
     for num_shards in [3, 1] {
@@ -123,7 +123,7 @@ fn foreign_cursor_is_an_error_not_a_panic() {
         assert_eq!(
             other_count.next_batch(&mut cursor, 5),
             Err(CoreError::Unsupported(
-                "cursor was opened by an index with a different shard count"
+                "cursor was opened by a different index"
             )),
             "Chunk x2 cursor on Chunk x{num_shards}"
         );

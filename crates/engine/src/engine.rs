@@ -83,9 +83,13 @@
 //!   each run under one shard read lock and whose suspended state holds no
 //!   lock at all, so a paginating client never blocks writers between
 //!   pages and never re-pays the traversal of earlier pages
-//!   ([`SvrEngine::search`] is an opened cursor drained once). Each index
-//!   keeps a write epoch; a cursor compares it against the value captured
-//!   at open to report cross-batch staleness ([`SearchCursor::staleness`]);
+//!   ([`SvrEngine::search`] is an opened cursor drained once). A cursor
+//!   that outlives an offline merge ([`SvrEngine::run_maintenance`])
+//!   restarts the merged shards on their rebuilt lists and keeps what it
+//!   already returned, so the merge alone drops, repeats or reorders
+//!   nothing. Each index keeps a write epoch; a cursor compares it against
+//!   the value captured at open to report cross-batch staleness
+//!   ([`SearchCursor::staleness`]);
 //! * **same-table writers overlap** — two [`SvrEngine::update_row`] calls
 //!   on one table serialize only through the short tier-1 section; their
 //!   index score maintenance (the hot part under the paper's
@@ -485,6 +489,14 @@ impl QueryRequest {
 /// current scores, and no row is emitted twice. [`SearchCursor::staleness`]
 /// counts the index write epochs since the cursor opened — callers that
 /// need a fresh total order re-open the query when it grows.
+///
+/// An offline merge ([`SvrEngine::run_maintenance`]) between batches is
+/// not churn of that kind: it rebuilds the inverted lists but changes no
+/// score. The next batch restarts each merged shard on the new lists —
+/// one re-scan of the lists' prefix — and keeps the rows already
+/// resolved, so with no score change in between the cursor returns exactly
+/// what a cursor that never paused would. The merge still counts as one
+/// epoch in [`SearchCursor::staleness`].
 ///
 /// Rows deleted between scoring and fetching are skipped silently (a fresh
 /// query would not return them); use [`SearchCursor::is_exhausted`] rather

@@ -80,6 +80,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    // ---- Scrolling across offline maintenance --------------------------
+    // The offline merge rebuilds the inverted lists under an open cursor.
+    // Each shard's slice of the cursor notices, restarts on the new lists
+    // and keeps what it already returned: with no score change in between,
+    // no article is lost or repeated and the order holds.
+    let mut scroll = engine.open_query(&request)?;
+    let mut scrolled = scroll.next_batch(25)?;
+    engine.run_maintenance("article_search")?;
+    while !scroll.is_exhausted() {
+        scrolled.extend(scroll.next_batch(25)?);
+    }
+    assert!(
+        scrolled.windows(2).all(|w| w[0].score >= w[1].score),
+        "scores must not increase down the scroll"
+    );
+    let mut aids: Vec<i64> = scrolled.iter().filter_map(|r| r.row[0].as_i64()).collect();
+    aids.sort_unstable();
+    assert_eq!(
+        aids,
+        (0..300).collect::<Vec<i64>>(),
+        "every article exactly once across the merge"
+    );
+    println!(
+        "scrolled all {} articles across run_maintenance: each once, in score order",
+        scrolled.len()
+    );
+
     // Writers churn scores while the cursor is open: batches keep flowing
     // (each one snapshot-consistent), and the cursor reports how many
     // write epochs it is behind so the caller can re-open when it matters.
