@@ -399,7 +399,6 @@ fn maintenance_benches(c: &mut Criterion) {
                 index.update_score(doc, score).unwrap();
             }
             index.merge_short_lists().unwrap();
-            index.maybe_checkpoint(1 << 20).unwrap();
         })
     });
     group.finish();

@@ -1,10 +1,10 @@
 //! Experiment result tables and the experiment scale knob.
 //!
 //! Reports serialize to JSON through the hand-rolled
-//! [`ExperimentReport::to_json`] / [`ExperimentReport::from_json`] below
-//! (the workspace builds offline from vendored crates, so pulling in serde
-//! is not an option; the schema is four string fields and two string
-//! collections).
+//! [`ExperimentReport::to_json`] below (the workspace builds offline from
+//! vendored crates, so pulling in serde is not an option; the schema is
+//! four string fields and two string collections). Nothing reads reports
+//! back: the JSON is for people and diffs.
 
 /// How big to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,17 +133,6 @@ impl ExperimentReport {
         out.push('}');
         out
     }
-
-    /// Parse a report serialized by [`ExperimentReport::to_json`].
-    pub fn from_json(json: &str) -> Option<ExperimentReport> {
-        let mut parser = JsonParser {
-            bytes: json.as_bytes(),
-            pos: 0,
-        };
-        let report = parser.object()?;
-        parser.skip_ws();
-        parser.at_end().then_some(report)
-    }
 }
 
 /// Serialize a report list as a pretty-printed JSON array.
@@ -158,149 +147,6 @@ pub fn reports_to_json(reports: &[ExperimentReport]) -> String {
     }
     out.push_str("\n]\n");
     out
-}
-
-/// A minimal recursive-descent parser for exactly the JSON
-/// [`ExperimentReport::to_json`] emits.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        self.skip_ws();
-        if self.pos < self.bytes.len() && self.bytes[self.pos] == b {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.bytes.get(self.pos)?;
-            self.pos += 1;
-            match b {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos)?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
-                            self.pos += 4;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Re-decode the multi-byte scalar from the source.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..]).ok()?;
-                    let c = s.chars().next()?;
-                    self.pos = start + c.len_utf8();
-                    out.push(c);
-                }
-            }
-        }
-    }
-
-    fn string_array(&mut self) -> Option<Vec<String>> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.eat(b']')?;
-            return Some(items);
-        }
-        loop {
-            items.push(self.string()?);
-            match self.peek()? {
-                b',' => self.eat(b',')?,
-                b']' => {
-                    self.eat(b']')?;
-                    return Some(items);
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn object(&mut self) -> Option<ExperimentReport> {
-        self.eat(b'{')?;
-        let mut report = ExperimentReport {
-            id: String::new(),
-            title: String::new(),
-            columns: Vec::new(),
-            rows: Vec::new(),
-            notes: String::new(),
-        };
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            match key.as_str() {
-                "id" => report.id = self.string()?,
-                "title" => report.title = self.string()?,
-                "notes" => report.notes = self.string()?,
-                "columns" => report.columns = self.string_array()?,
-                "rows" => {
-                    self.eat(b'[')?;
-                    if self.peek() == Some(b']') {
-                        self.eat(b']')?;
-                    } else {
-                        loop {
-                            report.rows.push(self.string_array()?);
-                            match self.peek()? {
-                                b',' => self.eat(b',')?,
-                                b']' => {
-                                    self.eat(b']')?;
-                                    break;
-                                }
-                                _ => return None,
-                            }
-                        }
-                    }
-                }
-                _ => return None,
-            }
-            match self.peek()? {
-                b',' => self.eat(b',')?,
-                b'}' => {
-                    self.eat(b'}')?;
-                    return Some(report);
-                }
-                _ => return None,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -340,9 +186,12 @@ mod tests {
             rows: vec![vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
             notes: String::new(),
         };
-        let json = report.to_json();
-        let back = ExperimentReport::from_json(&json).unwrap();
-        assert_eq!(back, report);
+        assert_eq!(
+            report.to_json(),
+            "{\"id\":\"t\",\"title\":\"quotes \\\" and\\nnewlines — ünïcode\",\
+             \"columns\":[\"a\",\"b\"],\"rows\":[[\"1\",\"2\"],[\"3\",\"4\"]],\
+             \"notes\":\"\"}"
+        );
 
         let array = reports_to_json(&[report.clone(), report]);
         assert!(array.starts_with("[\n"));

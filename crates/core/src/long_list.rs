@@ -288,14 +288,6 @@ impl LongListStore {
         }
     }
 
-    /// Decode a term's whole list (offline merge / tests).
-    pub fn decoded_list(&self, term: TermId) -> Result<Vec<LongPosting>> {
-        match self.raw_list(term)? {
-            None => Ok(Vec::new()),
-            Some(raw) => codec::decode_list(self.codec, self.format, &raw),
-        }
-    }
-
     /// Streaming cursor over a term's list (empty cursor for unknown terms).
     pub fn cursor(&self, term: TermId) -> LongCursor<'_> {
         let handle = self.directory.read().get(&term).map(|e| e.handle);

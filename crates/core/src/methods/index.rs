@@ -44,7 +44,10 @@
 //! touched, one commit marker, and at the default sync interval one fsync —
 //! and a store it left alone appends nothing. A crash before a store's seal
 //! recovers that store to its state before the write; the stores seal one
-//! after another, so a write is atomic per store, not across stores.
+//! after another, so a write is atomic per store, not across stores. A
+//! store whose log outgrew the environment's threshold checkpoints right
+//! after its seal, still under the write lock, so no other writer's pages
+//! are in flight.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -249,7 +252,9 @@ impl<M: Method> Shard<M> {
     /// Run `f` inside one WAL batch over the shard's logged stores; the
     /// caller holds the write lock. The batch seals even when `f` fails,
     /// and `f`'s error wins. A seal error fails a write that succeeded:
-    /// recovery would roll it back.
+    /// recovery would roll it back. So does the error of the checkpoint a
+    /// store runs after its seal once its log outgrew the threshold,
+    /// although the write stays committed.
     fn batched<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
         let batch = WalBatch::begin(self.stores.iter().cloned());
         let result = f();
@@ -257,11 +262,6 @@ impl<M: Method> Shard<M> {
         let value = result?;
         sealed?;
         Ok(value)
-    }
-
-    /// Lock-free: has one of the shard's logs outgrown `threshold` bytes?
-    fn logs_over(&self, threshold: u64) -> bool {
-        self.stores.iter().any(|store| store.log_over(threshold))
     }
 
     /// Open this shard's slice of an enumeration of `query`, stamped with
@@ -520,10 +520,6 @@ impl<M: Method> SearchIndex for Index<M> {
         self.shards.len()
     }
 
-    fn shard_of(&self, doc: DocId) -> usize {
-        shard_of_doc(doc, self.shards.len())
-    }
-
     fn merge_shard(&self, shard: usize) -> Result<()> {
         let shard = self
             .shards
@@ -570,28 +566,6 @@ impl<M: Method> SearchIndex for Index<M> {
         let shard = self.shard(doc);
         let _shard_guard = shard.lock.read();
         shard.method.base().current_score(doc)
-    }
-
-    fn logs_over(&self, threshold: u64) -> bool {
-        self.shards.iter().any(|s| s.logs_over(threshold))
-    }
-
-    fn maybe_checkpoint(&self, threshold: u64) -> Result<()> {
-        for shard in &self.shards {
-            // Cheap lock-free gate first: mutation hot paths call this on
-            // every refresh, and below threshold it must not touch the
-            // writer lock.
-            if !shard.logs_over(threshold) {
-                continue;
-            }
-            // Exclusive: a checkpoint must not truncate log records whose
-            // pages a concurrent mutation has not flushed.
-            let _shard_guard = shard.lock.write();
-            for store in &shard.stores {
-                store.maybe_checkpoint(threshold)?;
-            }
-        }
-        Ok(())
     }
 
     fn term_dfs(&self) -> Vec<(TermId, u64)> {

@@ -340,9 +340,6 @@ pub trait SearchIndex: Send + Sync {
     /// `num_shards > 1`).
     fn num_shards(&self) -> usize;
 
-    /// The shard owning `doc`'s postings and score.
-    fn shard_of(&self, doc: DocId) -> usize;
-
     /// Merge one shard's short lists, leaving the other shards' writers
     /// undisturbed — the scheduling granule for incremental maintenance.
     fn merge_shard(&self, shard: usize) -> Result<()>;
@@ -362,18 +359,6 @@ pub trait SearchIndex: Send + Sync {
 
     /// Current score of a live document.
     fn current_score(&self, doc: DocId) -> Result<Score>;
-
-    /// Lock-free check: does any of the index's write-ahead logs exceed
-    /// `threshold` bytes? The cheap hot-path gate in front of
-    /// [`SearchIndex::maybe_checkpoint`] — reads counters only, takes no
-    /// writer lock.
-    fn logs_over(&self, threshold: u64) -> bool;
-
-    /// Checkpoint any of the index's stores whose write-ahead log outgrew
-    /// `threshold` bytes (flush dirty pages, truncate the log). A no-op for
-    /// non-logged stores. Serialized against each shard's writers, so this
-    /// is safe to call from a maintenance sweep at any time.
-    fn maybe_checkpoint(&self, threshold: u64) -> Result<()>;
 
     /// Snapshot of the collection-wide live document frequencies (sorted by
     /// term id) — shared across every shard of one index, exposed for

@@ -87,7 +87,8 @@
 //!   that outlives an offline merge ([`SvrEngine::run_maintenance`])
 //!   restarts the merged shards on their rebuilt lists and keeps what it
 //!   already returned, so the merge alone drops, repeats or reorders
-//!   nothing. Each index keeps a write epoch; a cursor compares it against
+//!   nothing. Each index keeps a write epoch, bumped by writes that can
+//!   change a ranking (a merge is not one); a cursor compares it against
 //!   the value captured at open to report cross-batch staleness
 //!   ([`SearchCursor::staleness`]);
 //! * **same-table writers overlap** — two [`SvrEngine::update_row`] calls
@@ -100,9 +101,8 @@
 //! * **score propagation completes before the call returns** — a query
 //!   issued the moment a mutation returns sees the new ranking;
 //! * **batches coalesce and fan out** — [`SvrEngine::apply`] /
-//!   [`SvrEngine::insert_rows`] buffer view notifications, record one
-//!   refresh per touched document, and apply the refreshes grouped by
-//!   shard in parallel;
+//!   [`SvrEngine::insert_rows`] keep each touched document's newest score
+//!   change only, and apply the refreshes grouped by shard in parallel;
 //! * **writes are all-or-nothing** — every write path runs as a
 //!   transaction: each applied piece records its inverse (captured
 //!   pre-image row for updates/deletes, primary key for inserts, old
@@ -177,12 +177,15 @@
 //! * **score views re-materialize** from the recovered base rows (the
 //!   deterministic fold of view creation), and listeners are rewired, so
 //!   the first post-recovery mutation propagates exactly like any other.
-//! * **logs stay bounded**: any store whose log outgrows
-//!   [`EngineConfig::wal_checkpoint_bytes`] (default 1 MiB) is
-//!   checkpointed at the next safe opportunity — tables at op/transaction
-//!   boundaries, index shards after score refreshes and merges (under the
-//!   shard lock) — and `open` finishes with a full checkpoint so recovery
-//!   cost does not compound across restarts.
+//! * **logs stay bounded**: the engine applies
+//!   [`EngineConfig::wal_checkpoint_bytes`] (default 1 MiB) to its
+//!   environment, and every store whose log holds more than that after a
+//!   seal checkpoints itself right there, under the lock its writer holds
+//!   (table writes, index writes and merges, catalog and vocabulary
+//!   writes, and index builds alike; see
+//!   [`Store::log_commit`](svr_storage::Store::log_commit)).
+//!   `open` finishes with a full checkpoint so recovery cost does not
+//!   compound across restarts.
 //!
 //! Reopened state is **bit-identical** where it matters: rankings,
 //! `score_of`, df / num_docs and per-shard EXPLAIN stats are proptested to
@@ -229,7 +232,8 @@ fn index_prefix(name: &str) -> String {
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Log bytes past which any store (table, index shard, system catalog)
-    /// is checkpointed at the next safe opportunity. Default 1 MiB;
+    /// checkpoints itself after a seal; the engine applies it to its whole
+    /// environment when it is created or opened. Default 1 MiB;
     /// `u64::MAX` disables automatic checkpointing.
     pub wal_checkpoint_bytes: u64,
     /// WAL group-sync interval: `0` (the default) fsyncs every commit
@@ -385,9 +389,10 @@ struct TextIndex {
     /// reopen) — `EXPLAIN` reports its codec alongside the list sizes.
     config: IndexConfig,
     /// Write epoch: bumped on every mutation that can shift this index's
-    /// ranking (score refreshes, document inserts/deletes/content updates,
-    /// offline merges). Open cursors compare it against the value they
-    /// captured to report staleness ([`SearchCursor::staleness`]).
+    /// ranking (score refreshes, document inserts/deletes/content updates).
+    /// An offline merge changes no score and no cursor's order, so it does
+    /// not bump. Open cursors compare it against the value they captured
+    /// to report staleness ([`SearchCursor::staleness`]).
     epoch: AtomicU64,
 }
 
@@ -495,8 +500,8 @@ impl QueryRequest {
 /// score. The next batch restarts each merged shard on the new lists —
 /// one re-scan of the lists' prefix — and keeps the rows already
 /// resolved, so with no score change in between the cursor returns exactly
-/// what a cursor that never paused would. The merge still counts as one
-/// epoch in [`SearchCursor::staleness`].
+/// what a cursor that never paused would, and the merge leaves
+/// [`SearchCursor::staleness`] where it was.
 ///
 /// Rows deleted between scoring and fetching are skipped silently (a fresh
 /// query would not return them); use [`SearchCursor::is_exhausted`] rather
@@ -561,11 +566,6 @@ impl SearchCursor {
     pub fn stats(&self) -> svr_core::SeekStats {
         self.cursor.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
-
-    /// The index this cursor enumerates.
-    pub fn index_name(&self) -> &str {
-        &self.entry.view
-    }
 }
 
 /// One recorded inverse in a write transaction's undo log. Entries are
@@ -614,8 +614,6 @@ struct DurableEngine {
     /// Terms already persisted (ids are dense, so this is a high-water
     /// mark; everything past it is the increment to log).
     persisted_terms: Mutex<usize>,
-    /// Auto-checkpoint threshold (see [`EngineConfig`]).
-    checkpoint_bytes: u64,
 }
 
 /// The shared, internally synchronized engine state.
@@ -702,8 +700,8 @@ impl SvrEngine {
             ));
         }
         env.set_wal_sync_interval_ms(config.wal_sync_interval_ms);
+        env.set_wal_checkpoint_bytes(config.wal_checkpoint_bytes);
         let db = Database::with_env(env.clone())?;
-        db.set_wal_checkpoint_bytes(config.wal_checkpoint_bytes);
         let indexes_tree = BTree::create_durable(env.create_logged_store(SYS_INDEXES_STORE, 64))
             .map_err(|e| SvrError::Engine(format!("index catalog: {e}")))?;
         let vocab_tree = BTree::create_durable(env.create_logged_store(SYS_VOCAB_STORE, 64))
@@ -719,7 +717,6 @@ impl SvrEngine {
                     indexes_tree,
                     vocab_tree,
                     persisted_terms: Mutex::new(0),
-                    checkpoint_bytes: config.wal_checkpoint_bytes,
                 }),
                 group_refresh: std::sync::atomic::AtomicBool::new(config.group_refresh),
                 refresh_seq: Arc::default(),
@@ -745,8 +742,8 @@ impl SvrEngine {
         env.recover_all()
             .map_err(|e| SvrError::Engine(format!("recovery failed: {e}")))?;
         env.set_wal_sync_interval_ms(config.wal_sync_interval_ms);
+        env.set_wal_checkpoint_bytes(config.wal_checkpoint_bytes);
         let db = Database::open_env(env.clone())?;
-        db.set_wal_checkpoint_bytes(config.wal_checkpoint_bytes);
 
         // Vocabulary: records are keyed by term id (big-endian), so the
         // scan yields terms in id order and re-interning restores every id.
@@ -808,7 +805,6 @@ impl SvrEngine {
                     indexes_tree,
                     vocab_tree,
                     persisted_terms: Mutex::new(persisted),
-                    checkpoint_bytes: config.wal_checkpoint_bytes,
                 }),
                 group_refresh: std::sync::atomic::AtomicBool::new(config.group_refresh),
                 refresh_seq: Arc::default(),
@@ -996,10 +992,6 @@ impl SvrEngine {
         }
         batch.finish().map_err(persist_error)?;
         *persisted = vocab.len();
-        let _ = durable
-            .vocab_tree
-            .store()
-            .maybe_checkpoint(durable.checkpoint_bytes);
         Ok(())
     }
 
@@ -1174,17 +1166,6 @@ impl SvrEngine {
                 )));
             }
             ti.bump();
-            // Durable index stores log every page write; bound the logs at
-            // the same threshold the table stores use. (O(1) log-size
-            // checks per store; an actual checkpoint only past threshold.)
-            if let Some(durable) = &self.shared.durable {
-                if let Err(e) = ti.index.maybe_checkpoint(durable.checkpoint_bytes) {
-                    first_error.get_or_insert(SvrError::Engine(format!(
-                        "index checkpoint failed: index '{}': {e}",
-                        ti.view
-                    )));
-                }
-            }
         }
         match first_error {
             None => Ok(()),
@@ -1445,8 +1426,8 @@ impl SvrEngine {
 
     /// Run `f` as an **all-or-nothing write transaction** over `tables`
     /// (sorted, deduped): table locks are taken, the WAL commits of the
-    /// involved stores are bracketed into one recoverable batch, view
-    /// notifications are buffered, and view undo capture is armed. `f`
+    /// involved stores are bracketed into one recoverable batch, and view
+    /// undo capture is armed. `f`
     /// appends the inverse of everything it applies to the undo log it is
     /// handed; on error the log replays in reverse under the still-held
     /// locks and the views roll back to their captured pre-images, so no
@@ -1463,10 +1444,9 @@ impl SvrEngine {
             // mid-transaction recovers every table to its pre-transaction
             // state (the closing marker seals mutations + undo images).
             let wal_batch = self.shared.db.wal_batch(tables)?;
-            // Both brackets are scoped to the views this transaction's
-            // tables can reach — the hot path (one-table score update)
-            // touches one view's mutex, not every view in the engine.
-            let bracket = self.shared.db.buffer_score_notifications_for(tables);
+            // Scoped to the views this transaction's tables can reach — the
+            // hot path (one-table score update) touches one view's mutex,
+            // not every view in the engine.
             let view_undo = self.shared.db.begin_view_undo(tables);
             let mut undo = Vec::new();
             let result = match f(&mut undo) {
@@ -1485,11 +1465,9 @@ impl SvrEngine {
                     }
                 }
             };
-            // Flush coalesced notifications into this thread's capture,
-            // then seal the WAL batch (in that order: the capture is
-            // in-memory, the marker makes the storage state recoverable).
-            // A seal that fails fails the write: recovery would roll it back.
-            drop(bracket);
+            // A seal that fails fails the write: recovery would roll it
+            // back. So does a failed checkpoint after the seal, although
+            // the write stays committed.
             let sealed = wal_batch.finish();
             result.and(sealed.map_err(|e| SvrError::Relation(e.into())))
         });
@@ -1594,7 +1572,15 @@ impl SvrEngine {
             let score = self.shared.db.score_of(&ti.view, pk).unwrap_or(0.0);
             ti.index.insert_document(&doc, score)?;
             ti.bump();
-            undo.push(UndoEntry::Uninsert { ti, doc: doc.id });
+            undo.push(UndoEntry::Uninsert {
+                ti: ti.clone(),
+                doc: doc.id,
+            });
+            // A source-table writer may have changed the score after the
+            // read above, and its refresh found no document to update.
+            // Announce the current score again, stamped under the view's
+            // lock, so the newest score still lands last.
+            self.shared.db.notify_score(&ti.view, pk)?;
         }
         Ok(())
     }
@@ -1616,11 +1602,10 @@ impl SvrEngine {
 
     /// Apply a [`WriteBatch`] **atomically**: one writer-lock acquisition
     /// per involved table (taken in sorted order, so concurrent batches
-    /// cannot deadlock), coalesced view notifications, one WAL commit
-    /// marker per involved store, and one score refresh per touched
-    /// document — grouped by index shard and applied with the shards in
-    /// parallel after the table locks are released. Returns the number of
-    /// operations the batch applied.
+    /// cannot deadlock), one WAL commit marker per involved store, and
+    /// one score refresh per touched document — grouped by index shard
+    /// and applied with the shards in parallel after the table locks are
+    /// released. Returns the number of operations the batch applied.
     ///
     /// The batch is **all-or-nothing**: if any operation fails, every
     /// operation already applied is rolled back — tables, views, index
@@ -1867,13 +1852,7 @@ impl SvrEngine {
     /// while the merge restructures this one (sharded indexes merge their
     /// shards in parallel).
     pub fn run_maintenance(&self, name: &str) -> Result<()> {
-        let ti = self.entry(name)?;
-        ti.index.merge_short_lists()?;
-        ti.bump();
-        if let Some(durable) = &self.shared.durable {
-            ti.index.maybe_checkpoint(durable.checkpoint_bytes)?;
-        }
-        Ok(())
+        Ok(self.entry(name)?.index.merge_short_lists()?)
     }
 
     /// Merge a single shard of an index — the scheduling granule for
@@ -1881,13 +1860,7 @@ impl SvrEngine {
     /// walk the shards round-robin, never stalling more than `1/num_shards`
     /// of the table's writers at a time.
     pub fn run_shard_maintenance(&self, name: &str, shard: usize) -> Result<()> {
-        let ti = self.entry(name)?;
-        ti.index.merge_shard(shard)?;
-        ti.bump();
-        if let Some(durable) = &self.shared.durable {
-            ti.index.maybe_checkpoint(durable.checkpoint_bytes)?;
-        }
-        Ok(())
+        Ok(self.entry(name)?.index.merge_shard(shard)?)
     }
 
     /// Per-shard list statistics of an index (shard count, long-list bytes,

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use svr_core::types::QueryMode;
 use svr_core::{IndexConfig, MethodKind};
-use svr_engine::SvrEngine;
+use svr_engine::{EngineConfig, SvrEngine};
 use svr_relation::schema::{ColumnType, Schema};
 use svr_relation::{ScoreComponent, SvrSpec, Value};
 use svr_storage::StorageEnv;
@@ -213,4 +213,114 @@ fn drop_then_reopen_cannot_resurrect_and_name_is_reusable() {
     again.drop_text_index("movie_idx").unwrap();
     again.drop_table("movies").unwrap();
     assert!(again.db().table("movies").is_err());
+}
+
+/// The stores of `env` whose write-ahead log holds more than `threshold`
+/// bytes, as `(store name, log bytes)`, sorted by name.
+fn oversized_logs(env: &StorageEnv, threshold: u64) -> Vec<(String, u64)> {
+    let mut over: Vec<(String, u64)> = env
+        .store_names()
+        .into_iter()
+        .filter_map(|name| {
+            let bytes = env.store(&name)?.wal()?.stats().bytes;
+            (bytes > threshold).then_some((name, bytes))
+        })
+        .collect();
+    over.sort();
+    over
+}
+
+/// Every store checkpoints itself once a seal leaves its log over the
+/// environment's threshold, so after any call (a row write, an index
+/// build, a score update, a merge) no log holds more than the threshold.
+#[test]
+fn logs_stay_under_the_checkpoint_threshold_after_every_call() {
+    const THRESHOLD: u64 = 8 << 10;
+    let env = Arc::new(StorageEnv::new_durable(svr_storage::DEFAULT_PAGE_SIZE));
+    let config = EngineConfig {
+        wal_checkpoint_bytes: THRESHOLD,
+        ..EngineConfig::default()
+    };
+    let engine = SvrEngine::create_with(env.clone(), config).unwrap();
+    let check = |step: &str| {
+        let over = oversized_logs(&env, THRESHOLD);
+        assert!(
+            over.is_empty(),
+            "after {step}: logs over {THRESHOLD} bytes: {over:?}"
+        );
+    };
+    engine
+        .create_table(Schema::new(
+            "docs",
+            &[("id", ColumnType::Int), ("body", ColumnType::Text)],
+            0,
+        ))
+        .unwrap();
+    engine
+        .create_table(Schema::new(
+            "pop",
+            &[("id", ColumnType::Int), ("visits", ColumnType::Int)],
+            0,
+        ))
+        .unwrap();
+    const WORDS: [&str; 12] = [
+        "golden", "gate", "bridge", "river", "city", "night", "harbor", "fog", "hill", "tram",
+        "pier", "bay",
+    ];
+    const DOCS: i64 = 400;
+    for id in 0..DOCS {
+        let body: Vec<&str> = (0..12)
+            .map(|w| WORDS[((id * 7 + w * w * 5 + id / 3) % 12) as usize])
+            .collect();
+        engine
+            .insert_row("docs", vec![Value::Int(id), Value::Text(body.join(" "))])
+            .unwrap();
+        engine
+            .insert_row("pop", vec![Value::Int(id), Value::Int(id * 13 % 1000)])
+            .unwrap();
+        check("a row insert");
+    }
+    let spec = SvrSpec::single(ScoreComponent::ColumnOf {
+        table: "pop".into(),
+        key_col: "id".into(),
+        val_col: "visits".into(),
+    });
+    engine
+        .create_text_index(
+            "docs_idx",
+            "docs",
+            "body",
+            spec,
+            MethodKind::Chunk,
+            IndexConfig::default(),
+        )
+        .unwrap();
+    check("the index build");
+    for i in 0..300 {
+        engine
+            .update_row(
+                "pop",
+                Value::Int(i * 17 % DOCS),
+                &[("visits".to_string(), Value::Int(1000 + i))],
+            )
+            .unwrap();
+        check("a score update");
+    }
+    engine.run_maintenance("docs_idx").unwrap();
+    check("the merge");
+    // The checkpoints moved the recovery baseline, not the data.
+    let before = engine
+        .search("docs_idx", "golden gate", 10, QueryMode::Conjunctive)
+        .unwrap();
+    drop(engine);
+    env.crash();
+    let reopened = SvrEngine::open(env.clone()).unwrap();
+    let after = reopened
+        .search("docs_idx", "golden gate", 10, QueryMode::Conjunctive)
+        .unwrap();
+    assert!(!before.is_empty());
+    assert_eq!(
+        before.iter().map(|r| (&r.row, r.score)).collect::<Vec<_>>(),
+        after.iter().map(|r| (&r.row, r.score)).collect::<Vec<_>>()
+    );
 }

@@ -19,11 +19,10 @@
 //! each other and with writers.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use svr_storage::{BTree, StorageEnv, Store, WalBatch};
+use svr_storage::{BTree, StorageEnv, WalBatch};
 
 use crate::codec;
 use crate::error::{RelationError, Result};
@@ -68,9 +67,6 @@ pub struct Database {
     views: RwLock<HashMap<String, Arc<Mutex<ScoreView>>>>,
     /// The system catalog tree (None for a plain in-memory database).
     catalog: Option<BTree>,
-    /// Log bytes past which a store is checkpointed at the next
-    /// opportunity (per-op boundary or transaction close).
-    wal_checkpoint_bytes: AtomicU64,
 }
 
 impl Default for Database {
@@ -87,7 +83,6 @@ impl Database {
             tables: RwLock::new(HashMap::new()),
             views: RwLock::new(HashMap::new()),
             catalog: None,
-            wal_checkpoint_bytes: AtomicU64::new(WAL_CHECKPOINT_BYTES),
         }
     }
 
@@ -103,7 +98,6 @@ impl Database {
             tables: RwLock::new(HashMap::new()),
             views: RwLock::new(HashMap::new()),
             catalog: Some(catalog),
-            wal_checkpoint_bytes: AtomicU64::new(WAL_CHECKPOINT_BYTES),
         })
     }
 
@@ -131,7 +125,6 @@ impl Database {
             tables: RwLock::new(HashMap::new()),
             views: RwLock::new(HashMap::new()),
             catalog: Some(catalog),
-            wal_checkpoint_bytes: AtomicU64::new(WAL_CHECKPOINT_BYTES),
         };
         // Tables first (views validate their tables).
         for (_, raw) in table_records {
@@ -165,26 +158,12 @@ impl Database {
         self.catalog.is_some()
     }
 
-    /// Override the log-size threshold past which stores are checkpointed
-    /// (default 1 MiB). Smaller values bound recovery time and memory at
-    /// the cost of more frequent page flushing; `u64::MAX` disables
-    /// automatic checkpointing.
-    pub fn set_wal_checkpoint_bytes(&self, bytes: u64) {
-        self.wal_checkpoint_bytes.store(bytes, Ordering::Relaxed);
-    }
-
-    /// The current auto-checkpoint threshold in log bytes.
-    pub fn wal_checkpoint_bytes(&self) -> u64 {
-        self.wal_checkpoint_bytes.load(Ordering::Relaxed)
-    }
-
     /// Write a catalog record (no-op for in-memory databases). Each put is
     /// sealed by its own commit marker, so a crash mid-DDL leaves either
     /// the old record set or the new one — never a torn record.
     fn persist_catalog(&self, key: Vec<u8>, value: &[u8]) -> Result<()> {
         if let Some(catalog) = &self.catalog {
             catalog.put(&key, value)?;
-            self.maybe_checkpoint_store(catalog.store());
         }
         Ok(())
     }
@@ -192,7 +171,6 @@ impl Database {
     fn remove_catalog(&self, key: Vec<u8>) -> Result<()> {
         if let Some(catalog) = &self.catalog {
             catalog.delete(&key)?;
-            self.maybe_checkpoint_store(catalog.store());
         }
         Ok(())
     }
@@ -363,9 +341,10 @@ impl Database {
         Ok(())
     }
 
-    /// Remove a view's listener.
-    pub fn clear_score_listener(&self, view: &str) -> Result<()> {
-        self.view(view)?.lock().clear_listener();
+    /// Fire `view`'s listener once more with `pk`'s current score (see
+    /// [`ScoreView::notify`]).
+    pub fn notify_score(&self, view: &str, pk: i64) -> Result<()> {
+        self.view(view)?.lock().notify(pk);
         Ok(())
     }
 
@@ -407,27 +386,7 @@ impl Database {
         let _write = slot.write_lock.lock();
         let change = slot.table.insert(row)?;
         self.route_change(&slot.table, &change)?;
-        self.maybe_checkpoint(&slot.table);
         Ok(change)
-    }
-
-    /// Insert many rows under one writer-lock acquisition with coalesced
-    /// view notifications: each view's listener fires once per touched key
-    /// (with the final score) instead of once per change.
-    pub fn insert_rows(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
-        let slot = self.slot(table)?;
-        let _write = slot.write_lock.lock();
-        let _buffered = BufferBracket::enter(
-            self.views_touching(std::slice::from_ref(&slot.table.schema().name)),
-        );
-        let mut inserted = 0;
-        for row in rows {
-            let change = slot.table.insert(row)?;
-            self.route_change(&slot.table, &change)?;
-            inserted += 1;
-        }
-        self.maybe_checkpoint(&slot.table);
-        Ok(inserted)
     }
 
     /// Update named columns of a row, maintaining every dependent view.
@@ -442,7 +401,6 @@ impl Database {
         let _write = slot.write_lock.lock();
         let change = slot.table.update(&pk, updates)?;
         self.route_change(&slot.table, &change)?;
-        self.maybe_checkpoint(&slot.table);
         Ok(change)
     }
 
@@ -453,7 +411,6 @@ impl Database {
         let _write = slot.write_lock.lock();
         let change = slot.table.delete(&pk)?;
         self.route_change(&slot.table, &change)?;
-        self.maybe_checkpoint(&slot.table);
         Ok(change)
     }
 
@@ -473,24 +430,6 @@ impl Database {
         let slot = self.slot(table)?;
         let _write = slot.write_lock.lock();
         slot.table.retract(pk)
-    }
-
-    /// Enter coalesced-notification mode on every view **for the calling
-    /// thread** (see [`ScoreView::begin_buffering`]); the returned guard
-    /// restores immediate notifications (flushing final scores) when
-    /// dropped. Other threads' mutations keep notifying immediately, so a
-    /// bracket never absorbs a concurrent writer's notifications. Drop the
-    /// guard on the thread that created it.
-    pub fn buffer_score_notifications(&self) -> BufferBracket {
-        BufferBracket::enter(self.all_views())
-    }
-
-    /// [`Database::buffer_score_notifications`] scoped to the views a
-    /// write over `tables` can actually reach — the hot-path form: a
-    /// single-table update brackets one view's mutex, not every view in
-    /// the database.
-    pub fn buffer_score_notifications_for(&self, tables: &[String]) -> BufferBracket {
-        BufferBracket::enter(self.views_touching(tables))
     }
 
     /// Begin undo capture **for the calling thread** on every view a write
@@ -516,10 +455,6 @@ impl Database {
         ViewUndoBracket { views }
     }
 
-    fn all_views(&self) -> Vec<Arc<Mutex<ScoreView>>> {
-        self.views.read().values().cloned().collect()
-    }
-
     /// The views whose state a change to any of `tables` can move — the
     /// same target/source dependency test [`Database::route_change`]
     /// applies per change.
@@ -537,36 +472,18 @@ impl Database {
     /// commit of those stores is held back, and finishing seals all of it —
     /// mutations *and* any undo images a rollback appended — under one
     /// commit marker per store. A crash anywhere inside the bracket
-    /// therefore recovers every table to its pre-bracket state.
-    ///
-    /// Sealing also checkpoints any store whose log outgrew the checkpoint
-    /// threshold — never mid-bracket, which would split the batch.
+    /// therefore recovers every table to its pre-bracket state. Finishing
+    /// also checkpoints each store whose log outgrew the environment's
+    /// auto-checkpoint threshold ([`WalBatch::finish`]); the caller holds
+    /// the tables' writer locks for the whole bracket.
     pub fn wal_batch(&self, tables: &[String]) -> Result<WalBatch> {
         let stores = tables
             .iter()
             .map(|name| Ok(self.slot(name)?.table.store().clone()))
             .collect::<Result<Vec<_>>>()?;
-        Ok(WalBatch::begin(stores).checkpoint_over(self.wal_checkpoint_bytes()))
-    }
-
-    /// Flush + truncate a table store whose log outgrew the configured
-    /// threshold. Skipped inside a [`Database::wal_batch`] bracket —
-    /// truncating mid-bracket would tear the recoverable batch apart.
-    fn maybe_checkpoint(&self, table: &Table) {
-        self.maybe_checkpoint_store(table.store());
-    }
-
-    fn maybe_checkpoint_store(&self, store: &Arc<Store>) {
-        // A failed checkpoint only leaves an older recovery baseline; the
-        // committed log still replays on top of it.
-        let _ = store.maybe_checkpoint(self.wal_checkpoint_bytes());
+        Ok(WalBatch::begin(stores))
     }
 }
-
-/// Default log bytes past which a table store is checkpointed at the next
-/// opportunity (per-op boundary or transaction close); override with
-/// [`Database::set_wal_checkpoint_bytes`].
-const WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 
 /// Undo capture across every view of a database for one thread's write
 /// batch (see [`Database::begin_view_undo`]). Dropping without calling
@@ -599,39 +516,13 @@ impl Drop for ViewUndoBracket {
     }
 }
 
-/// RAII bracket for coalesced view notifications across one thread's write
-/// batch.
-#[must_use = "dropping the bracket at once ends buffering before the batch runs"]
-pub struct BufferBracket {
-    /// The views bracketed at entry (a view created mid-batch notifies
-    /// immediately, which is correct: it has no stale index yet).
-    views: Vec<Arc<Mutex<ScoreView>>>,
-}
-
-impl BufferBracket {
-    fn enter(views: Vec<Arc<Mutex<ScoreView>>>) -> BufferBracket {
-        for view in &views {
-            view.lock().begin_buffering();
-        }
-        BufferBracket { views }
-    }
-}
-
-impl Drop for BufferBracket {
-    fn drop(&mut self) {
-        for view in &self.views {
-            view.lock().end_buffering();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggexpr::AggExpr;
     use crate::functions::ScoreComponent;
     use crate::schema::ColumnType;
-    use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicI64, Ordering};
 
     /// Build the paper's example database: Movies, Reviews, Statistics with
     /// Agg = s1*100 + s2/2 + s3.
@@ -856,78 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_notifications_coalesce() {
-        let db = paper_db();
-        db.insert_row("movies", vec![Value::Int(1), Value::Text("m".into())])
-            .unwrap();
-        let fired = std::sync::Arc::new(AtomicUsize::new(0));
-        let last = std::sync::Arc::new(AtomicI64::new(-1));
-        let (f2, l2) = (fired.clone(), last.clone());
-        db.set_score_listener(
-            "scores",
-            Box::new(move |_pk, score| {
-                f2.fetch_add(1, Ordering::SeqCst);
-                l2.store(score as i64, Ordering::SeqCst);
-            }),
-        )
-        .unwrap();
-        {
-            let _bracket = db.buffer_score_notifications();
-            for visits in [100, 200, 400] {
-                db.update_row(
-                    "statistics",
-                    Value::Int(1),
-                    &[("nvisit".to_string(), Value::Int(visits))],
-                )
-                .unwrap_or_else(|_| {
-                    db.insert_row(
-                        "statistics",
-                        vec![Value::Int(1), Value::Int(visits), Value::Int(0)],
-                    )
-                    .unwrap()
-                });
-            }
-            assert_eq!(
-                fired.load(Ordering::SeqCst),
-                0,
-                "buffered: nothing fires mid-batch"
-            );
-        }
-        assert_eq!(
-            fired.load(Ordering::SeqCst),
-            1,
-            "one coalesced notification"
-        );
-        assert_eq!(last.load(Ordering::SeqCst), 200, "final score 400/2");
-    }
-
-    #[test]
-    fn insert_rows_batch_matches_row_at_a_time() {
-        let db = paper_db();
-        let rows: Vec<Vec<Value>> = (0..50)
-            .map(|i| vec![Value::Int(i), Value::Text(format!("movie {i}"))])
-            .collect();
-        assert_eq!(db.insert_rows("movies", rows).unwrap(), 50);
-        db.insert_rows(
-            "statistics",
-            (0..50)
-                .map(|i| vec![Value::Int(i), Value::Int(i * 10), Value::Int(0)])
-                .collect(),
-        )
-        .unwrap();
-        for i in 0..50 {
-            assert_eq!(db.score_of("scores", i).unwrap(), (i * 10) as f64 / 2.0);
-        }
-        // Duplicate key inside a batch surfaces the row error.
-        assert!(db
-            .insert_rows(
-                "movies",
-                vec![vec![Value::Int(0), Value::Text("dup".into())]]
-            )
-            .is_err());
-    }
-
-    #[test]
     fn restore_and_retract_bypass_views() {
         let db = paper_db();
         db.insert_row("movies", vec![Value::Int(1), Value::Text("m".into())])
@@ -1135,8 +954,8 @@ mod tests {
     #[test]
     fn checkpoint_threshold_is_configurable() {
         let db = paper_db();
-        assert_eq!(db.wal_checkpoint_bytes(), 1 << 20);
-        db.set_wal_checkpoint_bytes(1);
+        assert_eq!(db.env().wal_checkpoint_bytes(), 1 << 20);
+        db.env().set_wal_checkpoint_bytes(1);
         let movies = db.table("movies").unwrap();
         let wal = movies.store().wal().unwrap().clone();
         db.insert_row("movies", vec![Value::Int(1), Value::Text("a".into())])

@@ -64,16 +64,6 @@ pub struct ScoreView {
     /// Materialized scores.
     scores: HashMap<i64, f64>,
     listener: Option<ScoreListener>,
-    /// Per-thread bracket depth (see [`ScoreView::begin_buffering`]).
-    /// Buffering is **thread-scoped**: only notifications raised by the
-    /// bracket-holding thread are coalesced; a concurrent writer on
-    /// another thread keeps notifying immediately, so its listener calls
-    /// still run synchronously inside *its* mutating call (the engine's
-    /// thread-local capture depends on this).
-    buffering: HashMap<std::thread::ThreadId, u32>,
-    /// Keys with buffered (unfired) score changes, per bracket-holding
-    /// thread.
-    buffered: HashMap<std::thread::ThreadId, HashSet<i64>>,
     /// Per-thread undo capture (see [`ScoreView::begin_undo`]): the
     /// first-touched pre-image of every state entry this thread's batch
     /// modifies, so a rollback restores the view **bit-exactly** —
@@ -105,8 +95,6 @@ impl ScoreView {
             target_pks: HashSet::new(),
             scores: HashMap::new(),
             listener: None,
-            buffering: HashMap::new(),
-            buffered: HashMap::new(),
             undo: HashMap::new(),
         }
     }
@@ -127,52 +115,12 @@ impl ScoreView {
         self.listener = Some(listener);
     }
 
-    /// Remove the listener (index teardown).
-    pub fn clear_listener(&mut self) {
-        self.listener = None;
-    }
-
-    /// Enter buffered-notification mode **for the calling thread**: until
-    /// the matching [`ScoreView::end_buffering`] on the same thread, score
-    /// changes raised by this thread are recorded per key and the listener
-    /// stays quiet; changes raised by other threads keep notifying
-    /// immediately. Brackets nest (a per-thread depth counter), so write
-    /// batches compose, and `end_buffering` must run on the thread that
-    /// opened the bracket.
-    pub fn begin_buffering(&mut self) {
-        *self
-            .buffering
-            .entry(std::thread::current().id())
-            .or_insert(0) += 1;
-    }
-
-    /// Leave buffered-notification mode. When the calling thread's last
-    /// bracket closes, the listener is fired **once per key this thread
-    /// touched** with the key's *final* score — a batch that updates one
-    /// document's score 50 times costs one index update instead of 50.
-    pub fn end_buffering(&mut self) {
-        let me = std::thread::current().id();
-        match self.buffering.get_mut(&me) {
-            Some(depth) if *depth > 1 => {
-                *depth -= 1;
-                return;
-            }
-            Some(_) => {
-                self.buffering.remove(&me);
-            }
-            None => return,
-        }
-        let keys: Vec<i64> = self
-            .buffered
-            .remove(&me)
-            .map(|set| set.into_iter().collect())
-            .unwrap_or_default();
-        if let Some(listener) = &self.listener {
-            for pk in keys {
-                if let Some(&score) = self.scores.get(&pk) {
-                    listener(pk, score);
-                }
-            }
+    /// Fire the listener with `pk`'s current score, if it has one — how a
+    /// writer that just added `pk`'s document to the index re-announces a
+    /// score change the index dropped while the document was absent.
+    pub fn notify(&self, pk: i64) {
+        if let (Some(listener), Some(&score)) = (&self.listener, self.scores.get(&pk)) {
+            listener(pk, score);
         }
     }
 
@@ -180,9 +128,9 @@ impl ScoreView {
     /// [`ScoreView::commit_undo`] or [`ScoreView::rollback_undo`] on the
     /// same thread, the first modification of each state entry, target
     /// membership and materialized score by this thread records its
-    /// pre-image. Capture is thread-scoped for the same reason buffering
-    /// is: a concurrent writer of an *unlocked* source table must neither
-    /// pollute this batch's capture nor be clobbered by its rollback.
+    /// pre-image. Capture is thread-scoped: a concurrent writer of an
+    /// *unlocked* source table must neither pollute this batch's capture
+    /// nor be clobbered by its rollback.
     pub fn begin_undo(&mut self) {
         let n = self.spec.components.len();
         self.undo
@@ -207,8 +155,8 @@ impl ScoreView {
     /// score folds that in; absent concurrent writers the same
     /// deterministic aggregate over the same restored state reproduces the
     /// pre-batch score bit-exactly. Changed scores notify the listener as
-    /// usual (buffered while a notification bracket is open), so deferred
-    /// index refreshes converge to the rolled-back truth.
+    /// usual, so deferred index refreshes converge to the rolled-back
+    /// truth.
     pub fn rollback_undo(&mut self) {
         let me = std::thread::current().id();
         let Some(undo) = self.undo.remove(&me) else {
@@ -317,10 +265,7 @@ impl ScoreView {
         self.capture_score(pk);
         let changed = self.scores.insert(pk, score) != Some(score);
         if changed {
-            let me = std::thread::current().id();
-            if self.buffering.get(&me).is_some_and(|&depth| depth > 0) {
-                self.buffered.entry(me).or_default().insert(pk);
-            } else if let Some(listener) = &self.listener {
+            if let Some(listener) = &self.listener {
                 listener(pk, score);
             }
         }

@@ -13,6 +13,11 @@
 //! so the cross-store boundary is atomic under this repository's
 //! whole-process crash model, not against a failure between the
 //! individual appends.
+//!
+//! A clean finish is the second place a log seals (the first is
+//! [`Store::log_commit`] outside a bracket), so it is also where each store
+//! checkpoints itself once its log outgrew the threshold (see
+//! [`Wal::set_checkpoint_bytes`](crate::wal::Wal::set_checkpoint_bytes)).
 
 use std::sync::Arc;
 
@@ -22,14 +27,18 @@ use crate::pool::Store;
 /// An open commit bracket over a set of logged stores.
 ///
 /// Call [`WalBatch::finish`] on the success path: it reports a failed
-/// append or fsync. Dropping an unfinished guard (an early return or an
-/// unwind) still seals every store, so no bracket outlives its guard, but
-/// it has nowhere to report a sealing error.
+/// append, fsync or checkpoint. Dropping an unfinished guard (an early
+/// return or an unwind) still seals every store, so no bracket outlives its
+/// guard, but it checkpoints nothing and has nowhere to report a sealing
+/// error.
+///
+/// **Caller invariant:** the bracket runs with the stores' other writers
+/// shut out — a table's batch under its table lock, an index batch under
+/// the shard write lock — so the checkpoint after a seal cannot flush or
+/// truncate another writer's unsealed pages.
 #[must_use = "dropping the guard at once seals an empty batch; call `finish` after the writes"]
 pub struct WalBatch {
     stores: Vec<Arc<Store>>,
-    /// Checkpoint a store whose log outgrew this many bytes once it seals.
-    checkpoint_over: Option<u64>,
 }
 
 impl WalBatch {
@@ -40,43 +49,30 @@ impl WalBatch {
         for wal in stores.iter().filter_map(|store| store.wal()) {
             wal.begin_batch();
         }
-        WalBatch {
-            stores,
-            checkpoint_over: None,
-        }
-    }
-
-    /// Also checkpoint each store whose log outgrew `bytes` right after it
-    /// seals — never mid-bracket, which would split the batch. A failed
-    /// checkpoint only leaves an older recovery baseline, so it is not an
-    /// error of the batch.
-    pub fn checkpoint_over(mut self, bytes: u64) -> WalBatch {
-        self.checkpoint_over = Some(bytes);
-        self
+        WalBatch { stores }
     }
 
     /// Seal every store: the images of the pages the batch wrote there,
-    /// then one commit marker. Every store is sealed even after one fails;
-    /// the first error is returned.
+    /// then one commit marker; then checkpoint each store whose log
+    /// outgrew its threshold. Every store is sealed even after one fails;
+    /// the first error is returned. A failed checkpoint leaves the write
+    /// committed (its log still replays on the older baseline) but is
+    /// reported all the same.
     pub fn finish(mut self) -> Result<()> {
-        self.seal()
+        self.seal(true)
     }
 
-    fn seal(&mut self) -> Result<()> {
+    fn seal(&mut self, checkpoint: bool) -> Result<()> {
         let mut sealed = Ok(());
         for store in std::mem::take(&mut self.stores) {
             let Some(wal) = store.wal() else { continue };
-            match wal.end_batch() {
-                Ok(_) => {
-                    if let Some(bytes) = self.checkpoint_over {
-                        // Best effort: the sealed log still replays on top
-                        // of the older baseline.
-                        let _ = store.maybe_checkpoint(bytes);
-                    }
-                }
+            let result = match wal.end_batch() {
+                Ok(_) if checkpoint => store.checkpoint_if_over(),
+                Ok(_) => Ok(()),
                 // No checkpoint: it would flush the unsealed pages to disk.
-                Err(e) => sealed = sealed.and(Err(e)),
-            }
+                Err(e) => Err(e),
+            };
+            sealed = sealed.and(result);
         }
         sealed
     }
@@ -85,8 +81,9 @@ impl WalBatch {
 impl Drop for WalBatch {
     fn drop(&mut self) {
         // Only early-return and unwind paths get here with stores left;
-        // their own error is already on its way to the caller.
-        let _ = self.seal();
+        // their own error is already on its way to the caller. No
+        // checkpoint: nothing could report its failure.
+        let _ = self.seal(false);
     }
 }
 
@@ -172,6 +169,64 @@ mod tests {
         let wal = store.wal().unwrap();
         assert!(!wal.in_batch());
         assert_eq!(wal.stats().uncommitted, 0);
+    }
+
+    #[test]
+    fn finish_checkpoints_a_store_whose_log_outgrew_its_threshold() {
+        let over = logged_store(Wal::new());
+        let under = logged_store(Wal::new());
+        let trees: Vec<BTree> = [&over, &under]
+            .iter()
+            .map(|s| BTree::create_durable((*s).clone()).unwrap())
+            .collect();
+        over.wal().unwrap().set_checkpoint_bytes(1);
+        under.wal().unwrap().set_checkpoint_bytes(u64::MAX);
+        let batch = WalBatch::begin([over.clone(), under.clone()]);
+        for tree in &trees {
+            tree.put(b"k", b"v").unwrap();
+        }
+        batch.finish().unwrap();
+        assert_eq!(over.wal().unwrap().stats().bytes, 0, "checkpointed");
+        assert!(under.wal().unwrap().stats().bytes > 0, "under threshold");
+        // The checkpoint flushed the sealed pages: they survive a crash
+        // with nothing left to replay.
+        over.crash();
+        over.recover().unwrap();
+        assert_eq!(trees[0].get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+    }
+
+    #[test]
+    fn no_checkpoint_inside_an_open_bracket() {
+        let store = logged_store(Wal::new());
+        let tree = BTree::create_durable(store.clone()).unwrap();
+        let wal = store.wal().unwrap();
+        tree.put(b"a", b"1").unwrap();
+        let logged = wal.stats().bytes;
+        // The log is over the threshold before the bracket opens.
+        wal.set_checkpoint_bytes(1);
+        let batch = WalBatch::begin([store.clone()]);
+        tree.put(b"b", b"2").unwrap();
+        assert_eq!(
+            wal.stats().bytes,
+            logged,
+            "a held-back commit seals nothing"
+        );
+        batch.finish().unwrap();
+        assert_eq!(wal.stats().bytes, 0, "the seal at finish checkpoints");
+    }
+
+    #[test]
+    fn drop_seals_without_checkpointing() {
+        let store = logged_store(Wal::new());
+        let tree = BTree::create_durable(store.clone()).unwrap();
+        store.wal().unwrap().set_checkpoint_bytes(1);
+        {
+            let _batch = WalBatch::begin([store.clone()]);
+            tree.put(b"k", b"v").unwrap();
+        }
+        let stats = store.wal().unwrap().stats();
+        assert_eq!(stats.uncommitted, 0, "sealed");
+        assert!(stats.bytes > 0, "not checkpointed");
     }
 
     /// `/dev/full` fails every write with `ENOSPC`: the guard must say so

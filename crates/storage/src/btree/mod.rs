@@ -717,12 +717,6 @@ impl BTree {
             }
         }
     }
-
-    /// Total on-disk bytes attributable to this tree's pages, assuming it is
-    /// the only structure in its store.
-    pub fn approx_disk_bytes(&self) -> u64 {
-        self.store.disk().num_pages() * self.page_size as u64
-    }
 }
 
 /// Forward scan cursor. Snapshot semantics per leaf: concurrent mutation of

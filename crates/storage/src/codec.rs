@@ -12,12 +12,6 @@ pub fn push_u32_be(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_be_bytes());
 }
 
-/// Append a `u64` in big-endian (ascending order-preserving).
-#[inline]
-pub fn push_u64_be(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
 /// Append a `u32` so that byte order is *descending* in the value.
 #[inline]
 pub fn push_u32_desc(buf: &mut Vec<u8>, v: u32) {
@@ -46,12 +40,6 @@ pub fn f64_from_order_bits(bits: u64) -> f64 {
         !bits
     };
     f64::from_bits(raw)
-}
-
-/// Append an `f64` in ascending key order.
-#[inline]
-pub fn push_f64_asc(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&f64_order_bits(v).to_be_bytes());
 }
 
 /// Append an `f64` in descending key order (the order inverted-list postings
@@ -98,12 +86,6 @@ pub fn read_u32_desc(buf: &[u8], offset: usize) -> u32 {
 #[inline]
 pub fn read_f64_desc(buf: &[u8], offset: usize) -> f64 {
     f64_from_order_bits(!read_u64_be(buf, offset))
-}
-
-/// Read an ascending-encoded `f64` at `offset`.
-#[inline]
-pub fn read_f64_asc(buf: &[u8], offset: usize) -> f64 {
-    f64_from_order_bits(read_u64_be(buf, offset))
 }
 
 /// Smallest byte string strictly greater than every string with the given

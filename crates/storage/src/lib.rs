@@ -92,6 +92,9 @@ pub struct StorageEnv {
     /// Group-sync interval applied to every store's write-ahead log (see
     /// [`Wal::set_sync_interval_ms`]); `0` = fsync on every commit marker.
     wal_sync_interval_ms: std::sync::atomic::AtomicU64,
+    /// Auto-checkpoint threshold applied to every store's write-ahead log
+    /// (see [`Wal::set_checkpoint_bytes`]).
+    wal_checkpoint_bytes: std::sync::atomic::AtomicU64,
     stores: Mutex<HashMap<String, Arc<Store>>>,
 }
 
@@ -105,6 +108,7 @@ impl StorageEnv {
             backend: EnvBackend::Mem,
             default_logged: false,
             wal_sync_interval_ms: std::sync::atomic::AtomicU64::new(0),
+            wal_checkpoint_bytes: std::sync::atomic::AtomicU64::new(wal::DEFAULT_CHECKPOINT_BYTES),
             stores: Mutex::new(HashMap::new()),
         }
     }
@@ -135,6 +139,7 @@ impl StorageEnv {
             backend: EnvBackend::File { dir },
             default_logged: true,
             wal_sync_interval_ms: std::sync::atomic::AtomicU64::new(0),
+            wal_checkpoint_bytes: std::sync::atomic::AtomicU64::new(wal::DEFAULT_CHECKPOINT_BYTES),
             stores: Mutex::new(HashMap::new()),
         })
     }
@@ -148,11 +153,6 @@ impl StorageEnv {
     /// (created via [`StorageEnv::new_durable`] or [`StorageEnv::open_dir`]).
     pub fn is_durable(&self) -> bool {
         self.default_logged
-    }
-
-    /// True when this environment's pages live in files on a real disk.
-    pub fn is_file_backed(&self) -> bool {
-        matches!(self.backend, EnvBackend::File { .. })
     }
 
     fn file_paths(dir: &Path, name: &str) -> (PathBuf, PathBuf) {
@@ -202,10 +202,8 @@ impl StorageEnv {
             }
         };
         if let Some(wal) = store.wal() {
-            wal.set_sync_interval_ms(
-                self.wal_sync_interval_ms
-                    .load(std::sync::atomic::Ordering::Relaxed),
-            );
+            wal.set_sync_interval_ms(self.wal_sync_interval_ms());
+            wal.set_checkpoint_bytes(self.wal_checkpoint_bytes());
         }
         Ok(store)
     }
@@ -426,6 +424,28 @@ impl StorageEnv {
             .load(std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// Set the auto-checkpoint threshold for **every** store of this
+    /// environment — the ones already attached and the ones created later:
+    /// a store whose log holds more than `bytes` after a seal checkpoints
+    /// itself (see [`Store::log_commit`]). Smaller values bound recovery
+    /// work and log size at the cost of more page flushing; the default is
+    /// 1 MiB and `u64::MAX` turns automatic checkpoints off.
+    pub fn set_wal_checkpoint_bytes(&self, bytes: u64) {
+        self.wal_checkpoint_bytes
+            .store(bytes, std::sync::atomic::Ordering::Relaxed);
+        for store in self.stores.lock().values() {
+            if let Some(wal) = store.wal() {
+                wal.set_checkpoint_bytes(bytes);
+            }
+        }
+    }
+
+    /// The environment-wide auto-checkpoint threshold in log bytes.
+    pub fn wal_checkpoint_bytes(&self) -> u64 {
+        self.wal_checkpoint_bytes
+            .load(std::sync::atomic::Ordering::Relaxed)
+    }
+
     /// Aggregate write-ahead-log statistics across every logged store —
     /// commit-sync counters included (serving-side contention telemetry).
     pub fn total_wal_stats(&self) -> WalStats {
@@ -611,6 +631,26 @@ mod tests {
         tree.put(b"k", b"v").unwrap();
         let stats = env.total_wal_stats();
         assert!(stats.syncs + stats.sync_skips > 0, "commit ran the policy");
+    }
+
+    #[test]
+    fn wal_checkpoint_bytes_applies_to_existing_and_new_stores() {
+        let env = StorageEnv::new_durable(512);
+        let a = env.create_store("a", 16);
+        assert_eq!(env.wal_checkpoint_bytes(), 1 << 20);
+        env.set_wal_checkpoint_bytes(1);
+        let b = env.create_store("b", 16);
+        for store in [&a, &b] {
+            assert_eq!(store.wal().unwrap().checkpoint_bytes(), 1);
+            let tree = BTree::create_durable(store.clone()).unwrap();
+            tree.put(b"k", b"v").unwrap();
+            // Every seal leaves more than one byte: each checkpoints.
+            assert_eq!(store.wal().unwrap().stats().bytes, 0);
+        }
+        env.set_wal_checkpoint_bytes(u64::MAX);
+        let tree = BTree::create_durable(a.clone()).unwrap();
+        tree.put(b"k", b"v").unwrap();
+        assert!(a.wal().unwrap().stats().bytes > 0, "u64::MAX turns it off");
     }
 
     #[test]

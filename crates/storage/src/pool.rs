@@ -232,8 +232,9 @@ pub struct Store {
     wal: Option<Arc<crate::wal::Wal>>,
     /// Serializes checkpointers against each other (flush + truncate must
     /// be atomic with respect to other checkpoints). Class
-    /// [`LockClass::Checkpoint`]: taken under table/shard locks by the
-    /// auto-checkpoint paths, before the WAL's own state lock.
+    /// [`LockClass::Checkpoint`]: taken right after a seal, under whatever
+    /// table, shard or tree lock the sealing writer holds, and before the
+    /// WAL's own state lock.
     checkpoint_lock: OrderedMutex<()>,
 }
 
@@ -298,11 +299,26 @@ impl Store {
     /// Seal the page writes since the previous commit into an atomically
     /// recoverable batch. The storage structures call this at the end of
     /// every completed logical mutation; a no-op for unlogged stores.
+    ///
+    /// Outside a [`WalBatch`](crate::WalBatch) this is one of the two
+    /// places a log seals, and so one of the two places the store
+    /// checkpoints itself once its log outgrew the threshold
+    /// ([`Wal::set_checkpoint_bytes`](crate::wal::Wal::set_checkpoint_bytes);
+    /// the other is [`WalBatch::finish`](crate::WalBatch::finish)). Inside a
+    /// bracket the commit is held back and nothing is checkpointed.
+    ///
+    /// **Caller invariant:** a seal runs with the store's other writers
+    /// shut out — a table's writes run under its table lock, an index
+    /// shard's under the shard write lock, a standalone B-tree's under the
+    /// tree's state lock, and a build on one thread — so the checkpoint
+    /// cannot flush or truncate another writer's unsealed pages. A
+    /// checkpoint error is returned; the sealed write stays committed,
+    /// because its log still replays on the older baseline.
     pub fn log_commit(&self) -> Result<()> {
         if let Some(wal) = &self.wal {
             wal.commit()?;
         }
-        Ok(())
+        self.checkpoint_if_over()
     }
 
     /// Flush dirty pages and truncate the log: the disk image becomes the
@@ -332,26 +348,16 @@ impl Store {
         Ok(())
     }
 
-    /// True when the log has outgrown `threshold` bytes outside a
-    /// [`WalBatch`](crate::WalBatch) — the **lock-free** pre-check of
-    /// [`Store::maybe_checkpoint`] (reads two counters; safe to call from
-    /// any hot path).
-    pub fn log_over(&self, threshold: u64) -> bool {
-        self.wal
-            .as_ref()
-            .is_some_and(|wal| !wal.in_batch() && wal.stats().bytes > threshold)
-    }
-
-    /// The one auto-checkpoint policy every layer shares: checkpoint iff
-    /// [`Store::log_over`]. Callers must exclude concurrent writers of this
-    /// store (their page images could be truncated before their pages are
-    /// flushed). Returns whether a checkpoint ran.
-    pub fn maybe_checkpoint(&self, threshold: u64) -> Result<bool> {
-        if !self.log_over(threshold) {
-            return Ok(false);
+    /// Checkpoint when no bracket is open and the log outgrew its
+    /// threshold — the auto-checkpoint rule, run right after a seal. The
+    /// caller holds the seal's writer exclusion (see [`Store::log_commit`]).
+    pub(crate) fn checkpoint_if_over(&self) -> Result<()> {
+        match &self.wal {
+            Some(wal) if !wal.in_batch() && wal.stats().bytes > wal.checkpoint_bytes() => {
+                self.checkpoint()
+            }
+            _ => Ok(()),
         }
-        self.checkpoint()?;
-        Ok(true)
     }
 
     /// Simulate a crash: every page that was only in the buffer pool is

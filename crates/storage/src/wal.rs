@@ -26,7 +26,13 @@
 //!   holding the images back until their commit is still write-ahead: a
 //!   dirty page reaches the disk only through a checkpoint's flush, and
 //!   checkpoints run between sealed writes;
-//! * `checkpoint` = flush every dirty page, then truncate the log;
+//! * `checkpoint` = flush every dirty page, then truncate the log. A
+//!   store checkpoints itself right after a seal outside any bracket when
+//!   its log outgrew [`Wal::set_checkpoint_bytes`] (see
+//!   [`Store::log_commit`](crate::Store::log_commit) and
+//!   [`WalBatch::finish`](crate::WalBatch::finish)): the one
+//!   auto-checkpoint rule, the way a BerkeleyDB environment rather than
+//!   each access method decides when a log is checkpointed;
 //! * records carry a CRC-32 and recovery stops at the first torn or
 //!   corrupt record, exactly like a log whose tail write was interrupted.
 //!
@@ -68,6 +74,9 @@ const REC_COMMIT: u8 = 2;
 const PAGE_RECORD_OVERHEAD: usize = 1 + 8 + 8 + 4 + 4;
 /// Bytes of a commit marker.
 const COMMIT_RECORD_LEN: usize = 1 + 8 + 4;
+/// Log bytes past which a sealed log is checkpointed, unless
+/// [`Wal::set_checkpoint_bytes`] says otherwise.
+pub const DEFAULT_CHECKPOINT_BYTES: u64 = 1 << 20;
 /// A seal hands the medium at most this many bytes per write, so sealing a
 /// large batch (a bulk load, a merge) never copies all of it at once.
 const SEAL_WRITE_BYTES: usize = 1 << 18;
@@ -218,6 +227,9 @@ struct WalInner {
     /// marker; `> 0` = fsync at most once per this many milliseconds
     /// (commits in between are acknowledged from the OS page cache).
     sync_interval_ms: u64,
+    /// Log bytes past which the owning store checkpoints after a seal
+    /// outside any bracket (see [`Wal::set_checkpoint_bytes`]).
+    checkpoint_bytes: u64,
     /// When the last commit-path sync ran (interval bookkeeping).
     last_sync: Option<std::time::Instant>,
     /// Commit markers that triggered a sync.
@@ -382,6 +394,7 @@ impl Wal {
                     records: 0,
                     batch_depth: 0,
                     sync_interval_ms: 0,
+                    checkpoint_bytes: DEFAULT_CHECKPOINT_BYTES,
                     last_sync: None,
                     syncs: 0,
                     sync_skips: 0,
@@ -433,6 +446,19 @@ impl Wal {
     /// Current group-sync interval in milliseconds (`0` = every commit).
     pub fn sync_interval_ms(&self) -> u64 {
         self.inner.lock().sync_interval_ms
+    }
+
+    /// Set the auto-checkpoint threshold: once a seal outside any bracket
+    /// leaves more than `bytes` in the log, the owning store checkpoints
+    /// (see [`Store::log_commit`](crate::Store::log_commit)). `u64::MAX`
+    /// turns automatic checkpoints off.
+    pub fn set_checkpoint_bytes(&self, bytes: u64) {
+        self.inner.lock().checkpoint_bytes = bytes;
+    }
+
+    /// Current auto-checkpoint threshold in log bytes.
+    pub fn checkpoint_bytes(&self) -> u64 {
+        self.inner.lock().checkpoint_bytes
     }
 
     /// Open a commit bracket: until the matching [`Wal::end_batch`],

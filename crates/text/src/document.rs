@@ -9,13 +9,6 @@ use crate::vocabulary::{TermId, Vocabulary};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u32);
 
-impl DocId {
-    #[inline]
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
-}
-
 impl std::fmt::Display for DocId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.0)

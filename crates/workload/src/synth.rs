@@ -76,12 +76,6 @@ impl SynthConfig {
         }
     }
 
-    /// Uniformly scale document count (used by parameter sweeps).
-    pub fn with_docs(mut self, num_docs: usize) -> SynthConfig {
-        self.num_docs = num_docs;
-        self
-    }
-
     /// Generate the data set.
     pub fn generate(&self) -> SynthDataset {
         let mut rng = StdRng::seed_from_u64(self.seed);

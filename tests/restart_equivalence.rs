@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use svr::{IndexConfig, MethodKind, QueryMode, SvrEngine, WriteBatch};
+use svr::{EngineConfig, IndexConfig, MethodKind, QueryMode, SvrEngine, WriteBatch};
 use svr_relation::schema::{ColumnType, Schema};
 use svr_relation::{ScoreComponent, SvrSpec, Value};
 use svr_storage::StorageEnv;
@@ -49,7 +49,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 fn build_engine(env: &Arc<StorageEnv>, method: MethodKind, num_shards: usize) -> SvrEngine {
-    let engine = SvrEngine::create(env.clone()).unwrap();
+    build_engine_with(env, method, num_shards, EngineConfig::default())
+}
+
+fn build_engine_with(
+    env: &Arc<StorageEnv>,
+    method: MethodKind,
+    num_shards: usize,
+    config: EngineConfig,
+) -> SvrEngine {
+    let engine = SvrEngine::create_with(env.clone(), config).unwrap();
     engine
         .create_table(Schema::new(
             "movies",
@@ -174,15 +183,25 @@ fn snapshot(engine: &SvrEngine) -> EngineSnapshot {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// Once at the default checkpoint threshold and once at one byte, where
+    /// every seal checkpoints: the crash then lands after checkpoints made
+    /// throughout the schedule (the index build included).
     #[test]
     fn crash_and_reopen_is_bit_identical(
         ops in prop::collection::vec(op_strategy(), 1..24),
         merge_midway in any::<bool>(),
     ) {
+        let default_bytes = EngineConfig::default().wal_checkpoint_bytes;
         for method in MethodKind::ALL_EXTENDED {
-            for num_shards in [1usize, 4] {
+            for (num_shards, checkpoint_bytes) in
+                [(1usize, default_bytes), (4, default_bytes), (1, 1), (4, 1)]
+            {
+                let config = EngineConfig {
+                    wal_checkpoint_bytes: checkpoint_bytes,
+                    ..EngineConfig::default()
+                };
                 let env = Arc::new(StorageEnv::new_durable(4096));
-                let engine = build_engine(&env, method, num_shards);
+                let engine = build_engine_with(&env, method, num_shards, config.clone());
                 for (i, op) in ops.iter().enumerate() {
                     if merge_midway && i == ops.len() / 2 {
                         engine.run_maintenance("idx").unwrap();
@@ -193,11 +212,12 @@ proptest! {
                 drop(engine);
 
                 env.crash();
-                let reopened = SvrEngine::open(env).unwrap();
+                let reopened = SvrEngine::open_with(env, config).unwrap();
                 let got = snapshot(&reopened);
                 prop_assert_eq!(
                     &expected, &got,
-                    "method {} x{} diverged across crash+reopen", method, num_shards
+                    "method {} x{} (checkpoint over {} B) diverged across crash+reopen",
+                    method, num_shards, checkpoint_bytes
                 );
 
                 // And the reopened engine remains fully writable: replay
