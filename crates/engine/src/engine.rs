@@ -255,7 +255,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            wal_checkpoint_bytes: 1 << 20,
+            wal_checkpoint_bytes: svr_storage::wal::DEFAULT_CHECKPOINT_BYTES,
             wal_sync_interval_ms: 0,
             group_refresh: false,
         }

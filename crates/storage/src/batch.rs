@@ -17,7 +17,7 @@
 //! A clean finish is the second place a log seals (the first is
 //! [`Store::log_commit`] outside a bracket), so it is also where each store
 //! checkpoints itself once its log outgrew the threshold (see
-//! [`Wal::set_checkpoint_bytes`](crate::wal::Wal::set_checkpoint_bytes)).
+//! [`StorageEnv::set_wal_checkpoint_bytes`](crate::StorageEnv::set_wal_checkpoint_bytes)).
 
 use std::sync::Arc;
 
@@ -192,7 +192,8 @@ mod tests {
         // with nothing left to replay.
         over.crash();
         over.recover().unwrap();
-        assert_eq!(trees[0].get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+        let reopened = BTree::reopen(over.clone(), 0).unwrap();
+        assert_eq!(reopened.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
     }
 
     #[test]

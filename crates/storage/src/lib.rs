@@ -93,7 +93,7 @@ pub struct StorageEnv {
     /// [`Wal::set_sync_interval_ms`]); `0` = fsync on every commit marker.
     wal_sync_interval_ms: std::sync::atomic::AtomicU64,
     /// Auto-checkpoint threshold applied to every store's write-ahead log
-    /// (see [`Wal::set_checkpoint_bytes`]).
+    /// (see [`StorageEnv::set_wal_checkpoint_bytes`]).
     wal_checkpoint_bytes: std::sync::atomic::AtomicU64,
     stores: Mutex<HashMap<String, Arc<Store>>>,
 }

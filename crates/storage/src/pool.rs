@@ -303,7 +303,7 @@ impl Store {
     /// Outside a [`WalBatch`](crate::WalBatch) this is one of the two
     /// places a log seals, and so one of the two places the store
     /// checkpoints itself once its log outgrew the threshold
-    /// ([`Wal::set_checkpoint_bytes`](crate::wal::Wal::set_checkpoint_bytes);
+    /// ([`StorageEnv::set_wal_checkpoint_bytes`](crate::StorageEnv::set_wal_checkpoint_bytes);
     /// the other is [`WalBatch::finish`](crate::WalBatch::finish)). Inside a
     /// bracket the commit is held back and nothing is checkpointed.
     ///

@@ -28,7 +28,8 @@
 //!   checkpoints run between sealed writes;
 //! * `checkpoint` = flush every dirty page, then truncate the log. A
 //!   store checkpoints itself right after a seal outside any bracket when
-//!   its log outgrew [`Wal::set_checkpoint_bytes`] (see
+//!   its log outgrew the environment's threshold
+//!   ([`StorageEnv::set_wal_checkpoint_bytes`](crate::StorageEnv::set_wal_checkpoint_bytes); see
 //!   [`Store::log_commit`](crate::Store::log_commit) and
 //!   [`WalBatch::finish`](crate::WalBatch::finish)): the one
 //!   auto-checkpoint rule, the way a BerkeleyDB environment rather than
@@ -75,7 +76,8 @@ const PAGE_RECORD_OVERHEAD: usize = 1 + 8 + 8 + 4 + 4;
 /// Bytes of a commit marker.
 const COMMIT_RECORD_LEN: usize = 1 + 8 + 4;
 /// Log bytes past which a sealed log is checkpointed, unless
-/// [`Wal::set_checkpoint_bytes`] says otherwise.
+/// [`StorageEnv::set_wal_checkpoint_bytes`](crate::StorageEnv::set_wal_checkpoint_bytes)
+/// says otherwise.
 pub const DEFAULT_CHECKPOINT_BYTES: u64 = 1 << 20;
 /// A seal hands the medium at most this many bytes per write, so sealing a
 /// large batch (a bulk load, a merge) never copies all of it at once.
@@ -228,7 +230,7 @@ struct WalInner {
     /// (commits in between are acknowledged from the OS page cache).
     sync_interval_ms: u64,
     /// Log bytes past which the owning store checkpoints after a seal
-    /// outside any bracket (see [`Wal::set_checkpoint_bytes`]).
+    /// outside any bracket.
     checkpoint_bytes: u64,
     /// When the last commit-path sync ran (interval bookkeeping).
     last_sync: Option<std::time::Instant>,
@@ -452,12 +454,12 @@ impl Wal {
     /// leaves more than `bytes` in the log, the owning store checkpoints
     /// (see [`Store::log_commit`](crate::Store::log_commit)). `u64::MAX`
     /// turns automatic checkpoints off.
-    pub fn set_checkpoint_bytes(&self, bytes: u64) {
+    pub(crate) fn set_checkpoint_bytes(&self, bytes: u64) {
         self.inner.lock().checkpoint_bytes = bytes;
     }
 
     /// Current auto-checkpoint threshold in log bytes.
-    pub fn checkpoint_bytes(&self) -> u64 {
+    pub(crate) fn checkpoint_bytes(&self) -> u64 {
         self.inner.lock().checkpoint_bytes
     }
 
